@@ -5,8 +5,9 @@ bireflection structure and cyclotomic-Gorenstein reports.
 """
 
 from .cycnum import CycNum, cyc_make, root_of_unity_order, root_power_exponent, zeta
-from .errors import (DenominatorVanishesAtZero, DivisionByZero, DuinvError,
-                     GroupTooLarge, InfiniteOrderSuspected,
+from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
+                     DivisionByZero, DuinvError, GroupTooLarge,
+                     InfiniteOrderSuspected,
                      NonMonomialMatrix, NonNormalizableDenominator,
                      NonRationalCollapse, NotAnAutomorphism, ParseError,
                      PromotionOverflow, SingularGenerator,

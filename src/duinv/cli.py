@@ -3,9 +3,17 @@ Command-line front end: parse matrices with cyclotomic entries, analyze a
 group action on a down-up algebra, run the reproduction suites, or classify
 a matrix group.  JSON goes to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 1 bad input syntax, 2 the matrices do not act on the
-requested algebra, 3 group closure failed (singular generator or infinite
-group suspected).
+Exit codes (analyze and classify; paperlab exits 1 when a check fails):
+
+  0  success
+  1  bad input: any error while reading alpha, beta or a matrix (a syntax
+     error, zeta(0), beta = 0, ...), or entries whose conductors together
+     exceed the supported cap
+  2  the matrices do not act on the requested algebra (argparse also exits
+     2 on a malformed command line)
+  3  group closure failed: singular generator, group too large, or infinite
+     order suspected
+  4  any other library error (a DuinvError) during the analysis
 """
 from __future__ import annotations
 
@@ -16,10 +24,11 @@ import sys
 from fractions import Fraction
 
 from .cycnum import CycNum, zeta
-from .errors import (GroupTooLarge, InfiniteOrderSuspected, NotAnAutomorphism,
-                     ParseError, SingularGenerator)
+from .errors import (DuinvError, GroupTooLarge, InfiniteOrderSuspected,
+                     NotAnAutomorphism, ParseError, PromotionOverflow,
+                     SingularGenerator)
 from .matgroup import Mat2, MatGroup, classify, close_group
-from .invariants import Theorem03Report, theorem03_report
+from .invariants import AlgebraCtx, Theorem03Report, theorem03_report
 from . import paperlab
 
 
@@ -262,22 +271,42 @@ def _report_markdown(report: Theorem03Report) -> str:
 # subcommands
 # ---------------------------------------------------------------------------
 
+# (error classes, exit code, stderr prefix) for errors raised after the
+# input parsed, most specific first; every DuinvError matches the last row.
+_EXIT_CODES = (
+    ((PromotionOverflow,), 1, "input error"),
+    ((NotAnAutomorphism,), 2, "not an automorphism"),
+    ((SingularGenerator, GroupTooLarge, InfiniteOrderSuspected), 3,
+     "group closure failed"),
+    ((DuinvError,), 4, "analysis failed"),
+)
+
+
+def _fail(exc: DuinvError) -> int:
+    """Report a library error on stderr; return its documented exit code."""
+    code, prefix = next((code, prefix) for classes, code, prefix in _EXIT_CODES
+                        if isinstance(exc, classes))
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
+
+
+def _input_error(exc: Exception) -> int:
+    print(f"input error: {exc}", file=sys.stderr)
+    return 1
+
+
 def cmd_analyze(args) -> int:
     try:
         alpha = Fraction(args.alpha)
         beta = Fraction(args.beta)
+        AlgebraCtx.down_up(alpha, beta)  # rejects beta = 0
         gens = [parse_matrix(g) for g in args.gen]
-    except (ParseError, ValueError, ZeroDivisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, ZeroDivisionError, DuinvError) as exc:
+        return _input_error(exc)
     try:
         report = theorem03_report(alpha, beta, gens)
-    except NotAnAutomorphism as exc:
-        print(f"not an automorphism: {exc}", file=sys.stderr)
-        return 2
-    except (SingularGenerator, GroupTooLarge, InfiniteOrderSuspected) as exc:
-        print(f"group closure failed: {exc}", file=sys.stderr)
-        return 3
+    except DuinvError as exc:
+        return _fail(exc)
     if args.md:
         print(_report_markdown(report))
     else:
@@ -299,15 +328,13 @@ def cmd_paperlab(args) -> int:
 def cmd_classify(args) -> int:
     try:
         gens = [parse_matrix(g) for g in args.gen]
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
+    except (ZeroDivisionError, DuinvError) as exc:
+        return _input_error(exc)
     try:
         group = close_group(gens)
-    except (SingularGenerator, GroupTooLarge, InfiniteOrderSuspected) as exc:
-        print(f"group closure failed: {exc}", file=sys.stderr)
-        return 3
-    label = classify(group)
+        label = classify(group)
+    except DuinvError as exc:
+        return _fail(exc)
     print(json.dumps({
         "order": len(group),
         "label": _label_str(label),

@@ -73,6 +73,10 @@ class NonMonomialMatrix(DuinvError):
     """Polynomial-ring actions are only supported for monomial matrices."""
 
 
+class BireflectionMismatch(DuinvError):
+    """The trace-series and matrix criteria for a bireflection disagree."""
+
+
 # --- CLI ---
 
 class ParseError(DuinvError):

@@ -26,13 +26,15 @@ import enum
 import math
 from fractions import Fraction
 
+from . import monomial
 from .cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from .errors import (InfiniteOrderSuspected, NonMonomialMatrix,
+from .errors import (BireflectionMismatch, GroupTooLarge,
+                     InfiniteOrderSuspected, NonMonomialMatrix,
                      NonRationalCollapse, NotAnAutomorphism,
                      UnsupportedAutomorphism, ZeroFunction)
 from .intpoly import IntPoly, one_minus_t_pow
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
-                       eigenvalues)
+                       eigenvalues, generated_subgroup)
 from .ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
 
 
@@ -94,16 +96,18 @@ class AlgebraCtx:
 
     def check_automorphism(self, g: Mat2) -> None:
         """Raise NotAnAutomorphism unless g acts on this algebra."""
+        self.check_shapes([g.shape()])
+
+    def check_shapes(self, shapes) -> None:
+        """Raise NotAnAutomorphism unless matrices of every given shape (see
+        Mat2.shape) act on this algebra."""
         if self.kind == "down_up":
-            shape = self.aut_shape
-            if shape is AutShape.FULL_GL2:
-                return
-            if shape is AutShape.U and (g.is_diagonal() or g.is_antidiagonal()):
-                return
-            if shape is AutShape.O and g.is_diagonal():
-                return
-            raise NotAnAutomorphism(
-                f"matrix shape not allowed for down-up({self.alpha}, {self.beta})")
+            allowed = {AutShape.FULL_GL2: ("diagonal", "antidiagonal", "other"),
+                       AutShape.U: ("diagonal", "antidiagonal"),
+                       AutShape.O: ("diagonal",)}[self.aut_shape]
+            if not set(shapes) <= set(allowed):
+                raise NotAnAutomorphism(
+                    f"matrix shape not allowed for down-up({self.alpha}, {self.beta})")
         # The plane/polynomial contexts accept anything here; expansion of the
         # trace may still refuse shapes it cannot diagonalize.
 
@@ -239,27 +243,20 @@ def hdet_from_trace(tr, injective_dim: int) -> HdetResult:
 _molien_cache: dict = {}
 
 
-def _average_inverse_products(shape: tuple[int, ...], eigen_lists) -> RatFunc:
+def _average_inverse_products(shape: tuple[int, ...], modulus: int,
+                              exponent_lists) -> RatFunc:
     """
-    Average of 1 / prod_i (1 - lam_i t^(d_i)) over the given eigenvalue
-    tuples, as an exact rational function.  All scalars must be roots of
-    unity.  Results must have rational coefficients (NonRationalCollapse
-    otherwise).
+    Average of 1 / prod_i (1 - lam_i t^(d_i)) over the given tuples of
+    scalars lam_i = zeta_modulus^e_i, each tuple given by its exponents e_i,
+    as an exact rational function.  Results must have rational coefficients
+    (NonRationalCollapse otherwise).
     """
-    orders = []
-    for eig in eigen_lists:
-        for lam in eig:
-            o = root_of_unity_order(lam)
-            if o is None:
-                raise InfiniteOrderSuspected("eigenvalue is not a root of unity")
-            orders.append(o)
-    big_m = 1
-    for o in orders:
-        big_m = big_m * o // math.gcd(big_m, o)
     from collections import Counter
-    tuples = Counter()
-    for eig in eigen_lists:
-        tuples[tuple(root_power_exponent(lam, big_m) for lam in eig)] += 1
+    # Work at M, the lcm of the orders of all the scalars.
+    big_m = math.lcm(*(modulus // math.gcd(modulus, e)
+                       for exps in exponent_lists for e in exps))
+    step = modulus // big_m
+    tuples = Counter(tuple(e // step for e in exps) for exps in exponent_lists)
     key = (shape, big_m, tuple(sorted(tuples.items())))
     if key in _molien_cache:
         return _molien_cache[key]
@@ -293,30 +290,28 @@ def _average_inverse_products(shape: tuple[int, ...], eigen_lists) -> RatFunc:
     return result
 
 
-def _eigen_data(ctx: AlgebraCtx, group: MatGroup):
-    """Factor degrees and per-element eigenvalue tuples for a Molien average."""
+def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):
+    """
+    Factor degrees of the trace series, and the exponents of their scalars
+    for every element, as (shape, modulus, tuples), read off the group's
+    element table.
+    """
+    table = group.table
     if ctx.kind == "down_up":
-        shape = (1, 1, 2)
-        eigs = []
-        for g in group:
-            ctx.check_automorphism(g)
-            lam, mu = eigenvalues(g)
-            eigs.append((lam, mu, lam * mu))
-        return shape, eigs
+        ctx.check_shapes(table.shapes)
+        m = table.modulus
+        return (1, 1, 2), m, [(x, y, (x + y) % m) for x, y in table.eigenvalues]
     if ctx.kind in ("skew_plane", "jordan_plane"):
-        shape = (1, 1)
-        eigs = []
-        for g in group:
-            tr = plane_trace(ctx, g)
-            eigs.append(tuple(lam for _, lam in tr.den_factors))
-        return shape, eigs
+        for g, shape, (x, y) in zip(group, table.shapes, table.eigenvalues):
+            if shape != "diagonal" or (ctx.kind == "jordan_plane" and x != y):
+                plane_trace(ctx, g)  # raises the shape error for this g
+        return (1, 1), table.modulus, list(table.eigenvalues)
     raise ValueError(f"molien does not handle context kind {ctx.kind!r}")
 
 
 def molien(ctx: AlgebraCtx, group: MatGroup) -> RatFunc:
     """Hilbert series of the invariant ring: the average of trace series."""
-    shape, eigs = _eigen_data(ctx, group)
-    return _average_inverse_products(shape, eigs)
+    return _average_inverse_products(*_trace_exponents(ctx, group))
 
 
 # ---------------------------------------------------------------------------
@@ -338,23 +333,44 @@ def is_bireflection(ctx: AlgebraCtx, g: Mat2, include_reflections: bool = True) 
     """
     Pole order gkdim - 2 at t = 1; with include_reflections (the default)
     pole order gkdim - 1 also qualifies.  The identity never qualifies.
+    On a down-up algebra the answer is cross-checked against the matrix
+    criterion (BireflectionMismatch if they disagree).
     """
-    order = trace_form(ctx, g).pole_order_at_one()
-    ok = order == ctx.gkdim - 2 or (include_reflections and order == ctx.gkdim - 1)
-    if ctx.kind == "down_up":
-        # Matrix-side criterion: det 1 (non-identity) or an eigenvalue 1.
-        lam, mu = eigenvalues(g)
-        ident = g == Mat2.identity()
-        matrix_side = (not ident) and (g.det() == 1 or lam == 1 or mu == 1)
-        assert ok == matrix_side, "trace and matrix bireflection tests disagree"
+    def matrix_side():  # det 1 (non-identity) or an eigenvalue 1
+        return g != Mat2.identity() and (g.det() == 1 or 1 in eigenvalues(g))
+
+    return _bireflection_rule(ctx, trace_form(ctx, g).pole_order_at_one(),
+                              include_reflections, matrix_side, g)
+
+
+def _bireflection_rule(ctx: AlgebraCtx, poles: int, include_reflections: bool,
+                       matrix_side, g) -> bool:
+    """
+    The answer from the pole order at t = 1.  On a down-up algebra it must
+    agree with matrix_side(), the matrix criterion (BireflectionMismatch
+    otherwise).
+    """
+    ok = poles == ctx.gkdim - 2 or (include_reflections and poles == ctx.gkdim - 1)
+    if ctx.kind == "down_up" and ok != matrix_side():
+        raise BireflectionMismatch(
+            f"trace and matrix bireflection tests disagree on {g}")
     return ok
 
 
+def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
+    """is_bireflection for every element, read off the element table."""
+    _, _, traces = _trace_exponents(ctx, group)
+    table = group.table
+    return [_bireflection_rule(ctx, trace.count(0), True,
+                               lambda: eig != (0, 0) and (det == 0 or 0 in eig), g)
+            for g, trace, det, eig in zip(group, traces, table.dets, table.eigenvalues)]
+
+
 def bireflection_subgroup(ctx: AlgebraCtx, group: MatGroup) -> MatGroup:
-    gens = [g for g in group if is_bireflection(ctx, g)]
-    if not gens:
+    flags = _bireflection_flags(ctx, group)
+    if not any(flags):
         return close_group([Mat2.identity()])
-    return close_group(gens)
+    return generated_subgroup(group, [i for i, ok in enumerate(flags) if ok])
 
 
 def generated_by_bireflections(ctx: AlgebraCtx, group: MatGroup) -> bool:
@@ -397,16 +413,15 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
 
     ctx = AlgebraCtx.down_up(alpha, beta)
     group = close_group(generators, cap=cap)
-    for g in group:
-        ctx.check_automorphism(g)
+    series = molien(ctx, group)  # refuses matrices that do not act on ctx
     label = classify(group)
-    series = molien(ctx, group)
 
-    hdet_trivial = all(hdet_matrix(g) == 1 for g in group)
+    table = group.table  # hdet = det^2
+    hdet_trivial = all(2 * det % table.modulus == 0 for det in table.dets)
     stanley = stanley_gorenstein_test(series)
     fact = is_cyclotomic_product(series.num) if not series.num.is_zero() else None
     cyclotomic = fact is not None
-    biref = [g for g in group if is_bireflection(ctx, g)]
+    bireflection_count = sum(_bireflection_flags(ctx, group))
     generated = generated_by_bireflections(ctx, group)
 
     c3 = hdet_trivial and cyclotomic
@@ -423,7 +438,7 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
         cyclotomic=cyclotomic,
         cyclotomic_factors=fact.factors if fact is not None else None,
         noncyclotomic_witness=None if cyclotomic else series.num,
-        bireflection_count=len(biref),
+        bireflection_count=bireflection_count,
         generated_by_bireflections=generated,
         condition_c2=c2,
         condition_c3=c3,
@@ -481,18 +496,8 @@ class MonomialMat:
 
     def eigenvalues(self) -> tuple[CycNum, ...]:
         """Eigenvalues cycle by cycle: the l-th roots of the cycle product."""
-        n = len(self.perm)
-        seen = [False] * n
         out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycle = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cycle.append(j)
-                j = self.perm[j]
+        for cycle in monomial.cycles(self.perm):
             product = CycNum.one()
             for j in cycle:
                 product = product * self.scalars[j]
@@ -507,39 +512,47 @@ class MonomialMat:
         return tuple(out)
 
 
+def _close_monomials(gens, cap: int):
+    """
+    The closure of monomial generators: an ExpForm when every scalar is a
+    root of unity, else the MonomialMat elements by CycNum products, at the
+    lcm of the scalar conductors.  Overflowing the cap raises
+    InfiniteOrderSuspected, as this closure always has.
+    """
+    n = len(gens[0].perm)
+    try:
+        roots = [monomial.scalar_roots(g.perm, g.scalars) for g in gens]
+        if None not in roots:
+            m, exps = monomial.lift(roots)
+            return monomial.close_exponents(
+                [(g.perm, k) for g, k in zip(gens, exps)], m, n, cap)
+        lcm = _scalar_conductor(gens)
+        gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
+                for g in gens]
+        ident = MonomialMat(tuple(range(n)),
+                            tuple(CycNum.one().promoted(lcm) for _ in range(n)))
+        return monomial.closure(ident, gens, MonomialMat.__matmul__,
+                                MonomialMat.key, cap)
+    except GroupTooLarge as exc:
+        raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
+
+
+def _scalar_conductor(gens) -> int:
+    return math.lcm(*(s.conductor for g in gens for s in g.scalars))
+
+
 def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMat, ...]:
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0].perm)
-    # Lift every scalar to a common conductor so products keep a single
-    # conductor and the dedup keys are stable.
-    lcm = 1
-    for g in gens:
-        for s in g.scalars:
-            lcm = lcm * s.conductor // math.gcd(lcm, s.conductor)
-    gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
-            for g in gens]
-    ident = MonomialMat(tuple(range(n)),
-                        tuple(CycNum.one().promoted(lcm) for _ in range(n)))
-    elements = [ident]
-    seen = {ident.key()}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                p = m @ g
-                k = p.key()
-                if k not in seen:
-                    if len(elements) >= cap:
-                        raise InfiniteOrderSuspected(
-                            f"monomial closure exceeded cap of {cap}")
-                    seen.add(k)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return tuple(elements)
+    group = _close_monomials(gens, cap)
+    if not isinstance(group, monomial.ExpForm):
+        return tuple(group)
+    # Every scalar at the lcm of the generators' conductors, so the elements
+    # share one conductor.
+    table = monomial.root_table(group.modulus, _scalar_conductor(gens))
+    return tuple(MonomialMat(perm, tuple(table[k] for k in ks))
+                 for perm, ks in group.elements)
 
 
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
@@ -556,15 +569,15 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     if weights is None:
         weights = (1,) * n
     weights = tuple(int(w) for w in weights)
-    elements = close_monomial_group(gens, cap=cap)
-    eigs = []
-    for m in elements:
-        vals = m.eigenvalues()
-        if len(vals) != n:
-            raise NonMonomialMatrix("eigenvalue count mismatch")
-        if any(p != i for i, p in enumerate(m.perm)) and len(set(weights)) > 1:
-            # A permutation mixing variables of unequal weight does not act
-            # on the weighted ring degree-wise.
-            raise NotAnAutomorphism("permutation mixes variables of different weights")
-        eigs.append(vals)
-    return _average_inverse_products(weights, eigs)
+    group = _close_monomials(gens, cap)
+    if len(set(weights)) > 1 and any(g.perm != tuple(range(n)) for g in gens):
+        # A permutation mixing variables of unequal weight does not act
+        # on the weighted ring degree-wise; the group permutes variables
+        # exactly when a generator does.
+        raise NotAnAutomorphism("permutation mixes variables of different weights")
+    if isinstance(group, monomial.ExpForm):
+        modulus, eigs = group.eigen_modulus, group.eigenvalues
+    else:
+        modulus, eigs = monomial.lift(
+            [[monomial.root_exponent(x) for x in m.eigenvalues()] for m in group])
+    return _average_inverse_products(weights, modulus, eigs)

@@ -6,15 +6,24 @@ Group closure is breadth-first from the identity, so element order is
 deterministic for a given generator list.  All elements of a closure are
 stored at the least common multiple of the generators' conductors, which
 makes hashing and membership exact and cheap.
+
+Classification and the invariants read a group through its ElementTable:
+the shape, determinant, eigenvalues and order of every element as integers.
+Monomial generators whose entries are roots of unity (every Q1..Q8, C_n and
+BD_4n group) close in the integer exponent form of `duinv.monomial`, and the
+table is read off that form.  Any other generators close by CycNum matrix
+products, and the table comes from the CycNum eigenvalues of each element.
 """
 from __future__ import annotations
 
 import dataclasses
 import functools
 import math
+import typing
 
-from .cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from .errors import (GroupTooLarge, InfiniteOrderSuspected, SingularGenerator)
+from . import monomial
+from .cycnum import CycNum, zeta
+from .errors import InfiniteOrderSuspected, SingularGenerator
 
 DEFAULT_CAP = 10_000
 
@@ -80,6 +89,12 @@ class Mat2:
         """Hashable exact form of the matrix at the given conductor."""
         return tuple(e.promoted(conductor).coeffs for e in self.entries())
 
+    def shape(self) -> str:
+        """"diagonal", "antidiagonal" or "other"."""
+        if self.is_diagonal():
+            return "diagonal"
+        return "antidiagonal" if self.is_antidiagonal() else "other"
+
     @functools.lru_cache(maxsize=None)
     def order(self, cap: int = DEFAULT_CAP) -> int:
         """Multiplicative order; InfiniteOrderSuspected beyond the cap."""
@@ -90,6 +105,32 @@ class Mat2:
                 return k
             power = power @ self
         raise InfiniteOrderSuspected(f"no power up to {cap} equals the identity")
+
+
+def _monomial_roots(g: Mat2):
+    """
+    (perm, [(order, exponent)] of the column scalars) when g is diagonal or
+    antidiagonal with root-of-unity entries, else None.  Raises
+    InfiniteOrderSuspected when a diagonal entry or, for an antidiagonal g,
+    the product bc is not a root of unity.
+    """
+    if g.is_diagonal():
+        perm, scalars = (0, 1), (g.a, g.d)
+    elif g.is_antidiagonal():
+        perm, scalars = (1, 0), (g.c, g.b)
+    else:
+        return None
+    roots = monomial.scalar_roots(perm, scalars)
+    return None if roots is None else (perm, roots)
+
+
+def _exponent_form(g: Mat2):
+    """g alone in exponent form, or None when it has none."""
+    roots = _monomial_roots(g)
+    if roots is None:
+        return None
+    m, (k,) = monomial.lift([roots[1]])
+    return monomial.ExpForm(m, ((roots[0], k),))
 
 
 # Named matrices used throughout: reflections, rotations and the diagonal
@@ -162,6 +203,45 @@ def standard_group(family: int, n: int, cap: int = DEFAULT_CAP) -> "MatGroup":
     return close_group(gens, cap=cap)
 
 
+class ElementTable(typing.NamedTuple):
+    """
+    The elements of a finite group of 2x2 matrices as integers, in group
+    order: the shape of each (see Mat2.shape), and its determinant and its
+    eigenvalues, sorted, as exponents of zeta_modulus.
+    """
+
+    modulus: int
+    shapes: tuple[str, ...]
+    dets: tuple[int, ...]
+    eigenvalues: tuple[tuple[int, int], ...]
+
+    @property
+    def orders(self) -> tuple[int, ...]:
+        """A finite-order matrix has the order of its eigenvalues."""
+        return tuple(self.modulus // math.gcd(self.modulus, *eig)
+                     for eig in self.eigenvalues)
+
+    @staticmethod
+    def of_form(form: monomial.ExpForm) -> "ElementTable":
+        return ElementTable(form.eigen_modulus,
+                            tuple(_PERM_SHAPES[perm] for perm, _ in form.elements),
+                            form.dets, tuple(tuple(sorted(e)) for e in form.eigenvalues))
+
+    @staticmethod
+    def of_matrices(elements) -> "ElementTable":
+        """The table by CycNum arithmetic, for matrices of finite order: one
+        root-of-unity lookup per determinant and eigenvalue."""
+        m, exps = monomial.lift([[monomial.root_exponent(x)
+                                  for x in (g.det(), *eigenvalues(g))]
+                                 for g in elements])
+        return ElementTable(m, tuple(g.shape() for g in elements),
+                            tuple(det for det, *_ in exps),
+                            tuple(tuple(sorted(eig)) for _, *eig in exps))
+
+
+_PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
+
+
 @dataclasses.dataclass(frozen=True)
 class MatGroup:
     """A finite group of 2x2 matrices, all stored at a common conductor."""
@@ -169,6 +249,10 @@ class MatGroup:
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
     conductor: int
+    # The same elements, in the same order, in exponent form; None for
+    # groups closed by CycNum products.
+    exp_form: monomial.ExpForm | None = dataclasses.field(
+        default=None, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -190,19 +274,13 @@ class MatGroup:
                 out.append(d)
         return set(out)
 
-    def diagonal_part(self) -> tuple[Mat2, ...]:
-        return tuple(e for e in self.elements if e.is_diagonal())
-
-    def exponent(self) -> int:
-        m = 1
-        for e in self.elements:
-            o = e.order(cap=len(self.elements) + 1)
-            m = m * o // math.gcd(m, o)
-        return m
-
-    def is_cyclic(self) -> bool:
-        n = len(self.elements)
-        return any(e.order(cap=n + 1) == n for e in self.elements)
+    @functools.cached_property
+    def table(self) -> ElementTable:
+        """Shapes, determinants, eigenvalues and orders of the elements, read
+        off the exponent form when the group has one."""
+        if self.exp_form is not None:
+            return ElementTable.of_form(self.exp_form)
+        return ElementTable.of_matrices(self.elements)
 
 
 _closure_cache: dict = {}
@@ -211,43 +289,77 @@ _closure_cache: dict = {}
 def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     """
     Breadth-first multiplicative closure of the generators (plus identity).
-    Raises SingularGenerator for non-invertible input and GroupTooLarge when
-    the closure exceeds `cap` elements.  Closures are memoized by the exact
-    generator list, so repeated analyses of one group are cheap.
+    Raises SingularGenerator for non-invertible input, GroupTooLarge when
+    the closure exceeds `cap` elements, and InfiniteOrderSuspected at once
+    for a generator that cannot have finite order: one whose determinant, a
+    diagonal entry or, if antidiagonal, the product bc is not a root of
+    unity.  Closures are memoized by the exact generator list, so repeated
+    analyses of one group are cheap.
     """
     gens = list(generators)
     for g in gens:
         if g.det().is_zero():
             raise SingularGenerator("group generator has zero determinant")
-    conductor = 1
-    for g in gens:
-        c = g.conductor()
-        conductor = conductor * c // math.gcd(conductor, c)
+    conductor = math.lcm(*(g.conductor() for g in gens))
     cache_key = (tuple(g.key(conductor) for g in gens), conductor, cap)
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
-    lifted = [Mat2(*(e.promoted(conductor) for e in g.entries())) for g in gens]
-    ident = Mat2(*(e.promoted(conductor) for e in Mat2.identity().entries()))
-    elements = [ident]
-    seen = {ident.key(conductor)}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in lifted:
-                p = m @ g
-                k = p.key(conductor)
-                if k not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
-                    seen.add(k)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    group = MatGroup(tuple(elements), tuple(gens), conductor)
+    roots = [_monomial_roots(g) for g in gens]
+    for g, r in zip(gens, roots):
+        if r is None and monomial.root_exponent(g.det()) is None:
+            raise InfiniteOrderSuspected("generator determinant is not a root of unity")
+    if None in roots:
+        group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
+                         conductor)
+    else:
+        m, exps = monomial.lift([r for _, r in roots])
+        form = monomial.close_exponents(
+            [(perm, k) for (perm, _), k in zip(roots, exps)], m, 2, cap)
+        group = _from_exponents(form, tuple(gens), conductor)
     _closure_cache[cache_key] = group
     return group
+
+
+def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
+    """The closure by CycNum matrix products at `conductor`; the reference
+    for any generators."""
+    lifted = [Mat2(*(e.promoted(conductor) for e in g.entries())) for g in gens]
+    ident = Mat2(*(e.promoted(conductor) for e in Mat2.identity().entries()))
+    return tuple(monomial.closure(ident, lifted, Mat2.__matmul__,
+                                  lambda m: m.key(conductor), cap))
+
+
+def _from_exponents(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
+    """The MatGroup whose elements, at `conductor`, are those of `form`."""
+    table = monomial.root_table(form.modulus, conductor)
+    zero = CycNum.zero().promoted(conductor)
+    elements = []
+    for perm, (k0, k1) in form.elements:
+        # Column j holds zeta^kj in row perm[j].
+        if perm == (0, 1):
+            elements.append(Mat2(table[k0], zero, zero, table[k1]))
+        else:
+            elements.append(Mat2(zero, table[k1], table[k0], zero))
+    return MatGroup(tuple(elements), generators, conductor, form)
+
+
+def generated_subgroup(group: MatGroup, indices) -> MatGroup:
+    """
+    close_group of the elements of `group` at the given indices, closed in
+    the exponent form of `group` when it has one.
+    """
+    gens = tuple(group.elements[i] for i in indices)
+    form = group.exp_form
+    if form is None:
+        return close_group(gens)
+    gen_exps = tuple(form.elements[i] for i in indices)
+    cache_key = ("exponents", form.modulus, group.conductor, gen_exps)
+    cached = _closure_cache.get(cache_key)
+    if cached is None:
+        sub = monomial.close_exponents(gen_exps, form.modulus, 2, DEFAULT_CAP)
+        cached = _closure_cache[cache_key] = _from_exponents(sub, gens, group.conductor)
+    return cached
 
 
 def sl2_part(group: MatGroup) -> MatGroup:
@@ -256,45 +368,43 @@ def sl2_part(group: MatGroup) -> MatGroup:
     return MatGroup(elems, elems, group.conductor)
 
 
-def satisfies_det_pm1(group: MatGroup) -> bool:
-    """True when the determinant image is exactly {1, -1}."""
-    dets = group.det_values()
-    return len(dets) == 2 and all(d == 1 or d == -1 for d in dets)
-
-
 @functools.lru_cache(maxsize=None)
 def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
     """
     The eigenvalue pair of a finite-order matrix, each an m-th root of unity
     for m the order of g, sorted by exponent as a power of zeta_m.
     """
-    m = g.order(cap=cap)
-    if g.is_diagonal():
-        pair = [g.a, g.d]
-    elif g.is_antidiagonal():
-        # Char poly is t^2 - bc, so the eigenvalues are the square roots of bc.
-        bc = g.b * g.c
-        o = root_of_unity_order(bc)
-        if o is None:
-            raise InfiniteOrderSuspected("antidiagonal product is not a root of unity")
-        j = root_power_exponent(bc, o)
-        mu = zeta(2 * o, j)
-        pair = [mu, -mu]
-    else:
-        tr, det = g.trace(), g.det()
-        pair = []
-        for k in range(m):
-            lam = zeta(m, k)
-            if lam * lam - tr * lam + det == 0:
-                pair.append(lam)
-                if len(pair) == 2:
-                    break
-        if len(pair) == 1:  # double eigenvalue
-            pair.append(pair[0])
-        if len(pair) != 2:
-            raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
-    exps = sorted(root_power_exponent(lam, m) for lam in pair)
-    return (zeta(m, exps[0]), zeta(m, exps[1]))
+    form = _exponent_form(g)
+    if form is None:
+        m = g.order(cap=cap)
+        return tuple(zeta(m, k) for k in _eigen_exponents_by_search(g, m))
+    table = ElementTable.of_form(form)
+    m = table.orders[0]
+    if m > cap:
+        raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
+    step = table.modulus // m
+    return tuple(zeta(m, k // step) for k in table.eigenvalues[0])
+
+
+def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
+    """
+    The sorted exponents k, as powers of zeta_m, of the eigenvalues of a
+    matrix of order m: the roots of t^2 - tr t + det among the m-th roots of
+    unity.  The reference for any matrix.
+    """
+    tr, det = g.trace(), g.det()
+    pair = []
+    for k in range(m):
+        lam = zeta(m, k)
+        if lam * lam - tr * lam + det == 0:
+            pair.append(k)
+            if len(pair) == 2:
+                break
+    if len(pair) == 1:  # double eigenvalue
+        pair.append(pair[0])
+    if len(pair) != 2:
+        raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
+    return tuple(pair)
 
 
 # ---------------------------------------------------------------------------
@@ -317,19 +427,25 @@ def classify(group: MatGroup) -> GroupLabel:
     presented in a conjugated basis come back as "Unrecognized".
     """
     order = len(group)
-    dets = group.det_values()
-    det_one = len(dets) == 1 and any(d == 1 for d in dets)
-    det_pm1 = satisfies_det_pm1(group)
-    all_diag = all(e.is_diagonal() for e in group)
-    in_u = all(e.is_diagonal() or e.is_antidiagonal() for e in group)
+    table = group.table
+    half = table.modulus // 2 if table.modulus % 2 == 0 else None  # -1 = zeta^half
+    signs = [{0: 1, half: -1}.get(det) for det in table.dets]  # None: neither
+    shapes = table.shapes
+    # diag(-1, 1) or diag(1, -1)
+    reflections = [s == "diagonal" and eig == (0, half)
+                   for s, eig in zip(shapes, table.eigenvalues)]
+    det_one = set(signs) == {1}
+    det_pm1 = set(signs) == {1, -1}
+    orders = table.orders
+    cyclic = order in orders
+    cyclic_index_two = order % 2 == 0 and order // 2 in orders
 
     matches: list[tuple[str, int | None]] = []
 
-    if all_diag:
-        sl2 = sl2_part(group)
-        m = len(sl2)
-        has_refl = any(e == mat_d1() or e == mat_d2() for e in group)
-        if det_one and group.is_cyclic():
+    if set(shapes) == {"diagonal"}:
+        m = signs.count(1)  # order of the SL_2 part
+        has_refl = any(reflections)
+        if det_one and cyclic:
             matches.append(("Q1", order))
         if det_pm1 and has_refl and m % 2 == 0:
             matches.append(("Q2", m // 2))
@@ -338,45 +454,42 @@ def classify(group: MatGroup) -> GroupLabel:
             if m == 1:
                 matches.append(("A1", None))
             matches.append(("A3", m))
-        if det_pm1 and not has_refl and group.is_cyclic() and m % 2 == 0:
+        if det_pm1 and not has_refl and cyclic and m % 2 == 0:
             matches.append(("Q4", m // 2))
             matches.append(("A4", m // 2))
         if det_pm1 and has_refl and m % 2 == 0:
             matches.append(("A2", m // 2))
-    elif in_u:
-        diag = close_group(group.diagonal_part()) if group.diagonal_part() else None
-        anti = [e for e in group if e.is_antidiagonal()]
-        anti_dets = {1 if e.det() == 1 else (-1 if e.det() == -1 else None)
-                     for e in anti}
-        diag_dets = {1 if e.det() == 1 else (-1 if e.det() == -1 else None)
-                     for e in group.diagonal_part()}
-        if det_one and anti:
+    elif set(shapes) <= {"diagonal", "antidiagonal"}:
+        diag = [i for i, s in enumerate(shapes) if s == "diagonal"]
+        anti_dets = {sign for sign, s in zip(signs, shapes) if s == "antidiagonal"}
+        diag_dets = {signs[i] for i in diag}
+        if det_one and anti_dets:
             if order % 4 == 0:
                 matches.append(("Q5", order // 4))
         if det_pm1 and anti_dets == {-1} and diag_dets == {1}:
             matches.append(("Q6", order // 2))
             matches.append(("D", order // 2))
             matches.append(("A5", None))
-        if det_pm1 and anti_dets == {1, -1} and diag_dets == {1, -1} and diag:
-            has_refl = any(e == mat_d1() or e == mat_d2() for e in diag)
+        if det_pm1 and anti_dets == {1, -1} and diag_dets == {1, -1}:
+            has_refl = any(reflections[i] for i in diag)
+            diag_cyclic = any(orders[i] == len(diag) for i in diag)
             if has_refl and order % 8 == 0:
                 matches.append(("Q7", order // 8))
-            if not has_refl and diag.is_cyclic() and order % 8 == 0:
+            if not has_refl and diag_cyclic and order % 8 == 0:
                 matches.append(("Q8", order // 8))
 
     if det_one:
-        if group.is_cyclic():
+        if cyclic:
             matches.append(("C", order))
-        if (order % 4 == 0 and order > 4 and not group.is_cyclic()
-                and _has_cyclic_index_two(group)):
+        if order % 4 == 0 and order > 4 and not cyclic and cyclic_index_two:
             matches.append(("BD", order // 4))
-        if order == 4 and group.is_cyclic():
+        if order == 4 and cyclic:
             matches.append(("BD", 1))
-        if order == 24 and not group.is_cyclic() and not _has_cyclic_index_two(group):
+        if order == 24 and not cyclic and not cyclic_index_two:
             matches.append(("BT", None))
-        if order == 48 and not _has_cyclic_index_two(group):
+        if order == 48 and not cyclic_index_two:
             matches.append(("BO", None))
-        if order == 120 and not _has_cyclic_index_two(group):
+        if order == 120 and not cyclic_index_two:
             matches.append(("BI", None))
 
     rendered = tuple(_render_label(f, n) for f, n in matches)
@@ -403,9 +516,3 @@ def _render_label(family: str, n: int | None) -> str:
         return f"A{family[1]}-type" if n is None else f"A{family[1]}-type(n={n})"
     return family
 
-
-def _has_cyclic_index_two(group: MatGroup) -> bool:
-    n = len(group)
-    if n % 2:
-        return False
-    return any(e.order(cap=n + 1) == n // 2 for e in group)

@@ -151,3 +151,47 @@ def test_paperlab_small_all(capsys):
     data = json.loads(capsys.readouterr().out)
     assert {e["check_id"] for e in data} >= {"jordan-negation-series",
                                             "jordan-negation-stanley"}
+
+
+# ---------------------------------------------------------------------------
+# exit codes: every library error maps to a documented code, no traceback
+# ---------------------------------------------------------------------------
+
+def test_analyze_zero_conductor_is_an_input_error(capsys):
+    assert main(["analyze", "--alpha", "1", "--beta", "1",
+                 "--gen", "[[zeta(0),0],[0,1]]"]) == 1
+    assert "input error" in capsys.readouterr().err
+
+
+def test_analyze_conductor_overflow_exit_code(capsys):
+    assert main(["analyze", "--alpha", "1", "--beta", "1",
+                 "--gen", "[[zeta(1000),0],[0,zeta(1001)]]"]) == 1
+
+
+def test_analyze_beta_zero_is_an_input_error(capsys):
+    assert main(["analyze", "--alpha", "1", "--beta", "0",
+                 "--gen", "[[-1,0],[0,1]]"]) == 1
+
+
+def test_analyze_infinite_order_exit_code(capsys):
+    assert main(["analyze", "--alpha", "1", "--beta", "1",
+                 "--gen", "[[2,0],[0,1/2]]"]) == 3
+
+
+def test_analyze_other_library_errors_exit_4(capsys, monkeypatch):
+    import duinv.cli
+    from duinv.errors import NonRationalCollapse
+
+    def fail(*args, **kwargs):
+        raise NonRationalCollapse("coefficient of t^3 is irrational")
+
+    monkeypatch.setattr(duinv.cli, "theorem03_report", fail)
+    assert main(["analyze", "--alpha", "1", "--beta", "1",
+                 "--gen", "[[-1,0],[0,1]]"]) == 4
+    assert "irrational" in capsys.readouterr().err
+
+
+def test_classify_exit_codes(capsys):
+    assert main(["classify", "--gen", "[[zeta(0),0],[0,1]]"]) == 1
+    assert main(["classify", "--gen", "[[1/0,0],[0,1]]"]) == 1
+    assert main(["classify", "--gen", "[[2,0],[0,1]]"]) == 3

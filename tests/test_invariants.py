@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from duinv.cycnum import CycNum, zeta
-from duinv.errors import (NonMonomialMatrix, NotAnAutomorphism,
-                          UnsupportedAutomorphism)
+from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
+                          NotAnAutomorphism, UnsupportedAutomorphism)
 from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
 from duinv.invariants import (AlgebraCtx, AutShape, MonomialMat,
                               bireflection_subgroup, close_monomial_group,
@@ -14,7 +14,8 @@ from duinv.invariants import (AlgebraCtx, AutShape, MonomialMat,
                               is_bireflection, is_quasi_reflection, molien,
                               normal_sequence_trace, plane_trace,
                               polyring_molien, theorem03_report)
-from duinv.matgroup import Mat2, close_group, mat_c, mat_d1, mat_s, mat_s1
+from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
+                            mat_s1)
 from duinv.ratfunc import RatFunc
 
 
@@ -253,3 +254,25 @@ def test_polyring_molien_symmetric_group_s3():
     series = polyring_molien(gens)
     expected = RatFunc.make(IntPoly((1,)), _omt(1) * _omt(2) * _omt(3))
     assert series == expected  # elementary symmetric polynomial degrees
+
+
+def test_bireflection_mismatch_is_a_typed_error(monkeypatch):
+    # diag(-1, zeta_3) is not a bireflection; claim its determinant is 1 so
+    # the matrix-side criterion says it is one.
+    g = Mat2.diag(-1, zeta(3))
+    ctx = AlgebraCtx.down_up(1, 1)
+    assert not is_bireflection(ctx, g)
+    monkeypatch.setattr(Mat2, "det", lambda self: CycNum.one())
+    with pytest.raises(BireflectionMismatch):
+        is_bireflection(ctx, g)
+
+
+def test_bireflection_mismatch_in_element_table(monkeypatch):
+    group = close_group([Mat2.diag(-1, zeta(3))])
+    ctx = AlgebraCtx.down_up(1, 1)
+    assert len(bireflection_subgroup(ctx, group)) == len(group) == 6
+    # claim every determinant is 1
+    table = group.table._replace(dets=(0,) * len(group))
+    monkeypatch.setattr(MatGroup, "table", property(lambda self: table))
+    with pytest.raises(BireflectionMismatch):
+        bireflection_subgroup(ctx, group)

@@ -1,10 +1,12 @@
 """Matrix closures, eigenvalues and recognition of the standard families."""
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duinv.cycnum import CycNum, zeta
-from duinv.errors import GroupTooLarge, SingularGenerator
+from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from duinv.matgroup import (Mat2, classify, close_group, eigenvalues, mat_c,
                             mat_c_minus, mat_d1, mat_d2, mat_s, mat_s1,
                             sl2_part, standard_group)
@@ -149,3 +151,21 @@ def test_group_closure_is_closed(n):
         assert x.inverse() in g
         for y in g:
             assert x @ y in g
+
+
+def test_infinite_order_generators_fail_fast():
+    # cap=2 would raise GroupTooLarge had any closure run
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([Mat2.diag(2, Fraction(1, 2))], cap=2)
+    with pytest.raises(InfiniteOrderSuspected):  # antidiagonal, bc = 2
+        close_group([Mat2.of(0, 2, 1, 0)], cap=2)
+    with pytest.raises(InfiniteOrderSuspected):  # determinant 2
+        close_group([Mat2.of(1, 1, 0, 2)], cap=2)
+
+
+def test_antidiagonal_with_irrational_entries_closes_by_products():
+    # bc = 1, so the group is finite although b and c are not roots of unity
+    g = close_group([Mat2.of(0, 2, Fraction(1, 2), 0)])
+    assert g.exp_form is None
+    assert len(g) == 2
+    assert eigenvalues(g.elements[1]) == (CycNum.one(), CycNum.from_rat(-1))
