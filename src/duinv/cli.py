@@ -18,16 +18,15 @@ Exit codes (analyze and classify; paperlab exits 1 when a check fails):
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from fractions import Fraction
 
-from .cycnum import CycNum, zeta
+from .cycnum import CycNum, render_cyc, zeta
 from .errors import (DuinvError, GroupTooLarge, InfiniteOrderSuspected,
                      NotAnAutomorphism, ParseError, PromotionOverflow,
                      SingularGenerator)
-from .matgroup import Mat2, MatGroup, classify, close_group
+from .matgroup import Mat2, _render_label, classify, close_group
 from .invariants import AlgebraCtx, Theorem03Report, theorem03_report
 from . import paperlab
 
@@ -164,31 +163,6 @@ def parse_matrix(text: str) -> Mat2:
 # rendering
 # ---------------------------------------------------------------------------
 
-def render_cyc(x: CycNum) -> str:
-    """Render a CycNum in the surface syntax; parse_cyc(render_cyc(x)) == x."""
-    n = x.conductor
-    parts = []
-    for k, c in enumerate(x.coeffs):
-        if c == 0:
-            continue
-        if k == 0:
-            parts.append(str(c))
-        else:
-            power = "zeta(%d)" % n if k == 1 else "zeta(%d)^%d" % (n, k)
-            if c == 1:
-                parts.append(power)
-            elif c == -1:
-                parts.append("-" + power)
-            else:
-                parts.append(f"{c}*{power}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
-
-
 def render_matrix(m: Mat2) -> str:
     e = [render_cyc(v) for v in m.entries()]
     return f"[[{e[0]},{e[1]}],[{e[2]},{e[3]}]]"
@@ -237,7 +211,6 @@ def _report_json(report: Theorem03Report) -> dict:
 
 
 def _label_str(label) -> str:
-    from .matgroup import _render_label
     return _render_label(label.family, label.n)
 
 

@@ -281,6 +281,31 @@ def cyc_make(conductor: int, coeffs) -> CycNum:
     return CycNum(conductor, coeffs)
 
 
+def render_cyc(x: CycNum) -> str:
+    """Render a CycNum in the surface syntax; parse_cyc(render_cyc(x)) == x."""
+    n = x.conductor
+    parts = []
+    for k, c in enumerate(x.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            power = "zeta(%d)" % n if k == 1 else "zeta(%d)^%d" % (n, k)
+            if c == 1:
+                parts.append(power)
+            elif c == -1:
+                parts.append("-" + power)
+            else:
+                parts.append(f"{c}*{power}")
+    if not parts:
+        return "0"
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out
+
+
 def root_of_unity_order(x: CycNum):
     """
     The multiplicative order of x if it is a root of unity, else None.

@@ -258,7 +258,8 @@ def cyclotomic_poly(d: int) -> IntPoly:
     for e in divisors(d):
         if e < d:
             poly, rem = poly.divmod_exact(cyclotomic_poly(e))
-            assert rem.is_zero()
+            if not rem.is_zero():
+                raise ArithmeticError(f"Phi_{e} does not divide t^{d} - 1")
     return poly
 
 

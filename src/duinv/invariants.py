@@ -50,11 +50,10 @@ class AutShape(enum.Enum):
 class AlgebraCtx:
     """A graded algebra a 2x2 (or monomial) matrix group can act on."""
 
-    kind: str  # "down_up" | "skew_plane" | "jordan_plane" | "weighted_poly"
+    kind: str  # "down_up" | "skew_plane" | "jordan_plane"
     alpha: Fraction | None = None
     beta: Fraction | None = None
     q: CycNum | None = None
-    weights: tuple[int, ...] | None = None
 
     @staticmethod
     def down_up(alpha, beta) -> "AlgebraCtx":
@@ -71,17 +70,9 @@ class AlgebraCtx:
     def jordan_plane() -> "AlgebraCtx":
         return AlgebraCtx("jordan_plane")
 
-    @staticmethod
-    def weighted_poly(weights) -> "AlgebraCtx":
-        return AlgebraCtx("weighted_poly", weights=tuple(int(w) for w in weights))
-
     @property
     def gkdim(self) -> int:
-        if self.kind == "down_up":
-            return 3
-        if self.kind == "weighted_poly":
-            return len(self.weights)
-        return 2
+        return 3 if self.kind == "down_up" else 2
 
     @property
     def aut_shape(self) -> AutShape:
@@ -521,16 +512,13 @@ def _close_monomials(gens, cap: int):
     """
     n = len(gens[0].perm)
     try:
-        roots = [monomial.scalar_roots(g.perm, g.scalars) for g in gens]
-        if None not in roots:
-            m, exps = monomial.lift(roots)
-            return monomial.close_exponents(
-                [(g.perm, k) for g, k in zip(gens, exps)], m, n, cap)
+        form = monomial.exponent_form([(g.perm, g.scalars) for g in gens])
+        if form is not None:
+            return form.closure(cap)
         lcm = _scalar_conductor(gens)
         gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
                 for g in gens]
-        ident = MonomialMat(tuple(range(n)),
-                            tuple(CycNum.one().promoted(lcm) for _ in range(n)))
+        ident = MonomialMat(tuple(range(n)), (CycNum.one().promoted(lcm),) * n)
         return monomial.closure(ident, gens, MonomialMat.__matmul__,
                                 MonomialMat.key, cap)
     except GroupTooLarge as exc:
@@ -546,13 +534,11 @@ def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMa
     if not gens:
         raise ValueError("need at least one generator")
     group = _close_monomials(gens, cap)
-    if not isinstance(group, monomial.ExpForm):
-        return tuple(group)
-    # Every scalar at the lcm of the generators' conductors, so the elements
-    # share one conductor.
-    table = monomial.root_table(group.modulus, _scalar_conductor(gens))
-    return tuple(MonomialMat(perm, tuple(table[k] for k in ks))
-                 for perm, ks in group.elements)
+    if isinstance(group, monomial.ExpForm):
+        # Every scalar at the lcm of the generators' conductors, so the
+        # elements share one conductor.
+        group = [MonomialMat(*m) for m in group.monomials(_scalar_conductor(gens))]
+    return tuple(group)
 
 
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
@@ -578,6 +564,6 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     if isinstance(group, monomial.ExpForm):
         modulus, eigs = group.eigen_modulus, group.eigenvalues
     else:
-        modulus, eigs = monomial.lift(
-            [[monomial.root_exponent(x) for x in m.eigenvalues()] for m in group])
+        modulus, eigs = monomial.eigenvalue_exponents(
+            (m.perm, m.scalars) for m in group)
     return _average_inverse_products(weights, modulus, eigs)

@@ -95,7 +95,20 @@ class Mat2:
             return "diagonal"
         return "antidiagonal" if self.is_antidiagonal() else "other"
 
-    @functools.lru_cache(maxsize=None)
+    def monomial(self):
+        """(perm, scalars) as in duinv.monomial if diagonal or antidiagonal."""
+        if self.is_diagonal():
+            return (0, 1), (self.a, self.d)
+        if self.is_antidiagonal():
+            return (1, 0), (self.c, self.b)
+        return None
+
+    @staticmethod
+    def from_monomial(perm, scalars, zero: CycNum) -> "Mat2":
+        """The inverse of monomial(), with `zero` in the other two entries."""
+        x, y = scalars
+        return Mat2(x, zero, zero, y) if perm == (0, 1) else Mat2(zero, y, x, zero)
+
     def order(self, cap: int = DEFAULT_CAP) -> int:
         """Multiplicative order; InfiniteOrderSuspected beyond the cap."""
         power = self
@@ -105,32 +118,6 @@ class Mat2:
                 return k
             power = power @ self
         raise InfiniteOrderSuspected(f"no power up to {cap} equals the identity")
-
-
-def _monomial_roots(g: Mat2):
-    """
-    (perm, [(order, exponent)] of the column scalars) when g is diagonal or
-    antidiagonal with root-of-unity entries, else None.  Raises
-    InfiniteOrderSuspected when a diagonal entry or, for an antidiagonal g,
-    the product bc is not a root of unity.
-    """
-    if g.is_diagonal():
-        perm, scalars = (0, 1), (g.a, g.d)
-    elif g.is_antidiagonal():
-        perm, scalars = (1, 0), (g.c, g.b)
-    else:
-        return None
-    roots = monomial.scalar_roots(perm, scalars)
-    return None if roots is None else (perm, roots)
-
-
-def _exponent_form(g: Mat2):
-    """g alone in exponent form, or None when it has none."""
-    roots = _monomial_roots(g)
-    if roots is None:
-        return None
-    m, (k,) = monomial.lift([roots[1]])
-    return monomial.ExpForm(m, ((roots[0], k),))
 
 
 # Named matrices used throughout: reflections, rotations and the diagonal
@@ -224,19 +211,21 @@ class ElementTable(typing.NamedTuple):
     @staticmethod
     def of_form(form: monomial.ExpForm) -> "ElementTable":
         return ElementTable(form.eigen_modulus,
-                            tuple(_PERM_SHAPES[perm] for perm, _ in form.elements),
+                            tuple(_PERM_SHAPES[perm] for perm in form.perms),
                             form.dets, tuple(tuple(sorted(e)) for e in form.eigenvalues))
 
     @staticmethod
     def of_matrices(elements) -> "ElementTable":
         """The table by CycNum arithmetic, for matrices of finite order: one
-        root-of-unity lookup per determinant and eigenvalue."""
-        m, exps = monomial.lift([[monomial.root_exponent(x)
-                                  for x in (g.det(), *eigenvalues(g))]
-                                 for g in elements])
+        root-of-unity lookup per determinant, eigenvalues as eigenvalues()."""
+        rows = []
+        for g in elements:
+            m, eig = _eigen_exponents(g)
+            rows.append([monomial.root_exponent(g.det())] + [(m, k) for k in eig])
+        m, exps = monomial.lift(rows)
         return ElementTable(m, tuple(g.shape() for g in elements),
                             tuple(det for det, *_ in exps),
-                            tuple(tuple(sorted(eig)) for _, *eig in exps))
+                            tuple(tuple(eig) for _, *eig in exps))
 
 
 _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
@@ -253,6 +242,9 @@ class MatGroup:
     # groups closed by CycNum products.
     exp_form: monomial.ExpForm | None = dataclasses.field(
         default=None, compare=False, repr=False)
+    # generated_subgroup results by index tuple, for exponent-form groups.
+    _subgroups: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -305,18 +297,14 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
-    roots = [_monomial_roots(g) for g in gens]
-    for g, r in zip(gens, roots):
-        if r is None and monomial.root_exponent(g.det()) is None:
+    form = monomial.exponent_form([g.monomial() for g in gens])
+    if form is not None:
+        group = _from_form(form.closure(cap), tuple(gens), conductor)
+    else:
+        if any(monomial.root_exponent(g.det()) is None for g in gens):
             raise InfiniteOrderSuspected("generator determinant is not a root of unity")
-    if None in roots:
         group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
                          conductor)
-    else:
-        m, exps = monomial.lift([r for _, r in roots])
-        form = monomial.close_exponents(
-            [(perm, k) for (perm, _), k in zip(roots, exps)], m, 2, cap)
-        group = _from_exponents(form, tuple(gens), conductor)
     _closure_cache[cache_key] = group
     return group
 
@@ -330,18 +318,11 @@ def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
                                   lambda m: m.key(conductor), cap))
 
 
-def _from_exponents(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
+def _from_form(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
     """The MatGroup whose elements, at `conductor`, are those of `form`."""
-    table = monomial.root_table(form.modulus, conductor)
     zero = CycNum.zero().promoted(conductor)
-    elements = []
-    for perm, (k0, k1) in form.elements:
-        # Column j holds zeta^kj in row perm[j].
-        if perm == (0, 1):
-            elements.append(Mat2(table[k0], zero, zero, table[k1]))
-        else:
-            elements.append(Mat2(zero, table[k1], table[k0], zero))
-    return MatGroup(tuple(elements), generators, conductor, form)
+    elements = tuple(Mat2.from_monomial(*m, zero) for m in form.monomials(conductor))
+    return MatGroup(elements, generators, conductor, form)
 
 
 def generated_subgroup(group: MatGroup, indices) -> MatGroup:
@@ -350,16 +331,14 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     the exponent form of `group` when it has one.
     """
     gens = tuple(group.elements[i] for i in indices)
-    form = group.exp_form
-    if form is None:
+    if group.exp_form is None:
         return close_group(gens)
-    gen_exps = tuple(form.elements[i] for i in indices)
-    cache_key = ("exponents", form.modulus, group.conductor, gen_exps)
-    cached = _closure_cache.get(cache_key)
-    if cached is None:
-        sub = monomial.close_exponents(gen_exps, form.modulus, 2, DEFAULT_CAP)
-        cached = _closure_cache[cache_key] = _from_exponents(sub, gens, group.conductor)
-    return cached
+    key = tuple(indices)
+    sub = group._subgroups.get(key)
+    if sub is None:
+        sub = group._subgroups[key] = _from_form(
+            group.exp_form.subgroup(key, DEFAULT_CAP), gens, group.conductor)
+    return sub
 
 
 def sl2_part(group: MatGroup) -> MatGroup:
@@ -368,22 +347,28 @@ def sl2_part(group: MatGroup) -> MatGroup:
     return MatGroup(elems, elems, group.conductor)
 
 
-@functools.lru_cache(maxsize=None)
 def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
     """
     The eigenvalue pair of a finite-order matrix, each an m-th root of unity
     for m the order of g, sorted by exponent as a power of zeta_m.
     """
-    form = _exponent_form(g)
+    m, exps = _eigen_exponents(g, cap)
+    return tuple(zeta(m, k) for k in exps)
+
+
+def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, int]]:
+    """The order m of a finite-order matrix, and its eigenvalues as sorted
+    exponents of zeta_m: read off the exponent form when g has one."""
+    form = monomial.exponent_form([g.monomial()])
     if form is None:
         m = g.order(cap=cap)
-        return tuple(zeta(m, k) for k in _eigen_exponents_by_search(g, m))
+        return m, _eigen_exponents_by_search(g, m)
     table = ElementTable.of_form(form)
     m = table.orders[0]
     if m > cap:
         raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
     step = table.modulus // m
-    return tuple(zeta(m, k // step) for k in table.eigenvalues[0])
+    return m, tuple(k // step for k in table.eigenvalues[0])
 
 
 def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:

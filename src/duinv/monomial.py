@@ -2,19 +2,21 @@
 Finite groups of monomial matrices with root-of-unity entries, in exponent
 form.
 
-Column j of an n x n monomial matrix sends e_j to s_j e_perm[j].  When every
-scalar s_j of every generator is a root of unity, the whole group lives over
-one modulus M with s_j = zeta_M^k_j, so an element is the pair (perm, k) of
-integer tuples and all group work is integer arithmetic:
+An n x n monomial matrix is given as (perm, scalars): column j sends e_j to
+scalars[j] e_perm[j].  When every scalar s_j of every generator is a root of
+unity, the whole group lives over one modulus M with s_j = zeta_M^k_j, so an
+element is the pair (perm, k) of integer tuples and all group work is
+integer arithmetic:
 
 - the matrix product (p, k) @ (q, l) is (p o q, l_j + k_q[j] mod M);
 - on a cycle of length l whose exponents sum to s, the element acts with the
   l-th roots of zeta_M^s as eigenvalues, zeta_(lM)^(s + rM) for r = 0..l-1;
 - the determinant is sign(perm) * zeta_M^(sum of k).
 
-Cyclotomic numbers enter only at the edges: `root_exponent` turns one
-generator entry into an exponent, and `root_table` turns exponents back
-into CycNum entries.
+Cyclotomic numbers enter only at the edges: `exponent_form` turns generator
+scalars into exponents, `ExpForm.monomials` turns elements back into CycNum
+scalars, and `eigenvalue_exponents` reads the eigenvalues of matrices that
+have no exponent form off their CycNum cycle products.
 """
 from __future__ import annotations
 
@@ -78,12 +80,24 @@ def cycles(perm: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
-def close_exponents(generators, modulus: int, size: int, cap: int) -> "ExpForm":
-    """The closure of size x size exponent-form generators over one modulus."""
-    identity = (tuple(range(size)), (0,) * size)
-    elements = closure(identity, generators,
-                       functools.partial(mul, modulus=modulus), lambda x: x, cap)
-    return ExpForm(modulus, tuple(elements))
+def exponent_form(generators) -> "ExpForm | None":
+    """
+    Generators (perm, scalars) with CycNum scalars, over one modulus M, the
+    lcm of the scalars' orders.  None when a generator is None (not
+    monomial) or has a scalar that is not a root of unity.  Every generator
+    is checked first: InfiniteOrderSuspected when a cycle product is not a
+    root of unity, as a power of that matrix is then diagonal with the
+    product on its diagonal.
+    """
+    roots = [None if g is None else [root_exponent(s) for s in g[1]] for g in generators]
+    for g, r in zip(generators, roots):
+        if r is not None and None in r and any(
+                root_exponent(p) is None for _, p in _cycle_products(*g)):
+            raise InfiniteOrderSuspected("cycle product is not a root of unity")
+    if any(r is None or None in r for r in roots):
+        return None
+    m, exps = lift(roots)
+    return ExpForm(m, tuple((perm, k) for (perm, _), k in zip(generators, exps)))
 
 
 class ExpForm:
@@ -101,6 +115,30 @@ class ExpForm:
         self.modulus = modulus
         self.elements = elements
 
+    def closure(self, cap: int) -> "ExpForm":
+        """The group the elements generate, in the order of closure()."""
+        size = len(self.elements[0][0])
+        identity = (tuple(range(size)), (0,) * size)
+        return ExpForm(self.modulus, tuple(closure(
+            identity, self.elements, functools.partial(mul, modulus=self.modulus),
+            lambda x: x, cap)))
+
+    def subgroup(self, indices, cap: int) -> "ExpForm":
+        """The group generated by the elements at the given indices."""
+        gens = tuple(self.elements[i] for i in indices)
+        return ExpForm(self.modulus, gens).closure(cap)
+
+    @property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(perm for perm, _ in self.elements)
+
+    def monomials(self, conductor: int) -> list[tuple[tuple[int, ...], tuple]]:
+        """Every element as (perm, scalars) with CycNum scalars at `conductor`:
+        the roots of unity of Q(zeta_n) have orders dividing lcm(2, n), so
+        the modulus divides `conductor`, or twice it when `conductor` is odd."""
+        table = [_power_at(self.modulus, k, conductor) for k in range(self.modulus)]
+        return [(perm, tuple(table[k] for k in ks)) for perm, ks in self.elements]
+
     @functools.cached_property
     def eigen_modulus(self) -> int:
         return self.modulus * math.lcm(*range(1, len(self.elements[0][0]) + 1))
@@ -108,15 +146,14 @@ class ExpForm:
     @functools.cached_property
     def eigenvalues(self) -> tuple[tuple[int, ...], ...]:
         """Per element, cycle by cycle in cycles() order: the l-th roots of the
-        cycle product, zeta_(lM)^(s + rM) for r = 0..l-1."""
+        cycle product (see _cycle_roots)."""
         m, big = self.modulus, self.eigen_modulus
         out = []
         for perm, k in self.elements:
             vals = []
             for c in cycles(perm):
-                s = sum(k[j] for j in c) % m
-                step = big // (len(c) * m)
-                vals.extend((s + r * m) * step for r in range(len(c)))
+                roots = _cycle_roots(len(c), m, sum(k[j] for j in c) % m)
+                vals.extend(e * (big // o) for o, e in roots)
             out.append(tuple(vals))
         return tuple(out)
 
@@ -130,6 +167,27 @@ class ExpForm:
             odd = (len(perm) - len(cycles(perm))) % 2
             out.append((sum(k) * (big // m) + odd * (big // 2)) % big)
         return tuple(out)
+
+
+def _cycle_roots(length: int, order: int, e: int) -> list[tuple[int, int]]:
+    """The length-th roots of zeta_order^e, 0 <= e < order, as (order, exponent)
+    roots: zeta_(length*order)^(e + r*order) for r = 0..length-1."""
+    return [(length * order, e + r * order) for r in range(length)]
+
+
+def eigenvalue_exponents(matrices) -> tuple[int, list[tuple[int, ...]]]:
+    """
+    (M, eigenvalues as exponents of zeta_M) of finite-order monomial
+    matrices given as (perm, CycNum scalars), cycle by cycle as in
+    ExpForm.eigenvalues, for matrices without an exponent form.
+    """
+    rows = []
+    for perm, scalars in matrices:
+        row = []
+        for c, product in _cycle_products(perm, scalars):
+            row.extend(_cycle_roots(len(c), *root_exponent(product)))
+        rows.append(row)
+    return lift(rows)
 
 
 def lift(roots_per_generator) -> tuple[int, list[tuple[int, ...]]]:
@@ -162,33 +220,13 @@ def root_exponent(x: CycNum):
     return order, root_power_exponent(x, order)
 
 
-def scalar_roots(perm, scalars):
-    """
-    (order, exponent) of each scalar as a root of unity, or None when some
-    scalar is not one although every cycle product is (the matrix then has
-    finite order, but no exponent form).  Raises InfiniteOrderSuspected when
-    a cycle product is not a root of unity: a power of the matrix is then
-    diagonal with that product on its diagonal.
-    """
-    roots = [root_exponent(s) for s in scalars]
-    if None not in roots:
-        return roots
-    for cycle in cycles(perm):
+def _cycle_products(perm, scalars):
+    """Each cycle of perm with the CycNum product of its scalars."""
+    for c in cycles(perm):
         product = CycNum.one()
-        for j in cycle:
+        for j in c:
             product = product * scalars[j]
-        if root_exponent(product) is None:
-            raise InfiniteOrderSuspected("cycle product is not a root of unity")
-    return None
-
-
-def root_table(modulus: int, conductor: int) -> list[CycNum]:
-    """zeta_modulus^k for k in range(modulus), as CycNums at `conductor`.
-
-    The roots of unity of Q(zeta_n) have orders dividing lcm(2, n), so
-    `modulus` divides `conductor`, or `conductor` is odd and `modulus`
-    divides twice it."""
-    return [_power_at(modulus, k, conductor) for k in range(modulus)]
+        yield c, product
 
 
 def _power_at(m: int, k: int, n: int) -> CycNum:

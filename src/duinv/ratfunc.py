@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .cycnum import CycNum
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
-                     NonRationalCollapse, ZeroDenominator, ZeroFunction,
-                     ZeroPolynomial)
+                     NonRationalCollapse, ZeroDenominator, ZeroFunction)
 from .intpoly import (IntPoly, cyclotomic_poly, is_cyclotomic_product,
                       poly_gcd_q)
 
@@ -112,10 +111,6 @@ class RatFunc:
 
     def __str__(self):
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def ratfunc_make(num: IntPoly, den: IntPoly) -> RatFunc:
-    return RatFunc.make(num, den)
 
 
 def _vanishing_order_at_one(p: IntPoly) -> int:

@@ -8,6 +8,7 @@ eigenvalues, the classification label, the Molien series and the
 bireflections must agree exactly.
 """
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -19,10 +20,12 @@ from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
 from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
                               close_monomial_group, hdet_matrix,
-                              is_bireflection, molien, polyring_molien)
-from duinv.matgroup import (Mat2, MatGroup, _close_by_products,
+                              is_bireflection, molien, normal_sequence_trace,
+                              polyring_molien)
+from duinv.matgroup import (ElementTable, Mat2, MatGroup, _close_by_products,
                             _eigen_exponents_by_search, classify, close_group,
                             eigenvalues)
+from duinv.ratfunc import RatFunc
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -141,3 +144,90 @@ def test_monomial_groups_match_cycnum_reference(gens):
     reference = _average_inverse_products(
         shape, *_root_exponents([m.eigenvalues() for m in ref]))
     assert polyring_molien(gens, cap=CAP) == reference
+
+
+# ---------------------------------------------------------------------------
+# monomial groups without an exponent form, and CycNum-path 2x2 groups
+# ---------------------------------------------------------------------------
+
+TWO_CYCLE_PERMS = {2: [(1, 0)], 3: [(1, 0, 2), (0, 2, 1), (2, 1, 0)]}
+
+
+@st.composite
+def irrational_monomial_sets(draw, n_max):
+    """
+    2x2 and 3x3 MonomialMat sets whose 2-cycles carry r*zeta^k and
+    zeta^k'/r with rational r != +-1, and whose fixed points carry roots of
+    unity: every generator has finite order but no exponent form, so the
+    CycNum closure and eigenvalue path runs.
+    """
+    size = draw(st.integers(2, 3))
+    n = draw(st.integers(1, n_max))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        perm = draw(st.sampled_from(TWO_CYCLE_PERMS[size]))
+        r = draw(st.sampled_from([Fraction(2), Fraction(1, 3), Fraction(-3, 2)]))
+        scalars = [draw(roots(n)) for _ in range(size)]
+        j = next(j for j in range(size) if perm[j] != j)
+        scalars[j] = scalars[j] * r
+        scalars[perm[j]] = scalars[perm[j]] / r
+        gens.append(MonomialMat(perm, tuple(scalars)))
+    return gens
+
+
+def _closed_on_both_paths(gens):
+    """The CycNum reference closure, or None after checking that both paths
+    overflow the cap."""
+    try:
+        ref = _monomial_reference(gens)
+    except GroupTooLarge:
+        with pytest.raises(InfiniteOrderSuspected):
+            close_monomial_group(gens, cap=CAP)
+        with pytest.raises(InfiniteOrderSuspected):
+            polyring_molien(gens, cap=CAP)
+        return None
+    assert [m.key() for m in close_monomial_group(gens, cap=CAP)] == [m.key() for m in ref]
+    return ref
+
+
+@settings(max_examples=25)
+@given(irrational_monomial_sets(6))
+def test_irrational_monomial_groups_match_cycnum_reference(gens):
+    ref = _closed_on_both_paths(gens)
+    if ref is not None:
+        shape = (1,) * len(gens[0].perm)
+        reference = _average_inverse_products(
+            shape, *_root_exponents([m.eigenvalues() for m in ref]))
+        assert polyring_molien(gens, cap=CAP) == reference
+
+
+@settings(max_examples=20)
+@given(irrational_monomial_sets(2))
+def test_irrational_monomial_molien_matches_trace_average(gens):
+    # With scalars r*(+-1) every cycle product is +-1, so each element's
+    # trace series is rational on its own.
+    ref = _closed_on_both_paths(gens)
+    if ref is not None:
+        total = RatFunc.constant(0)
+        for m in ref:
+            trace = normal_sequence_trace([(1, lam) for lam in m.eigenvalues()])
+            total = total + trace.to_ratfunc()
+        assert polyring_molien(gens, cap=CAP) == total.scale(Fraction(1, len(ref)))
+
+
+I = zeta(4)
+BT = [Mat2.diag(I, -I),
+      Mat2.of((1 + I) / 2, (1 + I) / 2, (-1 + I) / 2, (1 - I) / 2)]
+BO = [BT[1], Mat2.diag(zeta(8), zeta(8, 7))]
+P = Mat2.of(1, 1, 0, 1)
+C6_CONJUGATED = [P @ Mat2.diag(zeta(6), zeta(6, 5)) @ P.inverse()]
+
+
+@pytest.mark.parametrize("gens,order", [(BT, 24), (BO, 48), (C6_CONJUGATED, 6)])
+def test_cycnum_group_table_matches_eigenvalues(gens, order):
+    group = close_group(gens)
+    assert len(group) == order and group.exp_form is None
+    m, exps = _root_exponents([(g.det(), *eigenvalues(g)) for g in group])
+    assert group.table == ElementTable(m, tuple(g.shape() for g in group),
+                                       tuple(det for det, *_ in exps),
+                                       tuple(tuple(sorted(eig)) for _, *eig in exps))

@@ -2,7 +2,8 @@
 import pytest
 
 from duinv import paperlab
-from duinv.intpoly import IntPoly
+from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
+from duinv.ratfunc import RatFunc
 
 
 def _assert_all_pass(results):
@@ -88,3 +89,18 @@ def test_check_result_exactness():
     good = paperlab.CheckResult.compare("x", {}, IntPoly((1, 1)), IntPoly((1, 1)))
     bad = paperlab.CheckResult.compare("x", {}, IntPoly((1, 1)), IntPoly((1, 2)))
     assert good.passed and not bad.passed
+
+
+def test_three_variable_numerator_fails_on_a_remainder(monkeypatch):
+    # num/den with num * closed-form den = q * den + remainder, where q is
+    # the expected quotient: the remainder alone must fail the check.
+    n = 3
+    t, one = IntPoly((0, 1)), IntPoly((1,))
+    four_term = one + x_pow(n) + x_pow(n + 2) + x_pow(2 * n)
+    correction = t * one_minus_t_pow(1) * (one + x_pow(2 * n))
+    den = one_minus_t_pow(1) * one_minus_t_pow(2) * IntPoly((1, 0, 1)) * one_minus_t_pow(2 * n)
+    wrong = RatFunc((four_term - correction) * (one + t) + one, den * (one + t))
+    monkeypatch.setattr(paperlab, "polyring_molien", lambda gens: wrong)
+    results = {r.check_id: r for r in paperlab.check_three_variable_numerator(n)}
+    assert not results["three-variable-numerator"].passed
+    assert results["three-variable-numerator"].computed == four_term
