@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
@@ -133,7 +134,6 @@ class IntPoly:
     # -- structure -----------------------------------------------------
 
     def content(self) -> int:
-        import math
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
     def primitive(self) -> "IntPoly":
@@ -359,7 +359,6 @@ def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:
         a, b = b, r
     if not a:
         return ZERO
-    import math
     lcm_den = 1
     for c in a:
         lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+from collections import Counter
 from fractions import Fraction
 
 from . import monomial
@@ -32,7 +33,7 @@ from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
                      NonRationalCollapse, NotAnAutomorphism,
                      UnsupportedAutomorphism, ZeroFunction)
-from .intpoly import IntPoly, one_minus_t_pow
+from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pow
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
                        eigenvalues, generated_subgroup)
 from .ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
@@ -242,7 +243,6 @@ def _average_inverse_products(shape: tuple[int, ...], modulus: int,
     as an exact rational function.  Results must have rational coefficients
     (NonRationalCollapse otherwise).
     """
-    from collections import Counter
     # Work at M, the lcm of the orders of all the scalars.
     big_m = math.lcm(*(modulus // math.gcd(modulus, e)
                        for exps in exponent_lists for e in exps))
@@ -400,8 +400,6 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
     the Hilbert series of the invariants together with the Gorenstein,
     cyclotomic and bireflection structure.
     """
-    from .intpoly import is_cyclotomic_product
-
     ctx = AlgebraCtx.down_up(alpha, beta)
     group = close_group(generators, cap=cap)
     series = molien(ctx, group)  # refuses matrices that do not act on ctx
@@ -503,42 +501,25 @@ class MonomialMat:
         return tuple(out)
 
 
-def _close_monomials(gens, cap: int):
+def _close_monomials(gens, cap: int) -> monomial.ExpForm:
     """
-    The closure of monomial generators: an ExpForm when every scalar is a
-    root of unity, else the MonomialMat elements by CycNum products, at the
-    lcm of the scalar conductors.  Overflowing the cap raises
-    InfiniteOrderSuspected, as this closure always has.
+    The closure of monomial generators in exponent form.  Overflowing the
+    cap raises InfiniteOrderSuspected, as this closure always has.
     """
-    n = len(gens[0].perm)
     try:
-        form = monomial.exponent_form([(g.perm, g.scalars) for g in gens])
-        if form is not None:
-            return form.closure(cap)
-        lcm = _scalar_conductor(gens)
-        gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
-                for g in gens]
-        ident = MonomialMat(tuple(range(n)), (CycNum.one().promoted(lcm),) * n)
-        return monomial.closure(ident, gens, MonomialMat.__matmul__,
-                                MonomialMat.key, cap)
+        return monomial.exponent_form([(g.perm, g.scalars) for g in gens]).closure(cap)
     except GroupTooLarge as exc:
         raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
-
-
-def _scalar_conductor(gens) -> int:
-    return math.lcm(*(s.conductor for g in gens for s in g.scalars))
 
 
 def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMat, ...]:
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    group = _close_monomials(gens, cap)
-    if isinstance(group, monomial.ExpForm):
-        # Every scalar at the lcm of the generators' conductors, so the
-        # elements share one conductor.
-        group = [MonomialMat(*m) for m in group.monomials(_scalar_conductor(gens))]
-    return tuple(group)
+    # Every scalar at the lcm of the generators' conductors, so the elements
+    # share one conductor.
+    conductor = math.lcm(*(s.conductor for g in gens for s in g.scalars))
+    return tuple(MonomialMat(*m) for m in _close_monomials(gens, cap).monomials(conductor))
 
 
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
@@ -561,9 +542,4 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
         # on the weighted ring degree-wise; the group permutes variables
         # exactly when a generator does.
         raise NotAnAutomorphism("permutation mixes variables of different weights")
-    if isinstance(group, monomial.ExpForm):
-        modulus, eigs = group.eigen_modulus, group.eigenvalues
-    else:
-        modulus, eigs = monomial.eigenvalue_exponents(
-            (m.perm, m.scalars) for m in group)
-    return _average_inverse_products(weights, modulus, eigs)
+    return _average_inverse_products(weights, group.eigen_modulus, group.eigenvalues)

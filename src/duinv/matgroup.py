@@ -9,10 +9,12 @@ makes hashing and membership exact and cheap.
 
 Classification and the invariants read a group through its ElementTable:
 the shape, determinant, eigenvalues and order of every element as integers.
-Monomial generators whose entries are roots of unity (every Q1..Q8, C_n and
-BD_4n group) close in the integer exponent form of `duinv.monomial`, and the
-table is read off that form.  Any other generators close by CycNum matrix
-products, and the table comes from the CycNum eigenvalues of each element.
+Diagonal and antidiagonal generators (every Q1..Q8, C_n and BD_4n group, and
+any diagonal conjugate of one) close in the integer exponent form of
+`duinv.monomial`, and the table is read off that form.  Only non-monomial
+generators (the binary polyhedral groups, a group in a conjugated basis)
+close by CycNum matrix products, and their table comes from the CycNum
+eigenvalues of each element.
 """
 from __future__ import annotations
 
@@ -259,12 +261,7 @@ class MatGroup:
         return m.key(lcm) in keys
 
     def det_values(self) -> set[CycNum]:
-        out: list[CycNum] = []
-        for e in self.elements:
-            d = e.det()
-            if not any(d == x for x in out):
-                out.append(d)
-        return set(out)
+        return {e.det() for e in self.elements}
 
     @functools.cached_property
     def table(self) -> ElementTable:
@@ -282,11 +279,13 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     """
     Breadth-first multiplicative closure of the generators (plus identity).
     Raises SingularGenerator for non-invertible input, GroupTooLarge when
-    the closure exceeds `cap` elements, and InfiniteOrderSuspected at once
-    for a generator that cannot have finite order: one whose determinant, a
-    diagonal entry or, if antidiagonal, the product bc is not a root of
-    unity.  Closures are memoized by the exact generator list, so repeated
-    analyses of one group are cheap.
+    the closure exceeds `cap` elements, and InfiniteOrderSuspected before
+    any closure runs when the group cannot be finite: diagonal and
+    antidiagonal generators that no diagonal change of basis turns into
+    roots of unity (see monomial.exponent_form), or a non-monomial
+    generator whose determinant is not a root of unity or whose eigenvalue
+    is repeated.  Closures are memoized by the exact generator list, so
+    repeated analyses of one group are cheap.
     """
     gens = list(generators)
     for g in gens:
@@ -301,8 +300,8 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     if form is not None:
         group = _from_form(form.closure(cap), tuple(gens), conductor)
     else:
-        if any(monomial.root_exponent(g.det()) is None for g in gens):
-            raise InfiniteOrderSuspected("generator determinant is not a root of unity")
+        for g in gens:
+            _check_finite_order(g)
         group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
                          conductor)
     _closure_cache[cache_key] = group
@@ -361,6 +360,7 @@ def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, i
     exponents of zeta_m: read off the exponent form when g has one."""
     form = monomial.exponent_form([g.monomial()])
     if form is None:
+        _check_finite_order(g)
         m = g.order(cap=cap)
         return m, _eigen_exponents_by_search(g, m)
     table = ElementTable.of_form(form)
@@ -369,6 +369,17 @@ def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, i
         raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
     step = table.modulus // m
     return m, tuple(k // step for k in table.eigenvalues[0])
+
+
+def _check_finite_order(g: Mat2) -> None:
+    """InfiniteOrderSuspected when g cannot have finite order: its determinant
+    is not a root of unity, or it is not scalar and has a repeated eigenvalue
+    (trace^2 = 4 det), so in characteristic 0 it is not diagonalizable."""
+    det, tr = g.det(), g.trace()
+    if monomial.root_exponent(det) is None:
+        raise InfiniteOrderSuspected("determinant is not a root of unity")
+    if not (g.is_diagonal() and g.a == g.d) and tr * tr == 4 * det:
+        raise InfiniteOrderSuspected("non-scalar matrix with a repeated eigenvalue")
 
 
 def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:

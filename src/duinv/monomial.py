@@ -1,12 +1,12 @@
 """
-Finite groups of monomial matrices with root-of-unity entries, in exponent
-form.
+Finite groups of monomial matrices in exponent form.
 
 An n x n monomial matrix is given as (perm, scalars): column j sends e_j to
-scalars[j] e_perm[j].  When every scalar s_j of every generator is a root of
-unity, the whole group lives over one modulus M with s_j = zeta_M^k_j, so an
-element is the pair (perm, k) of integer tuples and all group work is
-integer arithmetic:
+scalars[j] e_perm[j].  A finite group of such matrices is diagonally
+conjugate to one whose scalars are all roots of unity (see
+`exponent_form`).  There the whole group lives over one modulus M with
+s_j = zeta_M^k_j, so an element is the pair (perm, k) of integer tuples and
+all group work is integer arithmetic:
 
 - the matrix product (p, k) @ (q, l) is (p o q, l_j + k_q[j] mod M);
 - on a cycle of length l whose exponents sum to s, the element acts with the
@@ -14,9 +14,8 @@ integer arithmetic:
 - the determinant is sign(perm) * zeta_M^(sum of k).
 
 Cyclotomic numbers enter only at the edges: `exponent_form` turns generator
-scalars into exponents, `ExpForm.monomials` turns elements back into CycNum
-scalars, and `eigenvalue_exponents` reads the eigenvalues of matrices that
-have no exponent form off their CycNum cycle products.
+scalars into exponents, and `ExpForm.monomials` turns elements back into
+CycNum scalars in the original basis.
 """
 from __future__ import annotations
 
@@ -25,7 +24,7 @@ import functools
 import math
 
 from .cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from .errors import GroupTooLarge, InfiniteOrderSuspected
+from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 
 Elem = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -82,22 +81,53 @@ def cycles(perm: tuple[int, ...]) -> list[list[int]]:
 
 def exponent_form(generators) -> "ExpForm | None":
     """
-    Generators (perm, scalars) with CycNum scalars, over one modulus M, the
-    lcm of the scalars' orders.  None when a generator is None (not
-    monomial) or has a scalar that is not a root of unity.  Every generator
-    is checked first: InfiniteOrderSuspected when a cycle product is not a
-    root of unity, as a power of that matrix is then diagonal with the
-    product on its diagonal.
+    Generators (perm, scalars) with CycNum scalars in exponent form, over one
+    modulus M, in the basis of `_rebased`.  None when a generator is None
+    (not monomial); every other generator is then checked on its own.
+    InfiniteOrderSuspected when the group cannot be finite.
     """
-    roots = [None if g is None else [root_exponent(s) for s in g[1]] for g in generators]
-    for g, r in zip(generators, roots):
-        if r is not None and None in r and any(
-                root_exponent(p) is None for _, p in _cycle_products(*g)):
-            raise InfiniteOrderSuspected("cycle product is not a root of unity")
-    if any(r is None or None in r for r in roots):
+    if None in generators:
+        for g in generators:
+            if g is not None:
+                _rebased([g])
         return None
+    basis, roots = _rebased(generators)
     m, exps = lift(roots)
-    return ExpForm(m, tuple((perm, k) for (perm, _), k in zip(generators, exps)))
+    return ExpForm(m, tuple((perm, k) for (perm, _), k in zip(generators, exps)), basis)
+
+
+def _rebased(generators):
+    """
+    (d, roots): a basis d_j e_j, None for the standard basis when every
+    scalar is a root of unity, and every scalar in it, s_j d_j / d_perm[j],
+    as an (order, exponent) root of unity.  A walk over the orbits of the
+    permutations sets d_j = 1 where it enters an orbit and makes the scalar
+    1 on each step j -> perm[j] that first reaches perm[j].  Every other
+    scalar is then the one by which some group element scales a basis vector
+    it fixes, so the group is finite exactly when all of them are roots of
+    unity; InfiniteOrderSuspected otherwise.
+    """
+    roots = [[root_exponent(s) for s in scalars] for _, scalars in generators]
+    if all(None not in r for r in roots):
+        return None, roots
+    if any(s.is_zero() for _, scalars in generators for s in scalars):
+        raise SingularGenerator("monomial generator has a zero scalar")
+    d = [None] * len(roots[0])
+    for start in range(len(d)):
+        if d[start] is None:
+            d[start], todo = CycNum.one(), [start]
+            while todo:
+                j = todo.pop()
+                for perm, scalars in generators:
+                    if d[perm[j]] is None:
+                        d[perm[j]] = d[j] * scalars[j]
+                        todo.append(perm[j])
+    roots = [[root_exponent(s * d[j] / d[p]) for j, (p, s) in enumerate(zip(perm, scalars))]
+             for perm, scalars in generators]
+    if any(None in r for r in roots):
+        raise InfiniteOrderSuspected(
+            "a group element scales a basis vector by a non-root of unity")
+    return tuple(d), roots
 
 
 class ExpForm:
@@ -111,9 +141,13 @@ class ExpForm:
 
     # A plain class, not a dataclass: nothing compares or prints it, and
     # building a dataclass would add about a millisecond to `import duinv`.
-    def __init__(self, modulus: int, elements: tuple[Elem, ...]):
+    def __init__(self, modulus: int, elements: tuple[Elem, ...], basis=None):
         self.modulus = modulus
         self.elements = elements
+        # The CycNum d_j of the basis d_j e_j the elements are written in,
+        # None for the standard basis; only monomials() reads it, as
+        # determinants and eigenvalues do not depend on the basis.
+        self.basis = basis
 
     def closure(self, cap: int) -> "ExpForm":
         """The group the elements generate, in the order of closure()."""
@@ -121,23 +155,31 @@ class ExpForm:
         identity = (tuple(range(size)), (0,) * size)
         return ExpForm(self.modulus, tuple(closure(
             identity, self.elements, functools.partial(mul, modulus=self.modulus),
-            lambda x: x, cap)))
+            lambda x: x, cap)), self.basis)
 
     def subgroup(self, indices, cap: int) -> "ExpForm":
         """The group generated by the elements at the given indices."""
         gens = tuple(self.elements[i] for i in indices)
-        return ExpForm(self.modulus, gens).closure(cap)
+        return ExpForm(self.modulus, gens, self.basis).closure(cap)
 
     @property
     def perms(self) -> tuple[tuple[int, ...], ...]:
         return tuple(perm for perm, _ in self.elements)
 
     def monomials(self, conductor: int) -> list[tuple[tuple[int, ...], tuple]]:
-        """Every element as (perm, scalars) with CycNum scalars at `conductor`:
-        the roots of unity of Q(zeta_n) have orders dividing lcm(2, n), so
-        the modulus divides `conductor`, or twice it when `conductor` is odd."""
+        """Every element as (perm, scalars) in the standard basis, with CycNum
+        scalars at `conductor`, a multiple of the conductor of every basis
+        entry: the roots of unity of Q(zeta_n) have orders dividing
+        lcm(2, n), so the modulus divides `conductor`, or twice it when
+        `conductor` is odd."""
         table = [_power_at(self.modulus, k, conductor) for k in range(self.modulus)]
-        return [(perm, tuple(table[k] for k in ks)) for perm, ks in self.elements]
+        d = self.basis
+        if d is None:
+            return [(perm, tuple(table[k] for k in ks)) for perm, ks in self.elements]
+        # In the standard basis, column j of an element scales by d_perm[j] / d_j.
+        ratios = functools.cache(lambda perm: [d[p] / d[j] for j, p in enumerate(perm)])
+        return [(perm, tuple(table[k] * x for k, x in zip(ks, ratios(perm))))
+                for perm, ks in self.elements]
 
     @functools.cached_property
     def eigen_modulus(self) -> int:
@@ -146,14 +188,14 @@ class ExpForm:
     @functools.cached_property
     def eigenvalues(self) -> tuple[tuple[int, ...], ...]:
         """Per element, cycle by cycle in cycles() order: the l-th roots of the
-        cycle product (see _cycle_roots)."""
+        cycle product zeta_M^s, zeta_(lM)^(s + rM) for r = 0..l-1."""
         m, big = self.modulus, self.eigen_modulus
         out = []
         for perm, k in self.elements:
             vals = []
             for c in cycles(perm):
-                roots = _cycle_roots(len(c), m, sum(k[j] for j in c) % m)
-                vals.extend(e * (big // o) for o, e in roots)
+                s, step = sum(k[j] for j in c) % m, big // (len(c) * m)
+                vals.extend((s + r * m) * step for r in range(len(c)))
             out.append(tuple(vals))
         return tuple(out)
 
@@ -167,27 +209,6 @@ class ExpForm:
             odd = (len(perm) - len(cycles(perm))) % 2
             out.append((sum(k) * (big // m) + odd * (big // 2)) % big)
         return tuple(out)
-
-
-def _cycle_roots(length: int, order: int, e: int) -> list[tuple[int, int]]:
-    """The length-th roots of zeta_order^e, 0 <= e < order, as (order, exponent)
-    roots: zeta_(length*order)^(e + r*order) for r = 0..length-1."""
-    return [(length * order, e + r * order) for r in range(length)]
-
-
-def eigenvalue_exponents(matrices) -> tuple[int, list[tuple[int, ...]]]:
-    """
-    (M, eigenvalues as exponents of zeta_M) of finite-order monomial
-    matrices given as (perm, CycNum scalars), cycle by cycle as in
-    ExpForm.eigenvalues, for matrices without an exponent form.
-    """
-    rows = []
-    for perm, scalars in matrices:
-        row = []
-        for c, product in _cycle_products(perm, scalars):
-            row.extend(_cycle_roots(len(c), *root_exponent(product)))
-        rows.append(row)
-    return lift(rows)
 
 
 def lift(roots_per_generator) -> tuple[int, list[tuple[int, ...]]]:
@@ -218,15 +239,6 @@ def root_exponent(x: CycNum):
     if order is None:
         return None
     return order, root_power_exponent(x, order)
-
-
-def _cycle_products(perm, scalars):
-    """Each cycle of perm with the CycNum product of its scalars."""
-    for c in cycles(perm):
-        product = CycNum.one()
-        for j in c:
-            product = product * scalars[j]
-        yield c, product
 
 
 def _power_at(m: int, k: int, n: int) -> CycNum:

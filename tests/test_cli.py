@@ -195,3 +195,13 @@ def test_classify_exit_codes(capsys):
     assert main(["classify", "--gen", "[[zeta(0),0],[0,1]]"]) == 1
     assert main(["classify", "--gen", "[[1/0,0],[0,1]]"]) == 1
     assert main(["classify", "--gen", "[[2,0],[0,1]]"]) == 3
+
+
+@pytest.mark.parametrize("gens", [["[[0,2],[1/2,0]]", "[[0,1],[1,0]]"],
+                                  ["[[1,1],[0,1]]"], ["[[-1,1],[0,-1]]"]])
+def test_analyze_infinite_group_fails_before_closing(capsys, gens):
+    argv = ["analyze", "--alpha", "3", "--beta", "-1"]
+    for g in gens:
+        argv += ["--gen", g]
+    assert main(argv) == 3
+    assert "exceeded cap" not in capsys.readouterr().err

@@ -1,7 +1,8 @@
 """
 The exponent-form core against the CycNum reference paths.
 
-Random monomial generator sets with entries +-zeta_n^k are closed both in
+Random monomial generator sets with entries +-zeta_n^k, and diagonal
+conjugates of them whose entries are not roots of unity, are closed both in
 exponent form (close_group, close_monomial_group, polyring_molien) and by
 CycNum matrix products; the elements, their orders, determinants, hdets and
 eigenvalues, the classification label, the Molien series and the
@@ -16,15 +17,15 @@ from hypothesis import strategies as st
 
 from duinv import monomial
 from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
+from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
                               close_monomial_group, hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
-                              polyring_molien)
+                              polyring_molien, theorem03_report)
 from duinv.matgroup import (ElementTable, Mat2, MatGroup, _close_by_products,
                             _eigen_exponents_by_search, classify, close_group,
-                            eigenvalues)
+                            eigenvalues, mat_s, standard_group)
 from duinv.ratfunc import RatFunc
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
@@ -147,7 +148,7 @@ def test_monomial_groups_match_cycnum_reference(gens):
 
 
 # ---------------------------------------------------------------------------
-# monomial groups without an exponent form, and CycNum-path 2x2 groups
+# monomial groups in a diagonally conjugated basis, and CycNum-path 2x2 groups
 # ---------------------------------------------------------------------------
 
 TWO_CYCLE_PERMS = {2: [(1, 0)], 3: [(1, 0, 2), (0, 2, 1), (2, 1, 0)]}
@@ -158,8 +159,8 @@ def irrational_monomial_sets(draw, n_max):
     """
     2x2 and 3x3 MonomialMat sets whose 2-cycles carry r*zeta^k and
     zeta^k'/r with rational r != +-1, and whose fixed points carry roots of
-    unity: every generator has finite order but no exponent form, so the
-    CycNum closure and eigenvalue path runs.
+    unity: every generator has finite order, and the exponent form needs a
+    diagonal change of basis, which exists exactly when the group is finite.
     """
     size = draw(st.integers(2, 3))
     n = draw(st.integers(1, n_max))
@@ -213,6 +214,112 @@ def test_irrational_monomial_molien_matches_trace_average(gens):
             trace = normal_sequence_trace([(1, lam) for lam in m.eigenvalues()])
             total = total + trace.to_ratfunc()
         assert polyring_molien(gens, cap=CAP) == total.scale(Fraction(1, len(ref)))
+
+
+# Entries of the conjugating diagonals; 1 + zeta_3 = -zeta_3^2 is a root of
+# unity, so some conjugates need no change of basis.
+BASIS_ENTRIES = [CycNum.one(), CycNum.from_rat(2), CycNum.from_rat(Fraction(-1, 3)),
+                 1 + zeta(3)]
+
+
+def _conjugated(g, d):
+    """diag(d)^-1 g diag(d): column j scales by s_j d_j / d_perm[j]."""
+    return MonomialMat(g.perm, tuple(s * d[j] / d[p]
+                                     for j, (p, s) in enumerate(zip(g.perm, g.scalars))))
+
+
+@st.composite
+def conjugated_monomial_sets(draw):
+    """
+    (original, conjugated, twisted): a root-of-unity MonomialMat set of size
+    2-4, the set conjugated by a random diagonal, and whether its last
+    generator was conjugated by a second diagonal instead, which mostly
+    makes the group infinite.
+    """
+    size = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 6))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        perm = tuple(draw(st.permutations(range(size))))
+        gens.append(MonomialMat(perm, tuple(draw(roots(n)) for _ in range(size))))
+    bases = [[draw(st.sampled_from(BASIS_ENTRIES)) for _ in range(size)]]
+    twisted = len(gens) > 1 and draw(st.booleans())
+    if twisted:
+        bases.append([draw(st.sampled_from(BASIS_ENTRIES)) for _ in range(size)])
+    conjugated = [_conjugated(g, bases[0]) for g in gens[:-1]]
+    conjugated.append(_conjugated(gens[-1], bases[-1]))
+    return gens, conjugated, twisted
+
+
+@settings(max_examples=40)
+@given(conjugated_monomial_sets())
+def test_conjugated_monomial_groups_match_cycnum_reference(case):
+    gens, conjugated, twisted = case
+    ref = _closed_on_both_paths(conjugated)
+    if ref is None:
+        return
+    if twisted:
+        shape = (1,) * len(gens[0].perm)
+        expected = _average_inverse_products(
+            shape, *_root_exponents([m.eigenvalues() for m in ref]))
+    else:
+        expected = polyring_molien(gens, cap=CAP)
+    assert polyring_molien(conjugated, cap=CAP) == expected
+    if len(gens[0].perm) == 2:  # the same group as Mat2s
+        mats = [Mat2.from_monomial(g.perm, g.scalars, CycNum.zero()) for g in conjugated]
+        group = close_group(mats, cap=CAP)
+        assert group.exp_form is not None
+        assert _keys(group, group.conductor) == _keys(
+            _close_by_products(mats, group.conductor, CAP), group.conductor)
+
+
+@pytest.mark.parametrize("family", [5, 6, 7, 8])
+@pytest.mark.parametrize("n", [1, 3])
+def test_diagonal_conjugate_has_the_same_report(family, n):
+    gens = standard_group(family, n).generators
+    ref = theorem03_report(3, -1, gens)
+    # diag(1, 2)^-1 g diag(1, 2)
+    conj = theorem03_report(3, -1, [Mat2(g.a, 2 * g.b, g.c / 2, g.d) for g in gens])
+    assert conj.group.exp_form.basis is not None
+    assert conj.group.elements != ref.group.elements
+    assert conj.hilbert_series == ref.hilbert_series
+    assert conj.label == ref.label
+    assert conj.hdet_trivial == ref.hdet_trivial
+    assert conj.bireflection_count == ref.bireflection_count
+    assert conj.generated_by_bireflections == ref.generated_by_bireflections
+
+
+def _raises_before_closing(call):
+    """InfiniteOrderSuspected from `call`, and not as a cap overflow."""
+    with pytest.raises(InfiniteOrderSuspected) as info:
+        call()
+    assert not isinstance(info.value.__cause__, GroupTooLarge)
+
+
+def test_infinite_monomial_groups_fail_fast():
+    # Each generator has order 2, but the product is diag(2, 1/2).
+    anti = Mat2.of(0, 2, Fraction(1, 2), 0)
+    _raises_before_closing(lambda: close_group([anti, mat_s()], cap=2))
+    rows = [[[0, 2], [Fraction(1, 2), 0]], [[0, 1], [1, 0]]]
+    mono = [MonomialMat.from_rows(r) for r in rows]
+    _raises_before_closing(lambda: close_monomial_group(mono, cap=2))
+    _raises_before_closing(lambda: polyring_molien(mono, cap=2))
+    # 3x3: two 3-cycles with cycle product 1 whose quotient is diagonal with
+    # entries 1, 1/2 and 2.
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    scaled = [[0, 0, 1], [Fraction(1, 2), 0, 0], [0, 2, 0]]
+    mono3 = [MonomialMat.from_rows(cycle), MonomialMat.from_rows(scaled)]
+    with pytest.raises(GroupTooLarge):
+        _monomial_reference(mono3)
+    _raises_before_closing(lambda: close_monomial_group(mono3, cap=2))
+    _raises_before_closing(lambda: polyring_molien(mono3, cap=2))
+
+
+def test_zero_scalar_is_singular():
+    zero, one = CycNum.zero(), CycNum.one()
+    for gens in ([MonomialMat((1, 0), (zero, one))], [MonomialMat.diag([0, 1])]):
+        with pytest.raises(SingularGenerator):
+            close_monomial_group(gens)
 
 
 I = zeta(4)

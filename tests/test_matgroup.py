@@ -166,6 +166,23 @@ def test_infinite_order_generators_fail_fast():
 def test_antidiagonal_with_irrational_entries_closes_by_products():
     # bc = 1, so the group is finite although b and c are not roots of unity
     g = close_group([Mat2.of(0, 2, Fraction(1, 2), 0)])
-    assert g.exp_form is None
+    assert g.exp_form is not None
     assert len(g) == 2
     assert eigenvalues(g.elements[1]) == (CycNum.one(), CycNum.from_rat(-1))
+
+
+@pytest.mark.parametrize("jordan", [Mat2.of(1, 1, 0, 1), Mat2.of(-1, 1, 0, -1)])
+def test_repeated_eigenvalue_generators_fail_fast(jordan, monkeypatch):
+    # A finite-order matrix is diagonalizable, so a non-scalar one with
+    # trace^2 = 4 det has infinite order.
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([jordan], cap=2)
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([mat_s1(), jordan], cap=2)
+
+    def no_power_loop(self, cap=None):
+        raise AssertionError("Mat2.order ran")
+
+    monkeypatch.setattr(Mat2, "order", no_power_loop)
+    with pytest.raises(InfiniteOrderSuspected):
+        eigenvalues(jordan)
