@@ -188,7 +188,14 @@ def one_minus_t_pow(k: int) -> IntPoly:
 # elementary number theory
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+# Bounds of the two number-theory caches.  A cyclotomic test of a degree-n
+# polynomial reads one factorize entry per d with phi(d) <= n (790 for
+# n = 404), and builds Phi_d only for the d that pass the value test at 2.
+_FACTORIZE_CACHE_SIZE = 4096
+_CYCLOTOMIC_CACHE_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p, multiplicity), ...)."""
     if n < 1:
@@ -234,33 +241,100 @@ def divisors(n: int) -> list[int]:
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
+def _primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, ascending (sieve of Eratosthenes)."""
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p, is_prime in enumerate(sieve) if is_prime]
+
+
+@functools.lru_cache(maxsize=64)
+def _totient_at_most(n: int) -> tuple[int, ...]:
+    """
+    Every d >= 1 with phi(d) <= n, ascending.
+
+    A d with phi(d) <= n is a product of prime powers p^e over primes
+    p <= n + 1, and phi multiplies by (p - 1) p^(e-1) with each one; the
+    walk over such products stops a branch as soon as phi exceeds n.
+
+    >>> _totient_at_most(4)
+    (1, 2, 3, 4, 5, 6, 8, 10, 12)
+    """
+    if n < 1:
+        return ()
+    primes = _primes_up_to(n + 1)
+    out = []
+
+    def walk(start: int, d: int, phi: int) -> None:
+        out.append(d)
+        for i in range(start, len(primes)):
+            p = primes[i]
+            step = p - 1
+            if phi * step > n:
+                break
+            dd, pphi = d * p, phi * step
+            while pphi <= n:
+                walk(i + 1, dd, pphi)
+                dd, pphi = dd * p, pphi * p
+
+    walk(0, 1, 1)
+    return tuple(sorted(out))
+
+
+def _cyclotomic_at_two(d: int) -> int:
+    """
+    Phi_d(2) in integers, without building Phi_d: the product of
+    (2^e - 1)^mu(d/e) over the divisors e of d.  Only e = d/s with s a
+    squarefree divisor of d contribute.
+    """
+    num = den = 1
+    sub = [(1, 1)]  # (s, mu(s)) over squarefree s | d
+    for p, _ in factorize(d):
+        sub += [(s * p, -mu) for s, mu in sub]
+    for s, mu in sub:
+        if mu > 0:
+            num *= (1 << (d // s)) - 1
+        else:
+            den *= (1 << (d // s)) - 1
+    return num // den
+
+
+@functools.lru_cache(maxsize=_CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic_poly(d: int) -> IntPoly:
     """
     The d-th cyclotomic polynomial.
+
+    With r = rad(d), Phi_d(t) = Phi_r(t^(d/r)); for squarefree d = m q,
+    q the largest prime factor, Phi_d(t) = Phi_m(t^q) / Phi_m(t), so the
+    recursion runs once per prime factor of d.
 
     >>> cyclotomic_poly(6)
     IntPoly('t^2 - t + 1')
     """
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
+    if d == 1:
+        return IntPoly((-1, 1))
     r = radical(d)
     if r != d:
-        # Phi_d(t) = Phi_rad(d)(t^(d/rad(d))): spread the coefficients out.
-        base = cyclotomic_poly(r)
-        k = d // r
-        out = [0] * (base.deg() * k + 1)
-        for i, c in enumerate(base.coeffs):
-            out[i * k] = c
-        return IntPoly(out)
-    # Squarefree case: divide t^d - 1 by the cyclotomics of proper divisors.
-    poly = IntPoly((-1,) + (0,) * (d - 1) + (1,))
-    for e in divisors(d):
-        if e < d:
-            poly, rem = poly.divmod_exact(cyclotomic_poly(e))
-            if not rem.is_zero():
-                raise ArithmeticError(f"Phi_{e} does not divide t^{d} - 1")
-    return poly
+        k, m = d // r, r
+    else:
+        k = factorize(d)[-1][0]  # the largest prime factor
+        m = d // k
+    base = cyclotomic_poly(m)
+    # base(t^k): spread the coefficients out.
+    out = [0] * (base.deg() * k + 1)
+    for i, c in enumerate(base.coeffs):
+        out[i * k] = c
+    spread = IntPoly(out)
+    if r != d:
+        return spread
+    quo, rem = spread.divmod_exact(base)
+    if not rem.is_zero():
+        raise ArithmeticError(f"Phi_{m} does not divide Phi_{m}(t^{k})")
+    return quo
 
 
 @dataclasses.dataclass(frozen=True)
@@ -282,9 +356,12 @@ def is_cyclotomic_product(p: IntPoly):
     Decide whether p equals +-(a product of cyclotomic polynomials); return
     the CycFactorization if so, None otherwise.
 
-    Candidate indices d are scanned up to 2*deg^2 + 2, which covers every d
-    with phi(d) <= deg.  An exact integer evaluation at t = 2 filters out
-    almost all non-divisors before the full trial division.
+    Only Phi_d with phi(d) <= deg p can divide p, so the candidates are
+    _totient_at_most(deg p), tried in ascending order while their degree
+    fits the residue.  Phi_d(2) (_cyclotomic_at_two, in integers) must
+    divide the residue's value at 2 before Phi_d is built and tried by
+    exact division.  A residue of positive degree left after the last
+    candidate has a factor that is not cyclotomic.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
@@ -293,19 +370,17 @@ def is_cyclotomic_product(p: IntPoly):
     residue = p
     val2 = residue(2)
     factors: list[tuple[int, int]] = []
-    d = 0
-    while residue.deg() > 0:
-        d += 1
-        if d > 2 * residue.deg() ** 2 + 2:
-            return None
+    for d in _totient_at_most(p.deg()):
+        if residue.deg() <= 0:
+            break
         if totient(d) > residue.deg():
+            continue
+        pval = _cyclotomic_at_two(d)
+        if val2 % pval:
             continue
         phi_d = cyclotomic_poly(d)
         mult = 0
-        while phi_d.deg() <= residue.deg():
-            pval = phi_d(2)
-            if pval != 0 and val2 % pval != 0:
-                break
+        while phi_d.deg() <= residue.deg() and val2 % pval == 0:
             quo, rem = residue.divmod_exact(phi_d)
             if not rem.is_zero():
                 break
@@ -313,6 +388,8 @@ def is_cyclotomic_product(p: IntPoly):
             mult += 1
         if mult:
             factors.append((d, mult))
+    if residue.deg() > 0:
+        return None
     unit = residue[0]
     if unit not in (1, -1):
         return None

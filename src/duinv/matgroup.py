@@ -26,6 +26,7 @@ import typing
 from . import monomial
 from .cycnum import CycNum, zeta
 from .errors import InfiniteOrderSuspected, SingularGenerator
+from .intpoly import _totient_at_most, totient
 
 DEFAULT_CAP = 10_000
 
@@ -244,7 +245,7 @@ class MatGroup:
     # groups closed by CycNum products.
     exp_form: monomial.ExpForm | None = dataclasses.field(
         default=None, compare=False, repr=False)
-    # generated_subgroup results by index tuple, for exponent-form groups.
+    # generated_subgroup results by index tuple.
     _subgroups: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False)
 
@@ -283,8 +284,9 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     any closure runs when the group cannot be finite: diagonal and
     antidiagonal generators that no diagonal change of basis turns into
     roots of unity (see monomial.exponent_form), or a non-monomial
-    generator whose determinant is not a root of unity or whose eigenvalue
-    is repeated.  Closures are memoized by the exact generator list, so
+    generator whose determinant is not a root of unity, whose eigenvalue
+    is repeated, or whose power to the bound of _order_bound is not the
+    identity.  Closures are memoized by the exact generator list, so
     repeated analyses of one group are cheap.
     """
     gens = list(generators)
@@ -302,10 +304,36 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     else:
         for g in gens:
             _check_finite_order(g)
+            bound = _order_bound(g.conductor())
+            if _power(g, bound) != Mat2.identity():
+                raise InfiniteOrderSuspected(
+                    f"generator has no finite order: its {bound}-th power is not 1")
         group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
                          conductor)
     _closure_cache[cache_key] = group
     return group
+
+
+def _order_bound(conductor: int) -> int:
+    """
+    A multiple of the order of every finite-order 2x2 matrix over
+    Q(zeta_conductor).  Its eigenvalues lie in an extension of degree at
+    most 2 phi(c), c = lcm(2, conductor), so each is an m-th root of unity
+    with phi(m) <= 2 phi(c), and the order divides the lcm of those m.
+    """
+    return math.lcm(*_totient_at_most(2 * totient(math.lcm(2, conductor))))
+
+
+def _power(g: Mat2, k: int) -> Mat2:
+    """g^k for k >= 1 by repeated squaring."""
+    result = None
+    while k:
+        if k & 1:
+            result = g if result is None else result @ g
+        k >>= 1
+        if k:
+            g = g @ g
+    return result
 
 
 def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
@@ -326,17 +354,22 @@ def _from_form(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
 
 def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     """
-    close_group of the elements of `group` at the given indices, closed in
-    the exponent form of `group` when it has one.
+    The closure of the elements of `group` at the given indices: in the
+    exponent form of `group` when it has one, by CycNum products otherwise.
+    The generators are elements of a finite group, so no finite-order check
+    runs.
     """
-    gens = tuple(group.elements[i] for i in indices)
-    if group.exp_form is None:
-        return close_group(gens)
     key = tuple(indices)
     sub = group._subgroups.get(key)
     if sub is None:
-        sub = group._subgroups[key] = _from_form(
-            group.exp_form.subgroup(key, DEFAULT_CAP), gens, group.conductor)
+        gens = tuple(group.elements[i] for i in key)
+        if group.exp_form is None:
+            sub = MatGroup(_close_by_products(gens, group.conductor, DEFAULT_CAP),
+                           gens, group.conductor)
+        else:
+            sub = _from_form(group.exp_form.subgroup(key, DEFAULT_CAP), gens,
+                             group.conductor)
+        group._subgroups[key] = sub
     return sub
 
 

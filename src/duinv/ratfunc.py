@@ -18,8 +18,6 @@ from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
 from .intpoly import (IntPoly, cyclotomic_poly, is_cyclotomic_product,
                       poly_gcd_q)
 
-_FACTOR_DEGREE_LIMIT = 400  # beyond this, skip the cyclotomic fast path
-
 
 @dataclasses.dataclass(frozen=True)
 class RatFunc:
@@ -130,22 +128,21 @@ def _vanishing_order_at_one(p: IntPoly) -> int:
 
 def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Divide out the polynomial gcd of num and den over Q."""
-    if den.deg() <= _FACTOR_DEGREE_LIMIT:
-        fact = is_cyclotomic_product(den)
-        if fact is not None:
-            # Cancel shared cyclotomic factors without a big-gcd computation.
-            remaining = []
-            for d, mult in fact.factors:
-                phi_d = cyclotomic_poly(d)
-                while mult and phi_d.divides(num):
-                    num, _ = num.divmod_exact(phi_d)
-                    mult -= 1
-                if mult:
-                    remaining.append((d, mult))
-            den = IntPoly((fact.unit,))
-            for d, mult in remaining:
-                den = den * cyclotomic_poly(d) ** mult
-            return num, den
+    fact = is_cyclotomic_product(den)
+    if fact is not None:
+        # Cancel shared cyclotomic factors without a big-gcd computation.
+        remaining = []
+        for d, mult in fact.factors:
+            phi_d = cyclotomic_poly(d)
+            while mult and phi_d.divides(num):
+                num, _ = num.divmod_exact(phi_d)
+                mult -= 1
+            if mult:
+                remaining.append((d, mult))
+        den = IntPoly((fact.unit,))
+        for d, mult in remaining:
+            den = den * cyclotomic_poly(d) ** mult
+        return num, den
     g = poly_gcd_q(num, den)
     if g.deg() > 0:
         num, _ = num.divmod_exact(g)

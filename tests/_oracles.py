@@ -2,9 +2,9 @@
 suite.
 
 Each suite cross-checks an exact routine against a computation that shares no
-code with it: complex root finding for the cyclotomic tester, truncated
-geometric-series convolution for power-series coefficients, and the complex
-embedding for cyclotomic arithmetic.
+code with it: complex root finding and Graeffe root squaring for the
+cyclotomic tester, truncated geometric-series convolution for power-series
+coefficients, and the complex embedding for cyclotomic arithmetic.
 """
 import cmath
 import math
@@ -87,6 +87,65 @@ def run_cyclotomic_oracle_suite(cases: int = 400, seed: int = 8141) -> None:
         done += 1
         got = is_cyclotomic_product(p)
         assert (got is not None) == oracle_is_cyclotomic(p), repr(p)
+        if got is not None:
+            assert got.expand() == p
+
+
+def graeffe_is_cyclotomic(p: IntPoly) -> bool:
+    """
+    Exact oracle by Kronecker's theorem: an integer polynomial with leading
+    and constant coefficient +-1 is +-(a product of cyclotomics) exactly
+    when all its roots lie on the unit circle.  The Graeffe map
+    f -> f1, f1(y) = e(y)^2 - y o(y)^2 for f(t) = e(t^2) + t o(t^2), squares
+    every root.  With all roots on the unit circle each coefficient of a
+    degree-n iterate is at most binom(n, n // 2) in absolute value, so the
+    bounded integer iterates must repeat; a root off the circle makes the
+    coefficients grow past that bound.
+    """
+    if abs(p.lead()) != 1 or abs(p[0]) != 1:
+        return False
+    n = p.deg()
+    bound = math.comb(n, n // 2)
+    seen = set()
+    f = p.coeffs
+    while True:
+        if f[-1] < 0:
+            f = tuple(-c for c in f)
+        if f in seen:
+            return True
+        if max(abs(c) for c in f) > bound:
+            return False
+        seen.add(f)
+        even, odd = IntPoly(f[0::2]), IntPoly(f[1::2])
+        f = (even * even - (odd * odd).shift(1)).coeffs
+
+
+def run_high_degree_cyclotomic_suite(seed: int = 404) -> None:
+    """
+    is_cyclotomic_product against graeffe_is_cyclotomic up to and above
+    degree 400: the two numerator families of the paper (degree 2n + 4) at
+    n = 200 and at seeded n in 100..250, seeded products of Phi_d with
+    d <= 1700 of degree above 400, and each product with one inner
+    coefficient moved by one.
+    """
+    from duinv.paperlab import _family_one_numerator, _family_two_numerator
+    rng = random.Random(seed)
+    polys = []
+    for n in [200] + rng.sample(range(100, 251), 3):
+        polys += [_family_one_numerator(n), _family_two_numerator(n)]
+    for _ in range(6):
+        # one Phi_d with d <= 1700 and degree at most 600, then small ones,
+        # repeats allowed, past degree 400
+        big = rng.choice([d for d in range(1, 1701) if totient(d) <= 600])
+        p = cyclotomic_poly(big) * rng.choice((1, -1))
+        while p.deg() <= 400:
+            p = p * cyclotomic_poly(rng.randint(1, 60))
+        coeffs = list(p.coeffs)
+        coeffs[rng.randrange(1, len(coeffs) - 1)] += rng.choice((1, -1))
+        polys += [p, IntPoly(coeffs)]
+    for p in polys:
+        got = is_cyclotomic_product(p)
+        assert (got is not None) == graeffe_is_cyclotomic(p), repr(p)
         if got is not None:
             assert got.expand() == p
 

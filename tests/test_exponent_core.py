@@ -24,8 +24,9 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (ElementTable, Mat2, MatGroup, _close_by_products,
-                            _eigen_exponents_by_search, classify, close_group,
-                            eigenvalues, mat_s, standard_group)
+                            _eigen_exponents_by_search, _order_bound, classify,
+                            close_group, eigenvalues, generated_subgroup, mat_s,
+                            standard_group)
 from duinv.ratfunc import RatFunc
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
@@ -338,3 +339,22 @@ def test_cycnum_group_table_matches_eigenvalues(gens, order):
     assert group.table == ElementTable(m, tuple(g.shape() for g in group),
                                        tuple(det for det, *_ in exps),
                                        tuple(tuple(sorted(eig)) for _, *eig in exps))
+
+
+@pytest.mark.parametrize("gens", [BT, BO, C6_CONJUGATED])
+def test_order_bound_is_a_multiple_of_every_element_order(gens):
+    group = close_group(gens)
+    bound = _order_bound(group.conductor)
+    assert all(bound % order == 0 for order in group.table.orders)
+
+
+@pytest.mark.parametrize("gens", [BT, BO])
+def test_cycnum_generated_subgroup_matches_close_group(gens):
+    group = close_group(gens)
+    indices = [i for i, g in enumerate(group) if g.det() == 1 and g.trace() == 0]
+    sub = generated_subgroup(group, indices)
+    ref = close_group([group.elements[i] for i in indices])
+    assert [g.key(group.conductor) for g in sub] == \
+        [g.key(group.conductor) for g in ref]
+    assert sub.generators == ref.generators
+    assert generated_subgroup(group, indices) is sub  # cached on the group

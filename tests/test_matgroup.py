@@ -163,6 +163,18 @@ def test_infinite_order_generators_fail_fast():
         close_group([Mat2.of(1, 1, 0, 2)], cap=2)
 
 
+def test_non_monomial_infinite_order_generator_fails_fast():
+    # [[1,1],[1,0]] has det -1 and the distinct eigenvalues (1 +- sqrt 5)/2;
+    # its power to the order bound of Q(zeta_2) is not the identity.
+    fib = Mat2.of(1, 1, 1, 0)
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([fib], cap=2)
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([mat_s1(), fib], cap=2)
+    # a non-monomial generator of finite order still closes
+    assert len(close_group([Mat2.of(0, -1, 1, -1)])) == 3
+
+
 def test_antidiagonal_with_irrational_entries_closes_by_products():
     # bc = 1, so the group is finite although b and c are not roots of unity
     g = close_group([Mat2.of(0, 2, Fraction(1, 2), 0)])

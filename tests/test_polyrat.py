@@ -10,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duinv.errors import ZeroDenominator, ZeroPolynomial
-from duinv.intpoly import (IntPoly, CycFactorization, cyclotomic_poly,
-                           divisors, factorize, is_cyclotomic_product,
-                           one_minus_t_pow, poly_gcd_q, totient, x_pow)
+from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
+                           _totient_at_most, cyclotomic_poly, divisors,
+                           factorize, is_cyclotomic_product, one_minus_t_pow,
+                           poly_gcd_q, totient, x_pow)
+from duinv.paperlab import _family_one_numerator
 from duinv.ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
 from duinv.cycnum import zeta
 
@@ -71,12 +73,13 @@ def test_cyclotomic_poly():
         if coeffs is not None:
             assert cyclotomic_poly(d) == IntPoly(coeffs)
     assert min(cyclotomic_poly(105).coeffs) == -2
-    # prod over divisors of n of Phi_d = t^n - 1
-    for n in (1, 2, 6, 12, 30):
+    # prod over divisors of n of Phi_d = t^n - 1, and Phi_n(2) in integers
+    for n in range(1, 301):
         prod = IntPoly((1,))
         for d in divisors(n):
             prod = prod * cyclotomic_poly(d)
-        assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,))
+        assert prod == IntPoly((-1,) + (0,) * (n - 1) + (1,)), n
+        assert _cyclotomic_at_two(n) == cyclotomic_poly(n)(2), n
 
 
 def test_is_cyclotomic_product_basics():
@@ -88,6 +91,32 @@ def test_is_cyclotomic_product_basics():
     assert is_cyclotomic_product(IntPoly((2, 1))) is None
     with pytest.raises(ZeroPolynomial):
         is_cyclotomic_product(IntPoly())
+
+
+def test_totient_at_most_matches_brute_force():
+    # phi(d) >= sqrt(d / 2), so every d with phi(d) <= n is below 2 n^2 + 3
+    for n in range(61):
+        assert _totient_at_most(n) == tuple(
+            d for d in range(1, 2 * n * n + 3) if totient(d) <= n)
+    assert len(_totient_at_most(404)) == 790
+
+
+def test_cyclotomic_test_reads_few_factorizations():
+    # Only the 790 indices d with phi(d) <= 404 can divide the degree-404
+    # family-one numerator; a scan of every d <= 2 deg^2 + 2 would leave
+    # 326 434 factorize entries.
+    factorize.cache_clear()
+    assert is_cyclotomic_product(_family_one_numerator(200)) is None
+    assert factorize.cache_info().currsize < 2000
+
+
+def test_cyclotomic_tester_against_graeffe_oracle_above_degree_400():
+    from _oracles import graeffe_is_cyclotomic, run_high_degree_cyclotomic_suite
+    run_high_degree_cyclotomic_suite()
+    assert graeffe_is_cyclotomic(one_minus_t_pow(6))
+    assert graeffe_is_cyclotomic(cyclotomic_poly(105) ** 2)
+    assert not graeffe_is_cyclotomic(IntPoly((1, 1, 1, 0, 1)))
+    assert not graeffe_is_cyclotomic(IntPoly((2, 1)))
 
 
 def test_cyclotomic_tester_against_root_oracle():
