@@ -250,8 +250,7 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p, is_prime in enumerate(sieve) if is_prime]
 
 
-@functools.lru_cache(maxsize=64)
-def _totient_at_most(n: int) -> tuple[int, ...]:
+def totients_at_most(n: int) -> tuple[int, ...]:
     """
     Every d >= 1 with phi(d) <= n, ascending.
 
@@ -259,7 +258,7 @@ def _totient_at_most(n: int) -> tuple[int, ...]:
     p <= n + 1, and phi multiplies by (p - 1) p^(e-1) with each one; the
     walk over such products stops a branch as soon as phi exceeds n.
 
-    >>> _totient_at_most(4)
+    >>> totients_at_most(4)
     (1, 2, 3, 4, 5, 6, 8, 10, 12)
     """
     if n < 1:
@@ -357,7 +356,7 @@ def is_cyclotomic_product(p: IntPoly):
     the CycFactorization if so, None otherwise.
 
     Only Phi_d with phi(d) <= deg p can divide p, so the candidates are
-    _totient_at_most(deg p), tried in ascending order while their degree
+    totients_at_most(deg p), tried in ascending order while their degree
     fits the residue.  Phi_d(2) (_cyclotomic_at_two, in integers) must
     divide the residue's value at 2 before Phi_d is built and tried by
     exact division.  A residue of positive degree left after the last
@@ -370,7 +369,7 @@ def is_cyclotomic_product(p: IntPoly):
     residue = p
     val2 = residue(2)
     factors: list[tuple[int, int]] = []
-    for d in _totient_at_most(p.deg()):
+    for d in totients_at_most(p.deg()):
         if residue.deg() <= 0:
             break
         if totient(d) > residue.deg():

@@ -26,7 +26,7 @@ import typing
 from . import monomial
 from .cycnum import CycNum, zeta
 from .errors import InfiniteOrderSuspected, SingularGenerator
-from .intpoly import _totient_at_most, totient
+from .intpoly import totient, totients_at_most
 
 DEFAULT_CAP = 10_000
 
@@ -285,8 +285,8 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     antidiagonal generators that no diagonal change of basis turns into
     roots of unity (see monomial.exponent_form), or a non-monomial
     generator whose determinant is not a root of unity, whose eigenvalue
-    is repeated, or whose power to the bound of _order_bound is not the
-    identity.  Closures are memoized by the exact generator list, so
+    is repeated, or whose powers up to the bound of _order_bound are not
+    the identity.  Closures are memoized by the exact generator list, so
     repeated analyses of one group are cheap.
     """
     gens = list(generators)
@@ -304,10 +304,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     else:
         for g in gens:
             _check_finite_order(g)
-            bound = _order_bound(g.conductor())
-            if _power(g, bound) != Mat2.identity():
-                raise InfiniteOrderSuspected(
-                    f"generator has no finite order: its {bound}-th power is not 1")
+            g.order(cap=_order_bound(g.conductor()))
         group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
                          conductor)
     _closure_cache[cache_key] = group
@@ -316,24 +313,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
 
 def _order_bound(conductor: int) -> int:
     """
-    A multiple of the order of every finite-order 2x2 matrix over
-    Q(zeta_conductor).  Its eigenvalues lie in an extension of degree at
-    most 2 phi(c), c = lcm(2, conductor), so each is an m-th root of unity
-    with phi(m) <= 2 phi(c), and the order divides the lcm of those m.
+    An upper bound on the order m of any finite-order 2x2 matrix over
+    Q(zeta_conductor).  Its eigenvalues are roots of unity whose orders have
+    lcm m, so zeta_m lies in their field, of degree at most 2 phi(conductor);
+    hence phi(m) <= 2 phi(conductor), and m is at most the largest such index.
     """
-    return math.lcm(*_totient_at_most(2 * totient(math.lcm(2, conductor))))
-
-
-def _power(g: Mat2, k: int) -> Mat2:
-    """g^k for k >= 1 by repeated squaring."""
-    result = None
-    while k:
-        if k & 1:
-            result = g if result is None else result @ g
-        k >>= 1
-        if k:
-            g = g @ g
-    return result
+    return totients_at_most(2 * totient(conductor))[-1]
 
 
 def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
@@ -394,7 +379,7 @@ def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, i
     form = monomial.exponent_form([g.monomial()])
     if form is None:
         _check_finite_order(g)
-        m = g.order(cap=cap)
+        m = g.order(cap=min(cap, _order_bound(g.conductor())))
         return m, _eigen_exponents_by_search(g, m)
     table = ElementTable.of_form(form)
     m = table.orders[0]

@@ -199,7 +199,7 @@ def test_classify_exit_codes(capsys):
 
 @pytest.mark.parametrize("gens", [["[[0,2],[1/2,0]]", "[[0,1],[1,0]]"],
                                   ["[[1,1],[0,1]]"], ["[[-1,1],[0,-1]]"],
-                                  ["[[1,1],[1,0]]"]])
+                                  ["[[1,1],[1,0]]"], ["[[zeta(60),1],[1,0]]"]])
 def test_analyze_infinite_group_fails_before_closing(capsys, gens):
     argv = ["analyze", "--alpha", "3", "--beta", "-1"]
     for g in gens:

@@ -342,10 +342,9 @@ def test_cycnum_group_table_matches_eigenvalues(gens, order):
 
 
 @pytest.mark.parametrize("gens", [BT, BO, C6_CONJUGATED])
-def test_order_bound_is_a_multiple_of_every_element_order(gens):
+def test_order_bound_covers_every_element_order(gens):
     group = close_group(gens)
-    bound = _order_bound(group.conductor)
-    assert all(bound % order == 0 for order in group.table.orders)
+    assert max(group.table.orders) <= _order_bound(group.conductor)
 
 
 @pytest.mark.parametrize("gens", [BT, BO])

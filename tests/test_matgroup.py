@@ -165,12 +165,18 @@ def test_infinite_order_generators_fail_fast():
 
 def test_non_monomial_infinite_order_generator_fails_fast():
     # [[1,1],[1,0]] has det -1 and the distinct eigenvalues (1 +- sqrt 5)/2;
-    # its power to the order bound of Q(zeta_2) is not the identity.
+    # a rational matrix of finite order has order at most 6 (_order_bound).
     fib = Mat2.of(1, 1, 1, 0)
     with pytest.raises(InfiniteOrderSuspected):
         close_group([fib], cap=2)
     with pytest.raises(InfiniteOrderSuspected):
         close_group([mat_s1(), fib], cap=2)
+    # over Q(zeta_60) the walk stops at the bound 120 although the powers
+    # of this matrix (eigenvalue of modulus about 1.6) grow without bound
+    with pytest.raises(InfiniteOrderSuspected):
+        close_group([Mat2.of(zeta(60), 1, 1, 0)], cap=2)
+    with pytest.raises(InfiniteOrderSuspected):
+        eigenvalues(Mat2.of(zeta(60), 1, 1, 0))
     # a non-monomial generator of finite order still closes
     assert len(close_group([Mat2.of(0, -1, 1, -1)])) == 3
 

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from duinv.errors import ZeroDenominator, ZeroPolynomial
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
-                           _totient_at_most, cyclotomic_poly, divisors,
-                           factorize, is_cyclotomic_product, one_minus_t_pow,
-                           poly_gcd_q, totient, x_pow)
+                           cyclotomic_poly, divisors, factorize,
+                           is_cyclotomic_product, one_minus_t_pow, poly_gcd_q,
+                           totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
 from duinv.ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
 from duinv.cycnum import zeta
@@ -93,12 +93,12 @@ def test_is_cyclotomic_product_basics():
         is_cyclotomic_product(IntPoly())
 
 
-def test_totient_at_most_matches_brute_force():
+def test_totients_at_most_matches_brute_force():
     # phi(d) >= sqrt(d / 2), so every d with phi(d) <= n is below 2 n^2 + 3
     for n in range(61):
-        assert _totient_at_most(n) == tuple(
+        assert totients_at_most(n) == tuple(
             d for d in range(1, 2 * n * n + 3) if totient(d) <= n)
-    assert len(_totient_at_most(404)) == 790
+    assert len(totients_at_most(404)) == 790
 
 
 def test_cyclotomic_test_reads_few_factorizations():
