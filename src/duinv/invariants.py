@@ -35,7 +35,7 @@ from .errors import (BireflectionMismatch, GroupTooLarge,
                      UnsupportedAutomorphism, ZeroFunction)
 from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pow
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
-                       eigenvalues, generated_subgroup)
+                       eigenvalues, generated_subgroup, remember)
 from .ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
 
 
@@ -276,9 +276,8 @@ def _average_inverse_products(shape: tuple[int, ...], modulus: int,
     den = IntPoly((1,))
     for d in shape:
         den = den * one_minus_t_pow(d * big_m)
-    result = RatFunc.from_frac_polys(num_coeffs, [Fraction(c) for c in den.coeffs])
-    _molien_cache[key] = result
-    return result
+    return remember(_molien_cache, key, RatFunc.from_frac_polys(
+        num_coeffs, [Fraction(c) for c in den.coeffs]))
 
 
 def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):

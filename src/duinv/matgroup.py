@@ -13,8 +13,10 @@ Diagonal and antidiagonal generators (every Q1..Q8, C_n and BD_4n group, and
 any diagonal conjugate of one) close in the integer exponent form of
 `duinv.monomial`, and the table is read off that form.  Only non-monomial
 generators (the binary polyhedral groups, a group in a conjugated basis)
-close by CycNum matrix products, and their table comes from the CycNum
-eigenvalues of each element.
+close by CycNum matrix products.  Their closure records its Cayley table,
+the index of each element times each generator, so subgroups and element
+orders are read on indices; beyond the closure products, CycNum arithmetic
+serves only one eigenvalue search per element.
 """
 from __future__ import annotations
 
@@ -217,26 +219,14 @@ class ElementTable(typing.NamedTuple):
                             tuple(_PERM_SHAPES[perm] for perm in form.perms),
                             form.dets, tuple(tuple(sorted(e)) for e in form.eigenvalues))
 
-    @staticmethod
-    def of_matrices(elements) -> "ElementTable":
-        """The table by CycNum arithmetic, for matrices of finite order: one
-        root-of-unity lookup per determinant, eigenvalues as eigenvalues()."""
-        rows = []
-        for g in elements:
-            m, eig = _eigen_exponents(g)
-            rows.append([monomial.root_exponent(g.det())] + [(m, k) for k in eig])
-        m, exps = monomial.lift(rows)
-        return ElementTable(m, tuple(g.shape() for g in elements),
-                            tuple(det for det, *_ in exps),
-                            tuple(tuple(eig) for _, *eig in exps))
-
 
 _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 
 
 @dataclasses.dataclass(frozen=True)
 class MatGroup:
-    """A finite group of 2x2 matrices, all stored at a common conductor."""
+    """A finite group of 2x2 matrices, all stored at a common conductor, as
+    built by close_group, generated_subgroup or sl2_part."""
 
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
@@ -245,6 +235,8 @@ class MatGroup:
     # groups closed by CycNum products.
     exp_form: monomial.ExpForm | None = dataclasses.field(
         default=None, compare=False, repr=False)
+    # For groups closed by CycNum products, the Cayley table of monomial.closure.
+    cayley: list | None = dataclasses.field(default=None, compare=False, repr=False)
     # generated_subgroup results by index tuple.
     _subgroups: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False)
@@ -267,12 +259,48 @@ class MatGroup:
     @functools.cached_property
     def table(self) -> ElementTable:
         """Shapes, determinants, eigenvalues and orders of the elements, read
-        off the exponent form when the group has one."""
+        off the exponent form when the group has one.  Otherwise an element's
+        order is the least power of its word that walks back to index 0, and
+        one CycNum search at that order finds its eigenvalues."""
         if self.exp_form is not None:
             return ElementTable.of_form(self.exp_form)
-        return ElementTable.of_matrices(self.elements)
+        rows = []
+        for g, word in zip(self.elements, self.words):
+            power, m = self.times(0, word), 1
+            while power:
+                power, m = self.times(power, word), m + 1
+            det, eig = _det_and_eigen_exponents(g, m)
+            rows.append([(m, det)] + [(m, k) for k in eig])
+        m, exps = monomial.lift(rows)
+        return ElementTable(m, tuple(g.shape() for g in self.elements),
+                            tuple(det for det, *_ in exps),
+                            tuple(tuple(eig) for _, *eig in exps))
+
+    @functools.cached_property
+    def words(self) -> list[tuple[int, ...]]:
+        """Each element as a word in the generators, off the Cayley table:
+        an element's first entry in the table, row by row, is the edge by
+        which the breadth-first closure found it."""
+        if self.cayley is None:
+            raise ValueError("the group has no Cayley table; close it with close_group")
+        words = [()] + [None] * (len(self) - 1)
+        for i, row in enumerate(self.cayley):
+            for j, k in enumerate(row):
+                if words[k] is None:
+                    words[k] = words[i] + (j,)
+        return words
+
+    def times(self, i: int, word) -> int:
+        """The index of elements[i] times the product of the word."""
+        for j in word:
+            i = self.cayley[i][j]
+        return i
 
 
+# Closures and Molien series are memoized by their exact inputs.  Both caches
+# drop their oldest entry beyond this size; the 274 reports of the acceptance
+# sweep fill 64 closure and 59 Molien entries.
+_CACHE_SIZE = 1024
 _closure_cache: dict = {}
 
 
@@ -305,10 +333,20 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
         for g in gens:
             _check_finite_order(g)
             g.order(cap=_order_bound(g.conductor()))
-        group = MatGroup(_close_by_products(gens, conductor, cap), tuple(gens),
-                         conductor)
-    _closure_cache[cache_key] = group
-    return group
+        ident, *lifted = [Mat2(*(e.promoted(conductor) for e in g.entries()))
+                          for g in (Mat2.identity(), *gens)]
+        elements, cayley = monomial.closure(ident, lifted, Mat2.__matmul__,
+                                            lambda m: m.key(conductor), cap)
+        group = MatGroup(tuple(elements), tuple(gens), conductor, cayley=cayley)
+    return remember(_closure_cache, cache_key, group)
+
+
+def remember(cache: dict, key, value):
+    """cache[key] = value, dropping the oldest entry beyond _CACHE_SIZE."""
+    if len(cache) >= _CACHE_SIZE:
+        del cache[next(iter(cache))]
+    cache[key] = value
+    return value
 
 
 def _order_bound(conductor: int) -> int:
@@ -321,15 +359,6 @@ def _order_bound(conductor: int) -> int:
     return totients_at_most(2 * totient(conductor))[-1]
 
 
-def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
-    """The closure by CycNum matrix products at `conductor`; the reference
-    for any generators."""
-    lifted = [Mat2(*(e.promoted(conductor) for e in g.entries())) for g in gens]
-    ident = Mat2(*(e.promoted(conductor) for e in Mat2.identity().entries()))
-    return tuple(monomial.closure(ident, lifted, Mat2.__matmul__,
-                                  lambda m: m.key(conductor), cap))
-
-
 def _from_form(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
     """The MatGroup whose elements, at `conductor`, are those of `form`."""
     zero = CycNum.zero().promoted(conductor)
@@ -340,17 +369,20 @@ def _from_form(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
 def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     """
     The closure of the elements of `group` at the given indices: in the
-    exponent form of `group` when it has one, by CycNum products otherwise.
-    The generators are elements of a finite group, so no finite-order check
-    runs.
+    exponent form of `group` when it has one, on element indices through its
+    Cayley table otherwise, where h times a generator s walks the word of s
+    from h.  Either way the elements come in the order of close_group on
+    those generators, and no finite-order check runs.
     """
     key = tuple(indices)
     sub = group._subgroups.get(key)
     if sub is None:
         gens = tuple(group.elements[i] for i in key)
         if group.exp_form is None:
-            sub = MatGroup(_close_by_products(gens, group.conductor, DEFAULT_CAP),
-                           gens, group.conductor)
+            found, cayley = monomial.closure(0, [group.words[i] for i in key],
+                                             group.times, lambda i: i, DEFAULT_CAP)
+            sub = MatGroup(tuple(group.elements[i] for i in found), gens,
+                           group.conductor, cayley=cayley)
         else:
             sub = _from_form(group.exp_form.subgroup(key, DEFAULT_CAP), gens,
                              group.conductor)
@@ -359,9 +391,14 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
 
 
 def sl2_part(group: MatGroup) -> MatGroup:
-    """The subgroup of determinant-one elements."""
-    elems = tuple(e for e in group.elements if e.det() == 1)
-    return MatGroup(elems, elems, group.conductor)
+    """The subgroup of determinant-one elements, in the order of `group`."""
+    keep = [i for i, det in enumerate(group.table.dets) if det == 0]
+    form = group.exp_form
+    if form is None:
+        return generated_subgroup(group, keep)
+    elems = tuple(group.elements[i] for i in keep)
+    return MatGroup(elems, elems, group.conductor, monomial.ExpForm(
+        form.modulus, tuple(form.elements[i] for i in keep), form.basis))
 
 
 def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
@@ -380,7 +417,7 @@ def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, i
     if form is None:
         _check_finite_order(g)
         m = g.order(cap=min(cap, _order_bound(g.conductor())))
-        return m, _eigen_exponents_by_search(g, m)
+        return m, _det_and_eigen_exponents(g, m)[1]
     table = ElementTable.of_form(form)
     m = table.orders[0]
     if m > cap:
@@ -400,25 +437,16 @@ def _check_finite_order(g: Mat2) -> None:
         raise InfiniteOrderSuspected("non-scalar matrix with a repeated eigenvalue")
 
 
-def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
-    """
-    The sorted exponents k, as powers of zeta_m, of the eigenvalues of a
-    matrix of order m: the roots of t^2 - tr t + det among the m-th roots of
-    unity.  The reference for any matrix.
-    """
-    tr, det = g.trace(), g.det()
-    pair = []
+def _det_and_eigen_exponents(g: Mat2, m: int) -> tuple[int, tuple[int, int]]:
+    """The determinant and the sorted eigenvalues of a matrix of order m as
+    exponents of zeta_m: with det = zeta_m^d, zeta_m^k is an eigenvalue
+    exactly when zeta_m^k + zeta_m^(d - k) is the trace."""
+    order, e = monomial.root_exponent(g.det())
+    det, tr = e * (m // order), g.trace()
     for k in range(m):
-        lam = zeta(m, k)
-        if lam * lam - tr * lam + det == 0:
-            pair.append(k)
-            if len(pair) == 2:
-                break
-    if len(pair) == 1:  # double eigenvalue
-        pair.append(pair[0])
-    if len(pair) != 2:
-        raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
-    return tuple(pair)
+        if zeta(m, k) + zeta(m, det - k) == tr:
+            return det, tuple(sorted((k, (det - k) % m)))
+    raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
 
 
 # ---------------------------------------------------------------------------

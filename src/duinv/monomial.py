@@ -29,30 +29,32 @@ from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 Elem = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def closure(identity, generators, mul, key, cap: int) -> list:
+def closure(identity, generators, mul, key, cap: int) -> tuple[list, list]:
     """
-    Breadth-first multiplicative closure from `identity`: every frontier
-    element times every generator, in that order, so the element order is
-    deterministic.  `key` maps an element to its exact hashable form.
-    Raises GroupTooLarge when the closure exceeds `cap` elements.
+    Breadth-first multiplicative closure from `identity`: every element, in
+    the order found, times every generator, in that order, so the element
+    order is deterministic.  `key` maps an element to its exact hashable
+    form.  Returns the elements and their Cayley table, whose row i holds
+    the index of elements[i] @ generators[j] for each j.  Raises
+    GroupTooLarge when the closure exceeds `cap` elements.
     """
     elements = [identity]
-    seen = {key(identity)}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in generators:
-                p = mul(x, g)
-                k = key(p)
-                if k not in seen:
-                    if len(elements) >= cap:
-                        raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
-                    seen.add(k)
-                    elements.append(p)
-                    nxt.append(p)
-        frontier = nxt
-    return elements
+    index = {key(identity): 0}
+    table = []
+    for x in elements:  # grows while it is walked
+        row = []
+        for g in generators:
+            p = mul(x, g)
+            k = key(p)
+            j = index.get(k)
+            if j is None:
+                if len(elements) >= cap:
+                    raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
+                j = index[k] = len(elements)
+                elements.append(p)
+            row.append(j)
+        table.append(row)
+    return elements, table
 
 
 def mul(x: Elem, y: Elem, modulus: int) -> Elem:
@@ -153,9 +155,10 @@ class ExpForm:
         """The group the elements generate, in the order of closure()."""
         size = len(self.elements[0][0])
         identity = (tuple(range(size)), (0,) * size)
-        return ExpForm(self.modulus, tuple(closure(
-            identity, self.elements, functools.partial(mul, modulus=self.modulus),
-            lambda x: x, cap)), self.basis)
+        elements, _ = closure(identity, self.elements,
+                              functools.partial(mul, modulus=self.modulus),
+                              lambda x: x, cap)
+        return ExpForm(self.modulus, tuple(elements), self.basis)
 
     def subgroup(self, indices, cap: int) -> "ExpForm":
         """The group generated by the elements at the given indices."""

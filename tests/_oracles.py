@@ -4,7 +4,8 @@ suite.
 Each suite cross-checks an exact routine against a computation that shares no
 code with it: complex root finding and Graeffe root squaring for the
 cyclotomic tester, truncated geometric-series convolution for power-series
-coefficients, and the complex embedding for cyclotomic arithmetic.
+coefficients, the complex embedding for cyclotomic arithmetic, and CycNum
+matrix products for group closures and eigenvalues.
 """
 import cmath
 import math
@@ -14,8 +15,10 @@ from fractions import Fraction
 import numpy as np
 
 from duinv.cycnum import CycNum, zeta
+from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient
+from duinv.matgroup import Mat2
 from duinv.ratfunc import RatFunc
 
 
@@ -217,3 +220,59 @@ def run_embedding_suite(cases: int = 200, depth: int = 5, tol: float = 1e-9,
         if abs(fx) > 1e6:  # the oracle itself loses precision on huge values
             continue
         assert abs(x.approx() - fx) < tol * max(1.0, abs(fx))
+
+
+# ---------------------------------------------------------------------------
+# group closure and eigenvalues by CycNum matrix products
+# ---------------------------------------------------------------------------
+
+def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
+    """
+    The breadth-first closure of the generators by CycNum matrix products at
+    `conductor`, frontier by frontier, each frontier element times each
+    generator in order; GroupTooLarge beyond `cap` elements.  The reference
+    for close_group and generated_subgroup on any generators.
+    """
+    lifted = [Mat2(*(e.promoted(conductor) for e in g.entries())) for g in gens]
+    ident = Mat2(*(e.promoted(conductor) for e in Mat2.identity().entries()))
+    elements, seen, frontier = [ident], {ident.key(conductor)}, [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g in lifted:
+                p = x @ g
+                if p.key(conductor) not in seen:
+                    if len(elements) >= cap:
+                        raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
+                    seen.add(p.key(conductor))
+                    elements.append(p)
+                    nxt.append(p)
+        frontier = nxt
+    return tuple(elements)
+
+
+def _cayley_by_products(elements, gens, conductor: int) -> list[list[int]]:
+    """Row i: the index of elements[i] @ gens[j] for each j, by products."""
+    index = {x.key(conductor): i for i, x in enumerate(elements)}
+    return [[index[(x @ g).key(conductor)] for g in gens] for x in elements]
+
+
+def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
+    """
+    The sorted exponents k, as powers of zeta_m, of the eigenvalues of a
+    matrix of order m: the roots of t^2 - tr t + det among the m-th roots of
+    unity.  The reference for any matrix.
+    """
+    tr, det = g.trace(), g.det()
+    pair = []
+    for k in range(m):
+        lam = zeta(m, k)
+        if lam * lam - tr * lam + det == 0:
+            pair.append(k)
+            if len(pair) == 2:
+                break
+    if len(pair) == 1:  # double eigenvalue
+        pair.append(pair[0])
+    if len(pair) != 2:
+        raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
+    return tuple(pair)

@@ -12,10 +12,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duinv import monomial
+from duinv import matgroup, monomial
 from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
@@ -23,11 +23,13 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               close_monomial_group, hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
-from duinv.matgroup import (ElementTable, Mat2, MatGroup, _close_by_products,
-                            _eigen_exponents_by_search, _order_bound, classify,
+from duinv.matgroup import (ElementTable, Mat2, MatGroup, _order_bound, classify,
                             close_group, eigenvalues, generated_subgroup, mat_s,
                             standard_group)
 from duinv.ratfunc import RatFunc
+
+from _oracles import (_cayley_by_products, _close_by_products,
+                      _eigen_exponents_by_search)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -88,7 +90,8 @@ def test_mat2_groups_match_cycnum_reference(gens):
         pairs.append(tuple(zeta(order, k) for k in expected))
         assert eigenvalues(g) == pairs[-1]
 
-    ref_group = MatGroup(ref, tuple(gens), fast.conductor)
+    ref_group = MatGroup(ref, tuple(gens), fast.conductor,
+                         cayley=_cayley_by_products(ref, gens, fast.conductor))
     assert ref_group.exp_form is None
     assert ref_group.table.shapes == table.shapes
     assert ref_group.table.orders == table.orders
@@ -127,8 +130,9 @@ def _monomial_reference(gens):
     gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
             for g in gens]
     ident = MonomialMat(tuple(range(size)), (CycNum.one().promoted(lcm),) * size)
-    return monomial.closure(ident, gens, MonomialMat.__matmul__,
-                            MonomialMat.key, CAP)
+    elements, _ = monomial.closure(ident, gens, MonomialMat.__matmul__,
+                                   MonomialMat.key, CAP)
+    return elements
 
 
 @settings(max_examples=25)
@@ -327,6 +331,11 @@ I = zeta(4)
 BT = [Mat2.diag(I, -I),
       Mat2.of((1 + I) / 2, (1 + I) / 2, (-1 + I) / 2, (1 - I) / 2)]
 BO = [BT[1], Mat2.diag(zeta(8), zeta(8, 7))]
+EPS = zeta(5)
+ROOT5 = EPS + EPS ** 4 - EPS ** 2 - EPS ** 3
+BI = [Mat2.diag(-EPS ** 3, -EPS ** 2),
+      Mat2.of(-(EPS - EPS ** 4) / ROOT5, (EPS ** 2 - EPS ** 3) / ROOT5,
+              (EPS ** 2 - EPS ** 3) / ROOT5, (EPS - EPS ** 4) / ROOT5)]
 P = Mat2.of(1, 1, 0, 1)
 C6_CONJUGATED = [P @ Mat2.diag(zeta(6), zeta(6, 5)) @ P.inverse()]
 
@@ -357,3 +366,90 @@ def test_cycnum_generated_subgroup_matches_close_group(gens):
         [g.key(group.conductor) for g in ref]
     assert sub.generators == ref.generators
     assert generated_subgroup(group, indices) is sub  # cached on the group
+
+
+# ---------------------------------------------------------------------------
+# the CycNum path: the closure's Cayley table, and subgroups and element
+# orders read on indices
+# ---------------------------------------------------------------------------
+
+RATIONALS = [Fraction(k) for k in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
+
+
+@st.composite
+def conjugated_mat2_sets(draw):
+    """A mat2_generator_sets draw conjugated by P = [[1, a], [b, 1 + ab]] for
+    random rationals a and b, which mostly takes it off the exponent form."""
+    gens = draw(mat2_generator_sets())
+    a, b = draw(st.sampled_from(RATIONALS)), draw(st.sampled_from(RATIONALS))
+    p = Mat2.of(1, a, b, 1 + a * b)
+    return [p @ g @ p.inverse() for g in gens]
+
+
+@settings(max_examples=30)
+@given(conjugated_mat2_sets(), st.data())
+def test_cycnum_path_matches_products_reference(gens, data):
+    conductor = math.lcm(*(g.conductor() for g in gens))
+    try:
+        group = close_group(gens, cap=CAP)
+    except GroupTooLarge:
+        with pytest.raises(GroupTooLarge):
+            _close_by_products(gens, conductor, CAP)
+        return
+    assume(group.exp_form is None)
+    ref = _close_by_products(gens, conductor, CAP)
+    assert _keys(group, conductor) == _keys(ref, conductor)
+
+    table, orders = group.table, [g.order(cap=CAP) for g in ref]
+    assert table.orders == tuple(orders)
+    for i, (g, order) in enumerate(zip(ref, orders)):
+        assert table.shapes[i] == g.shape()
+        assert zeta(table.modulus, table.dets[i]) == g.det()
+        step = table.modulus // order
+        assert tuple(e // step for e in table.eigenvalues[i]) == \
+            _eigen_exponents_by_search(g, order)
+
+    indices = data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=3))
+    sub = generated_subgroup(group, indices)
+    expected = _close_by_products([ref[i] for i in indices], conductor, CAP)
+    assert _keys(sub, conductor) == _keys(expected, conductor)
+    assert sub.table.orders == tuple(g.order(cap=CAP) for g in expected)
+
+    ctx = AlgebraCtx.down_up(0, 1)
+    flags = [is_bireflection(ctx, g) for g in ref]
+    expected = (_close_by_products([g for g, ok in zip(ref, flags) if ok], conductor, CAP)
+                if any(flags) else (Mat2.identity(),))
+    assert _keys(bireflection_subgroup(ctx, group), conductor) == _keys(expected, conductor)
+
+
+def test_binary_icosahedral_report():
+    report = theorem03_report(0, 1, BI)
+    assert len(report.group) == 120 and report.group.exp_form is None
+    assert report.label.family == "BI"
+    assert report.bireflection_count == 119
+    assert report.generated_by_bireflections
+    assert report.cyclotomic
+
+
+def test_cycnum_closure_cap_is_exact():
+    with pytest.raises(GroupTooLarge):
+        close_group(BT, cap=23)
+    assert len(close_group(BT, cap=24)) == 24
+
+
+def test_sl2z_pair_exceeds_the_cap():
+    # Both generators have finite order, 4 and 6, but they generate SL_2(Z).
+    with pytest.raises(GroupTooLarge):
+        close_group([Mat2.of(0, -1, 1, 0), Mat2.of(0, -1, 1, 1)], cap=200)
+
+
+@pytest.mark.parametrize("gens,alpha,beta", [(BT, 0, 1), (BO, 2, -1)])
+def test_report_matrix_product_budget(gens, alpha, beta, monkeypatch):
+    """A report multiplies CycNum matrices only to close the group and check
+    its generators' orders: at most 2 |G| |gens| products."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    calls = []
+    matmul = Mat2.__matmul__
+    monkeypatch.setattr(Mat2, "__matmul__", lambda x, y: calls.append(1) or matmul(x, y))
+    report = theorem03_report(alpha, beta, gens)
+    assert len(calls) <= 2 * len(report.group) * len(gens)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from duinv import invariants, matgroup
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
                           NotAnAutomorphism, UnsupportedAutomorphism)
@@ -276,3 +277,13 @@ def test_bireflection_mismatch_in_element_table(monkeypatch):
     monkeypatch.setattr(MatGroup, "table", property(lambda self: table))
     with pytest.raises(BireflectionMismatch):
         bireflection_subgroup(ctx, group)
+
+
+def test_molien_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(invariants, "_molien_cache", {})
+    first = invariants._average_inverse_products((1,), 1, [(0,)])
+    for count in range(2, matgroup._CACHE_SIZE + 10):  # one entry per count
+        invariants._average_inverse_products((1,), 1, [(0,)] * count)
+    assert len(invariants._molien_cache) == matgroup._CACHE_SIZE
+    again = invariants._average_inverse_products((1,), 1, [(0,)])  # evicted
+    assert again is not first and again == first

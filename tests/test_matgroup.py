@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from duinv import matgroup
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from duinv.matgroup import (Mat2, classify, close_group, eigenvalues, mat_c,
@@ -204,3 +205,13 @@ def test_repeated_eigenvalue_generators_fail_fast(jordan, monkeypatch):
     monkeypatch.setattr(Mat2, "order", no_power_loop)
     with pytest.raises(InfiniteOrderSuspected):
         eigenvalues(jordan)
+
+
+def test_closure_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    first = close_group([mat_s()], cap=2)
+    for cap in range(3, matgroup._CACHE_SIZE + 10):  # one entry per cap
+        close_group([mat_s()], cap=cap)
+    assert len(matgroup._closure_cache) == matgroup._CACHE_SIZE
+    again = close_group([mat_s()], cap=2)  # evicted, so closed anew
+    assert again is not first and again == first
