@@ -380,7 +380,6 @@ class Theorem03Report:
     label: object
     hilbert_series: RatFunc
     hdet_trivial: bool
-    gorenstein_by_hdet: bool
     gorenstein_by_stanley: bool
     as_index: int | None
     cyclotomic: bool
@@ -392,46 +391,54 @@ class Theorem03Report:
     condition_c3: bool
     consistent: bool
 
+    @property
+    def gorenstein_by_hdet(self) -> bool:
+        """The Gorenstein verdict of the hdet criterion: hdet_trivial."""
+        return self.hdet_trivial
+
 
 def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem03Report:
     """
     Close the generated group, verify it acts on A(alpha, beta), and compute
     the Hilbert series of the invariants together with the Gorenstein,
     cyclotomic and bireflection structure.
+
+    Every field but ctx depends on the group alone: on each A(alpha, beta)
+    with beta != 0, g with eigenvalues lambda, mu has the trace series
+    1/((1 - lambda t)(1 - mu t)(1 - lambda mu t^2)) and hdet g = det(g)^2.
+    The only per-algebra step is the check that the matrix shapes act; the
+    rest is computed by the first report on a group and kept on the group.
     """
     ctx = AlgebraCtx.down_up(alpha, beta)
     group = close_group(generators, cap=cap)
-    series = molien(ctx, group)  # refuses matrices that do not act on ctx
-    label = classify(group)
-
-    table = group.table  # hdet = det^2
-    hdet_trivial = all(2 * det % table.modulus == 0 for det in table.dets)
-    stanley = stanley_gorenstein_test(series)
-    fact = is_cyclotomic_product(series.num) if not series.num.is_zero() else None
-    cyclotomic = fact is not None
-    bireflection_count = sum(_bireflection_flags(ctx, group))
-    generated = generated_by_bireflections(ctx, group)
-
-    c3 = hdet_trivial and cyclotomic
-    c2 = c3 and generated
-    return Theorem03Report(
-        ctx=ctx,
-        group=group,
-        label=label,
-        hilbert_series=series,
-        hdet_trivial=hdet_trivial,
-        gorenstein_by_hdet=hdet_trivial,
-        gorenstein_by_stanley=stanley is not None,
-        as_index=stanley[1] if stanley is not None else None,
-        cyclotomic=cyclotomic,
-        cyclotomic_factors=fact.factors if fact is not None else None,
-        noncyclotomic_witness=None if cyclotomic else series.num,
-        bireflection_count=bireflection_count,
-        generated_by_bireflections=generated,
-        condition_c2=c2,
-        condition_c3=c3,
-        consistent=c2 == c3,
-    )
+    ctx.check_shapes(group.table.shapes)  # NotAnAutomorphism
+    facts = group._facts
+    if not facts:
+        series = molien(ctx, group)
+        table = group.table  # hdet = det^2
+        hdet_trivial = all(2 * det % table.modulus == 0 for det in table.dets)
+        stanley = stanley_gorenstein_test(series)
+        fact = is_cyclotomic_product(series.num) if not series.num.is_zero() else None
+        cyclotomic = fact is not None
+        generated = generated_by_bireflections(ctx, group)
+        c3 = hdet_trivial and cyclotomic
+        c2 = c3 and generated
+        facts.update(  # only once every fact is in, so a failed report keeps none
+            label=classify(group),
+            hilbert_series=series,
+            hdet_trivial=hdet_trivial,
+            gorenstein_by_stanley=stanley is not None,
+            as_index=stanley[1] if stanley is not None else None,
+            cyclotomic=cyclotomic,
+            cyclotomic_factors=fact.factors if fact is not None else None,
+            noncyclotomic_witness=None if cyclotomic else series.num,
+            bireflection_count=sum(_bireflection_flags(ctx, group)),
+            generated_by_bireflections=generated,
+            condition_c2=c2,
+            condition_c3=c3,
+            consistent=c2 == c3,
+        )
+    return Theorem03Report(ctx=ctx, group=group, **facts)
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +536,8 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     """
     gens = [g if isinstance(g, MonomialMat) else MonomialMat.from_rows(g)
             for g in generators]
+    if not gens:
+        raise ValueError("need at least one generator")
     n = len(gens[0].perm)
     if n > 4:
         raise UnsupportedAutomorphism("polynomial-ring averages support up to 4 variables")

@@ -240,6 +240,9 @@ class MatGroup:
     # generated_subgroup results by index tuple.
     _subgroups: dict = dataclasses.field(
         default_factory=dict, init=False, compare=False, repr=False)
+    # The fields of invariants.theorem03_report that depend on the group alone.
+    _facts: dict = dataclasses.field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __len__(self):
         return len(self.elements)
@@ -306,7 +309,7 @@ _closure_cache: dict = {}
 
 def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     """
-    Breadth-first multiplicative closure of the generators (plus identity).
+    Breadth-first multiplicative closure of the generators and the identity.
     Raises SingularGenerator for non-invertible input, GroupTooLarge when
     the closure exceeds `cap` elements, and InfiniteOrderSuspected before
     any closure runs when the group cannot be finite: diagonal and
@@ -314,18 +317,18 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     roots of unity (see monomial.exponent_form), or a non-monomial
     generator whose determinant is not a root of unity, whose eigenvalue
     is repeated, or whose powers up to the bound of _order_bound are not
-    the identity.  Closures are memoized by the exact generator list, so
-    repeated analyses of one group are cheap.
+    the identity.  Closures are memoized by the exact generator list; a hit
+    runs none of these checks, which the same generators passed before.
     """
-    gens = list(generators)
-    for g in gens:
-        if g.det().is_zero():
-            raise SingularGenerator("group generator has zero determinant")
+    gens = list(generators) or [Mat2.identity()]
     conductor = math.lcm(*(g.conductor() for g in gens))
     cache_key = (tuple(g.key(conductor) for g in gens), conductor, cap)
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
+    for g in gens:
+        if g.det().is_zero():
+            raise SingularGenerator("group generator has zero determinant")
     form = monomial.exponent_form([g.monomial() for g in gens])
     if form is not None:
         group = _from_form(form.closure(cap), tuple(gens), conductor)

@@ -5,9 +5,11 @@ rational functions; the oracle suites compare exact routines against
 independent numeric computations.  Criteria 9 and 10 share one sweep over
 all admissible (algebra, group) pairs, computed once per module.
 """
+import dataclasses
+
 import pytest
 
-from duinv import paperlab
+from duinv import invariants, matgroup, paperlab
 from duinv.cycnum import zeta
 from duinv.intpoly import IntPoly, cyclotomic_poly
 from duinv.invariants import (AlgebraCtx, downup_trace, theorem03_report)
@@ -152,6 +154,39 @@ def test_09_consistency_sweep(sweep_reports):
             bad.append(("hdet vs Stanley", tag))
     assert not bad, bad
     assert len(sweep_reports) > 200  # the sweep really ran at full breadth
+
+
+def test_09_reports_on_a_cached_group_match_fresh_ones(monkeypatch):
+    """Each group analysed first under one admissible algebra, then under
+    each of the others, gives the report of an empty cache, ctx aside."""
+    params = {}
+    for alpha, beta in PARAMS:
+        diagonal_only = AlgebraCtx.down_up(alpha, beta).aut_shape.name == "O"
+        for name, diagonal, gens in _family_generators():
+            if diagonal or not diagonal_only:
+                params.setdefault(name, (gens, []))[1].append((alpha, beta))
+
+    def fields(rep):
+        return {f.name: getattr(rep, f.name)
+                for f in dataclasses.fields(rep) if f.name != "ctx"}
+
+    def clear():
+        monkeypatch.setattr(matgroup, "_closure_cache", {})
+        monkeypatch.setattr(invariants, "_molien_cache", {})
+
+    pairs = 0
+    for name, (gens, algebras) in params.items():
+        fresh = {}
+        for ab in algebras:
+            clear()
+            fresh[ab] = fields(theorem03_report(*ab, gens))
+        for first in algebras:
+            clear()
+            theorem03_report(*first, gens)
+            for ab in algebras:
+                assert fields(theorem03_report(*ab, gens)) == fresh[ab], (name, first, ab)
+        pairs += len(algebras)
+    assert pairs == 274
 
 
 def test_10_no_quasi_reflections(sweep_reports):

@@ -17,15 +17,16 @@ from hypothesis import strategies as st
 
 from duinv import matgroup, monomial
 from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
+from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NotAnAutomorphism,
+                          SingularGenerator)
 from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
                               close_monomial_group, hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (ElementTable, Mat2, MatGroup, _order_bound, classify,
-                            close_group, eigenvalues, generated_subgroup, mat_s,
-                            standard_group)
+                            close_group, eigenvalues, generated_subgroup, mat_c,
+                            mat_s, standard_group)
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
@@ -429,6 +430,16 @@ def test_binary_icosahedral_report():
     assert report.bireflection_count == 119
     assert report.generated_by_bireflections
     assert report.cyclotomic
+
+
+@pytest.mark.parametrize("gens,first,second", [
+    ([mat_s(), mat_c(zeta(3))], (3, -1), (1, 1)),  # Q6(3): antidiagonal
+    (BT, (0, 1), (3, -1)),                          # BT: neither shape
+])
+def test_cached_group_still_checks_shapes(gens, first, second):
+    theorem03_report(*first, gens)
+    with pytest.raises(NotAnAutomorphism):
+        theorem03_report(*second, gens)
 
 
 def test_cycnum_closure_cap_is_exact():

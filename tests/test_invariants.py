@@ -1,4 +1,5 @@
 """Trace series, Molien averages, homological determinants, bireflections."""
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -212,6 +213,47 @@ def test_report_q4_noncyclotomic():
     assert report.consistent
 
 
+def test_failed_report_keeps_no_facts(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    gens = [mat_d1(), mat_c(zeta(4))]
+
+    def mismatch(*args):
+        raise BireflectionMismatch("forced")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(invariants, "_bireflection_rule", mismatch)
+        for _ in range(2):  # the second call must not find facts of the first
+            with pytest.raises(BireflectionMismatch):
+                theorem03_report(1, 1, gens)
+    assert theorem03_report(1, 1, gens).bireflection_count == 5
+
+
+def test_report_on_a_cached_group_does_no_group_work(monkeypatch):
+    """After one report on a group, a report on another down-up algebra only
+    checks the matrix shapes: it neither averages, classifies nor factors,
+    and multiplies no CycNum."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, **k: calls.update([name]) or fn(*a, **k))
+
+    names = ("molien", "classify", "is_cyclotomic_product",
+             "stanley_gorenstein_test", "generated_subgroup")
+    for name in names:
+        count(invariants, name)
+    count(Mat2, "det")
+    q7 = [mat_d1(), mat_s(), mat_c(zeta(16))]
+    theorem03_report(3, -1, q7)
+    assert set(calls) == {*names, "det"}  # the counters see the first report
+    calls.clear()
+    theorem03_report(2, -1, q7)
+    theorem03_report(0, 1, q7)
+    assert not calls, calls
+
+
 # ---------------------------------------------------------------------------
 # monomial matrices
 # ---------------------------------------------------------------------------
@@ -247,6 +289,12 @@ def test_polyring_molien_weighted_guard():
     swap = MonomialMat.from_rows([[0, 1], [1, 0]])
     with pytest.raises(NotAnAutomorphism):
         polyring_molien([swap], weights=(1, 2))
+
+
+@pytest.mark.parametrize("fn", [close_monomial_group, polyring_molien])
+def test_monomial_groups_need_a_generator(fn):
+    with pytest.raises(ValueError, match="need at least one generator"):
+        fn([])
 
 
 def test_polyring_molien_symmetric_group_s3():

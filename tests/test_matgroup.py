@@ -207,6 +207,12 @@ def test_repeated_eigenvalue_generators_fail_fast(jordan, monkeypatch):
         eigenvalues(jordan)
 
 
+def test_close_group_of_no_generators_is_trivial():
+    group = close_group([])
+    assert group.elements == (Mat2.identity(),)
+    assert classify(group).order == 1
+
+
 def test_closure_cache_is_bounded(monkeypatch):
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     first = close_group([mat_s()], cap=2)
