@@ -111,8 +111,7 @@ class CycNum:
         return lifted
 
     def _pair(self, other: "CycNum"):
-        m = self.conductor * other.conductor \
-            // math.gcd(self.conductor, other.conductor)
+        m = math.lcm(self.conductor, other.conductor)
         if m > CONDUCTOR_CAP:
             raise PromotionOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
         return self.promoted(m), other.promoted(m)

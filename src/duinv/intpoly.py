@@ -435,8 +435,6 @@ def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:
         a, b = b, r
     if not a:
         return ZERO
-    lcm_den = 1
-    for c in a:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
+    lcm_den = math.lcm(*(c.denominator for c in a))
     ints = [int(c * lcm_den) for c in a]
     return IntPoly(ints).primitive()

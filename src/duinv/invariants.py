@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -79,8 +80,7 @@ class AlgebraCtx:
     def aut_shape(self) -> AutShape:
         if self.kind != "down_up":
             raise ValueError("aut_shape is defined for down-up algebras")
-        if (self.alpha, self.beta) in ((Fraction(0), Fraction(1)),
-                                       (Fraction(2), Fraction(-1))):
+        if (self.alpha, self.beta) in ((0, 1), (2, -1)):
             return AutShape.FULL_GL2
         if self.beta == -1 and self.alpha != 2:
             return AutShape.U
@@ -93,15 +93,17 @@ class AlgebraCtx:
     def check_shapes(self, shapes) -> None:
         """Raise NotAnAutomorphism unless matrices of every given shape (see
         Mat2.shape) act on this algebra."""
-        if self.kind == "down_up":
-            allowed = {AutShape.FULL_GL2: ("diagonal", "antidiagonal", "other"),
-                       AutShape.U: ("diagonal", "antidiagonal"),
-                       AutShape.O: ("diagonal",)}[self.aut_shape]
-            if not set(shapes) <= set(allowed):
-                raise NotAnAutomorphism(
-                    f"matrix shape not allowed for down-up({self.alpha}, {self.beta})")
+        if self.kind == "down_up" and not self._allowed_shapes.issuperset(shapes):
+            raise NotAnAutomorphism(
+                f"matrix shape not allowed for down-up({self.alpha}, {self.beta})")
         # The plane/polynomial contexts accept anything here; expansion of the
         # trace may still refuse shapes it cannot diagonalize.
+
+    @functools.cached_property
+    def _allowed_shapes(self) -> frozenset[str]:
+        return frozenset({AutShape.FULL_GL2: ("diagonal", "antidiagonal", "other"),
+                          AutShape.U: ("diagonal", "antidiagonal"),
+                          AutShape.O: ("diagonal",)}[self.aut_shape])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +290,7 @@ def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):
     """
     table = group.table
     if ctx.kind == "down_up":
-        ctx.check_shapes(table.shapes)
+        ctx.check_shapes(group.shapes)
         m = table.modulus
         return (1, 1, 2), m, [(x, y, (x + y) % m) for x, y in table.eigenvalues]
     if ctx.kind in ("skew_plane", "jordan_plane"):
@@ -357,9 +359,8 @@ def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
 
 
 def bireflection_subgroup(ctx: AlgebraCtx, group: MatGroup) -> MatGroup:
+    """The subgroup generated by the bireflections, its generators in group order."""
     flags = _bireflection_flags(ctx, group)
-    if not any(flags):
-        return close_group([Mat2.identity()])
     return generated_subgroup(group, [i for i, ok in enumerate(flags) if ok])
 
 
@@ -411,7 +412,7 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
     """
     ctx = AlgebraCtx.down_up(alpha, beta)
     group = close_group(generators, cap=cap)
-    ctx.check_shapes(group.table.shapes)  # NotAnAutomorphism
+    ctx.check_shapes(group.shapes)  # NotAnAutomorphism
     facts = group._facts
     if not facts:
         series = molien(ctx, group)
@@ -420,7 +421,8 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
         stanley = stanley_gorenstein_test(series)
         fact = is_cyclotomic_product(series.num) if not series.num.is_zero() else None
         cyclotomic = fact is not None
-        generated = generated_by_bireflections(ctx, group)
+        bireflections = bireflection_subgroup(ctx, group)
+        generated = len(bireflections) == len(group)
         c3 = hdet_trivial and cyclotomic
         c2 = c3 and generated
         facts.update(  # only once every fact is in, so a failed report keeps none
@@ -432,7 +434,7 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
             cyclotomic=cyclotomic,
             cyclotomic_factors=fact.factors if fact is not None else None,
             noncyclotomic_witness=None if cyclotomic else series.num,
-            bireflection_count=sum(_bireflection_flags(ctx, group)),
+            bireflection_count=len(bireflections.generators),
             generated_by_bireflections=generated,
             condition_c2=c2,
             condition_c3=c3,
@@ -484,9 +486,7 @@ class MonomialMat:
         return MonomialMat(perm, scalars)
 
     def key(self) -> tuple:
-        lcm = 1
-        for s in self.scalars:
-            lcm = lcm * s.conductor // math.gcd(lcm, s.conductor)
+        lcm = math.lcm(*(s.conductor for s in self.scalars))
         return (self.perm, tuple(s.promoted(lcm).coeffs for s in self.scalars), lcm)
 
     def eigenvalues(self) -> tuple[CycNum, ...]:

@@ -85,10 +85,7 @@ class Mat2:
                 and not self.b.is_zero() and not self.c.is_zero())
 
     def conductor(self) -> int:
-        n = 1
-        for e in self.entries():
-            n = n * e.conductor // math.gcd(n, e.conductor)
-        return n
+        return math.lcm(*(e.conductor for e in self.entries()))
 
     def key(self, conductor: int) -> tuple:
         """Hashable exact form of the matrix at the given conductor."""
@@ -251,8 +248,7 @@ class MatGroup:
         return iter(self.elements)
 
     def __contains__(self, m: Mat2) -> bool:
-        lcm = self.conductor * m.conductor() \
-            // math.gcd(self.conductor, m.conductor())
+        lcm = math.lcm(self.conductor, m.conductor())
         keys = {e.key(lcm) for e in self.elements}
         return m.key(lcm) in keys
 
@@ -278,6 +274,11 @@ class MatGroup:
         return ElementTable(m, tuple(g.shape() for g in self.elements),
                             tuple(det for det, *_ in exps),
                             tuple(tuple(eig) for _, *eig in exps))
+
+    @functools.cached_property
+    def shapes(self) -> frozenset[str]:
+        """The shapes that occur among the elements (see Mat2.shape)."""
+        return frozenset(self.table.shapes)
 
     @functools.cached_property
     def words(self) -> list[tuple[int, ...]]:
@@ -317,15 +318,17 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     roots of unity (see monomial.exponent_form), or a non-monomial
     generator whose determinant is not a root of unity, whose eigenvalue
     is repeated, or whose powers up to the bound of _order_bound are not
-    the identity.  Closures are memoized by the exact generator list; a hit
-    runs none of these checks, which the same generators passed before.
+    the identity.  Closures are memoized by each generator entry's own
+    conductor and coefficients: equal keys mean equal matrices, so a hit
+    returns the same group and runs none of these checks, and the same value
+    written at another conductor only misses and is closed anew.
     """
     gens = list(generators) or [Mat2.identity()]
-    conductor = math.lcm(*(g.conductor() for g in gens))
-    cache_key = (tuple(g.key(conductor) for g in gens), conductor, cap)
+    cache_key = (tuple(_exact_key(e) for g in gens for e in g.entries()), cap)
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
+    conductor = math.lcm(*(g.conductor() for g in gens))
     for g in gens:
         if g.det().is_zero():
             raise SingularGenerator("group generator has zero determinant")
@@ -342,6 +345,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
                                             lambda m: m.key(conductor), cap)
         group = MatGroup(tuple(elements), tuple(gens), conductor, cayley=cayley)
     return remember(_closure_cache, cache_key, group)
+
+
+def _exact_key(x: CycNum) -> tuple:
+    """x's conductor and coefficients, as ints when they are integral."""
+    ints = all(c.denominator == 1 for c in x.coeffs)
+    return x.conductor, tuple(c.numerator for c in x.coeffs) if ints else x.coeffs
 
 
 def remember(cache: dict, key, value):

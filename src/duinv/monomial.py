@@ -29,19 +29,22 @@ from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 Elem = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def closure(identity, generators, mul, key, cap: int) -> tuple[list, list]:
+def closure(identity, generators, mul, key, cap: int, size=None) -> tuple[list, list]:
     """
     Breadth-first multiplicative closure from `identity`: every element, in
     the order found, times every generator, in that order, so the element
     order is deterministic.  `key` maps an element to its exact hashable
     form.  Returns the elements and their Cayley table, whose row i holds
     the index of elements[i] @ generators[j] for each j.  Raises
-    GroupTooLarge when the closure exceeds `cap` elements.
+    GroupTooLarge when the closure exceeds `cap` elements.  Given the group
+    order as `size`, the walk and the table end with the row that completes it.
     """
     elements = [identity]
     index = {key(identity): 0}
     table = []
     for x in elements:  # grows while it is walked
+        if len(elements) == size:
+            break
         row = []
         for g in generators:
             p = mul(x, g)
@@ -151,19 +154,31 @@ class ExpForm:
         # determinants and eigenvalues do not depend on the basis.
         self.basis = basis
 
-    def closure(self, cap: int) -> "ExpForm":
-        """The group the elements generate, in the order of closure()."""
-        size = len(self.elements[0][0])
-        identity = (tuple(range(size)), (0,) * size)
-        elements, _ = closure(identity, self.elements,
+    def closure(self, cap: int, gens=None, size=None) -> "ExpForm":
+        """The group the elements, or `gens`, generate, in the order of closure()."""
+        n = len(self.elements[0][0])
+        identity = (tuple(range(n)), (0,) * n)
+        elements, _ = closure(identity, self.elements if gens is None else gens,
                               functools.partial(mul, modulus=self.modulus),
-                              lambda x: x, cap)
+                              lambda x: x, cap, size)
         return ExpForm(self.modulus, tuple(elements), self.basis)
 
     def subgroup(self, indices, cap: int) -> "ExpForm":
-        """The group generated by the elements at the given indices."""
-        gens = tuple(self.elements[i] for i in indices)
-        return ExpForm(self.modulus, gens, self.basis).closure(cap)
+        """
+        The group generated by the elements at the given indices, in the
+        order of closure() on all of them.  A generating subset S takes each
+        element the closure of S misses: at most log2 |G| members, and at most
+        |G| |S|^2 products to close <S> anew after each.  The walk over all
+        the given elements then stops once it has found |<S>|, mostly within
+        a few of the |G| rows a full closure on them would take.
+        """
+        gens = [self.elements[i] for i in indices]
+        found, chosen = set(self.closure(cap, ()).elements), []  # the identity
+        for g in gens:
+            if g not in found:
+                chosen.append(g)
+                found = set(self.closure(cap, chosen).elements)
+        return self.closure(cap, gens, len(found))
 
     @property
     def perms(self) -> tuple[tuple[int, ...], ...]:

@@ -51,9 +51,7 @@ class RatFunc:
         """Build from two sequences of Fractions, clearing denominators."""
         num = [Fraction(c) for c in num]
         den = [Fraction(c) for c in den]
-        scale = 1
-        for c in num + den:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+        scale = math.lcm(*(c.denominator for c in num + den))
         return RatFunc.make(IntPoly(int(c * scale) for c in num),
                             IntPoly(int(c * scale) for c in den))
 

@@ -8,12 +8,14 @@ coefficients, the complex embedding for cyclotomic arithmetic, and CycNum
 matrix products for group closures and eigenvalues.
 """
 import cmath
+import functools
 import math
 import random
 from fractions import Fraction
 
 import numpy as np
 
+from duinv import monomial
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
@@ -276,3 +278,19 @@ def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
     if len(pair) != 2:
         raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
     return tuple(pair)
+
+
+def _subgroup_by_all_generators(form, indices, cap: int) -> tuple:
+    """
+    The breadth-first closure of the elements of an exponent form at the
+    given indices, with every one of them as a generator, as ExpForm.subgroup
+    computed it before it grew a generating subset: |<S>| len(indices)
+    products.  The reference for ExpForm.subgroup and, on exponent-form
+    groups, generated_subgroup.
+    """
+    n = len(form.elements[0][0])
+    elements, _ = monomial.closure((tuple(range(n)), (0,) * n),
+                                   [form.elements[i] for i in indices],
+                                   functools.partial(monomial.mul, modulus=form.modulus),
+                                   lambda x: x, cap)
+    return tuple(elements)

@@ -30,7 +30,7 @@ from duinv.matgroup import (ElementTable, Mat2, MatGroup, _order_bound, classify
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
-                      _eigen_exponents_by_search)
+                      _eigen_exponents_by_search, _subgroup_by_all_generators)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -279,6 +279,46 @@ def test_conjugated_monomial_groups_match_cycnum_reference(case):
             _close_by_products(mats, group.conductor, CAP), group.conductor)
 
 
+# ---------------------------------------------------------------------------
+# subgroups of exponent-form groups against the all-generator closure
+# ---------------------------------------------------------------------------
+
+def _index_lists(group_order):
+    """Index lists into a group, with repeats, down to the empty list."""
+    return st.lists(st.integers(0, group_order - 1), max_size=8)
+
+
+@settings(max_examples=40)
+@given(mat2_generator_sets(), st.data())
+def test_generated_subgroup_matches_all_generator_closure(gens, data):
+    try:
+        group = close_group(gens, cap=CAP)
+    except GroupTooLarge:
+        return
+    indices = data.draw(_index_lists(len(group)))
+    sub = generated_subgroup(group, indices)
+    assert sub.exp_form.elements == \
+        _subgroup_by_all_generators(group.exp_form, indices, CAP)
+    expected = _close_by_products([group.elements[i] for i in indices],
+                                  group.conductor, CAP)
+    assert _keys(sub, group.conductor) == _keys(expected, group.conductor)
+    assert generated_subgroup(group, indices) is sub
+
+
+@settings(max_examples=40)
+@given(st.one_of(monomial_generator_sets(), irrational_monomial_sets(6),
+                 conjugated_monomial_sets().map(lambda case: case[1])), st.data())
+def test_exp_form_subgroup_matches_all_generator_closure(gens, data):
+    try:
+        form = monomial.exponent_form([(g.perm, g.scalars) for g in gens]).closure(CAP)
+    except (GroupTooLarge, InfiniteOrderSuspected):
+        return
+    indices = data.draw(_index_lists(len(form.elements)))
+    sub = form.subgroup(indices, CAP)
+    assert sub.elements == _subgroup_by_all_generators(form, indices, CAP)
+    assert sub.modulus == form.modulus and sub.basis is form.basis
+
+
 @pytest.mark.parametrize("family", [5, 6, 7, 8])
 @pytest.mark.parametrize("n", [1, 3])
 def test_diagonal_conjugate_has_the_same_report(family, n):
@@ -367,6 +407,17 @@ def test_cycnum_generated_subgroup_matches_close_group(gens):
         [g.key(group.conductor) for g in ref]
     assert sub.generators == ref.generators
     assert generated_subgroup(group, indices) is sub  # cached on the group
+
+
+@pytest.mark.parametrize("gens", [
+    [matgroup.mat_d1(), mat_s(), mat_c(zeta(8))],  # Q7(4), in exponent form
+    BT,                                            # on its Cayley table
+])
+def test_generated_subgroup_of_no_elements_is_trivial(gens):
+    sub = generated_subgroup(close_group(gens), [])
+    assert sub.elements == (Mat2.identity(),)
+    assert sub.generators == ()
+    assert classify(sub).order == 1
 
 
 # ---------------------------------------------------------------------------

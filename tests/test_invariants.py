@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from duinv import invariants, matgroup
+from duinv import invariants, matgroup, monomial
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
                           NotAnAutomorphism, UnsupportedAutomorphism)
@@ -17,7 +17,7 @@ from duinv.invariants import (AlgebraCtx, AutShape, MonomialMat,
                               normal_sequence_trace, plane_trace,
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
-                            mat_s1)
+                            mat_s1, standard_group)
 from duinv.ratfunc import RatFunc
 
 
@@ -252,6 +252,39 @@ def test_report_on_a_cached_group_does_no_group_work(monkeypatch):
     theorem03_report(2, -1, q7)
     theorem03_report(0, 1, q7)
     assert not calls, calls
+
+
+def test_report_on_a_cached_group_promotes_nothing(monkeypatch):
+    """A report on a cached group builds its closure-cache key from the
+    generator entries as written: no CycNum is promoted to another
+    conductor."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    cold, warm = ([mat_d1(), mat_s(), mat_c(zeta(16))] for _ in range(2))
+    calls = []
+    promoted = CycNum.promoted
+    monkeypatch.setattr(CycNum, "promoted",
+                        lambda self, m: calls.append(m) or promoted(self, m))
+    theorem03_report(3, -1, cold)
+    assert calls  # the counter sees the first report
+    calls.clear()
+    theorem03_report(2, -1, warm)
+    theorem03_report(0, 1, warm)
+    assert not calls, calls
+
+
+@pytest.mark.parametrize("family,alpha,beta", [(7, 3, -1), (8, 0, 1)])
+def test_bireflection_subgroup_product_budget(family, alpha, beta, monkeypatch):
+    """Q7(8) and Q8(8) have 49 and 47 bireflections.  The subgroup they
+    generate closes in at most 600 exponent-form products, where one
+    closure with every bireflection as a generator takes 3136 and 3008."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = standard_group(family, 8)
+    calls = []
+    mul = monomial.mul
+    monkeypatch.setattr(monomial, "mul", lambda *a, **k: calls.append(1) or mul(*a, **k))
+    sub = bireflection_subgroup(AlgebraCtx.down_up(alpha, beta), group)
+    assert len(sub) == len(group) == 64
+    assert len(calls) <= 600, len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -221,3 +221,47 @@ def test_closure_cache_is_bounded(monkeypatch):
     assert len(matgroup._closure_cache) == matgroup._CACHE_SIZE
     again = close_group([mat_s()], cap=2)  # evicted, so closed anew
     assert again is not first and again == first
+
+
+# The closure cache keys each generator entry by its own conductor and
+# coefficients.
+
+def _q7(n):
+    return [mat_d1(), mat_s(), mat_c(zeta(2 * n))]
+
+
+def test_generators_of_equal_value_share_a_closure(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    assert close_group(_q7(8)) is close_group(_q7(8))
+    # diag(1, 2)^-1 g diag(1, 2): one entry with a non-integral coefficient
+    half = lambda: [Mat2(g.a, 2 * g.b, g.c / 2, g.d) for g in _q7(3)]
+    assert close_group(half()) is close_group(half())
+    assert len(matgroup._closure_cache) == 2
+
+
+def test_galois_conjugate_generators_do_not_share_a_closure(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    assert hash(zeta(8)) == hash(zeta(8, 3))  # CycNum hashes by the field trace
+    first = close_group([mat_c(zeta(8))])
+    third = close_group([mat_c(zeta(8, 3))])
+    assert len(matgroup._closure_cache) == 2
+    assert first is not third and first.elements != third.elements
+    assert first.elements[1] == mat_c(zeta(8))
+    assert third.elements[1] == mat_c(zeta(8, 3))
+
+
+def test_promoted_generators_close_to_an_equal_group(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group(_q7(8))
+    promoted = [Mat2(*(e.promoted(16) for e in g.entries())) for g in _q7(8)]
+    again = close_group(promoted)  # another representation: closed anew
+    assert again is not group and len(matgroup._closure_cache) == 2
+    assert again == group and again.conductor == group.conductor == 16
+    assert [g.key(16) for g in again] == [g.key(16) for g in group]
+
+
+def test_equal_coefficients_over_other_conductors_do_not_share_a_closure(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    assert zeta(3).coeffs == zeta(6).coeffs  # both (0, 1)
+    assert len(close_group([Mat2.diag(zeta(3), 1)])) == 3
+    assert len(close_group([Mat2.diag(zeta(6), 1)])) == 6
