@@ -124,13 +124,6 @@ class IntPoly:
                 rem[i + j] -= q * c
         return IntPoly(quo), IntPoly(rem)
 
-    def divides(self, other: "IntPoly") -> bool:
-        try:
-            _, rem = other.divmod_exact(self)
-        except ValueError:
-            return False
-        return rem.is_zero()
-
     # -- structure -----------------------------------------------------
 
     def content(self) -> int:
@@ -188,10 +181,12 @@ def one_minus_t_pow(k: int) -> IntPoly:
 # elementary number theory
 # ---------------------------------------------------------------------------
 
-# Bounds of the two number-theory caches.  A cyclotomic test of a degree-n
-# polynomial reads one factorize entry per d with phi(d) <= n (790 for
-# n = 404), and builds Phi_d only for the d that pass the value test at 2.
+# Bounds of the number-theory caches.  A cyclotomic test of a degree-n
+# polynomial reads one totients_at_most entry, and one entry of each per-d
+# cache (factorize, totient, _binomial_form, _cyclotomic_at_two) per d with
+# phi(d) <= n: 790 for n = 404.
 _FACTORIZE_CACHE_SIZE = 4096
+_TOTIENTS_CACHE_SIZE = 64
 _CYCLOTOMIC_CACHE_SIZE = 512
 
 
@@ -215,18 +210,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
 def totient(n: int) -> int:
     phi = 1
     for p, e in factorize(n):
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def radical(n: int) -> int:
-    r = 1
-    for p, _ in factorize(n):
-        r *= p
-    return r
 
 
 def divisors(n: int) -> list[int]:
@@ -250,6 +239,7 @@ def _primes_up_to(n: int) -> list[int]:
     return [p for p, is_prime in enumerate(sieve) if is_prime]
 
 
+@functools.lru_cache(maxsize=_TOTIENTS_CACHE_SIZE)
 def totients_at_most(n: int) -> tuple[int, ...]:
     """
     Every d >= 1 with phi(d) <= n, ascending.
@@ -282,58 +272,63 @@ def totients_at_most(n: int) -> tuple[int, ...]:
     return tuple(sorted(out))
 
 
-def _cyclotomic_at_two(d: int) -> int:
+@functools.lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
+def _binomial_form(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """
-    Phi_d(2) in integers, without building Phi_d: the product of
-    (2^e - 1)^mu(d/e) over the divisors e of d.  Only e = d/s with s a
-    squarefree divisor of d contribute.
+    The e | d with mu(d/e) = +1 and those with mu(d/e) = -1, 2^(omega(d) - 1)
+    each for d > 1: Phi_d(t) = prod (t^e - 1)^mu(d/e) (Stanley, Bull. AMS
+    1979), the same product of the (1 - t^e) for d > 1; Phi_1 = -(1 - t).
     """
-    num = den = 1
-    sub = [(1, 1)]  # (s, mu(s)) over squarefree s | d
+    plus, minus = [d], []
     for p, _ in factorize(d):
-        sub += [(s * p, -mu) for s, mu in sub]
-    for s, mu in sub:
-        if mu > 0:
-            num *= (1 << (d // s)) - 1
-        else:
-            den *= (1 << (d // s)) - 1
-    return num // den
+        plus, minus = plus + [e // p for e in minus], minus + [e // p for e in plus]
+    return tuple(plus), tuple(minus)
+
+
+@functools.lru_cache(maxsize=_FACTORIZE_CACHE_SIZE)
+def _cyclotomic_at_two(d: int) -> int:
+    """Phi_d(2) in integers, by the binomial form, without building Phi_d."""
+    plus, minus = _binomial_form(d)
+    return (math.prod([(1 << e) - 1 for e in plus])
+            // math.prod([(1 << e) - 1 for e in minus]))
+
+
+def cyclotomic_times(coeffs: list[int], d: int, power: int) -> list[int] | None:
+    """
+    coeffs * Phi_d^power, lowest coefficient first, in 2^omega(d) passes of
+    integer additions per power over the binomial form of Phi_d.  A negative
+    power multiplies by the (1 - t^e) with mu(d/e) = -1, then divides by
+    each of the others in one pass, q_i = c_i + q_(i-e): the division is
+    exact when the top e coefficients of the pass cancel, and None is
+    returned as soon as one is not.
+    """
+    plus, minus = _binomial_form(d)
+    up, down = (plus, minus) if power > 0 else (minus, plus)
+    coeffs = list(coeffs)
+    for _ in range(abs(power)):
+        for e in up:
+            pad = [0] * e
+            coeffs = [a - b for a, b in zip(coeffs + pad, pad + coeffs)]
+        for e in down:
+            for i in range(e, len(coeffs)):
+                coeffs[i] += coeffs[i - e]
+            if any(coeffs[-e:]):
+                return None
+            del coeffs[-e:]
+    return [-c for c in coeffs] if d == 1 and power % 2 else coeffs
 
 
 @functools.lru_cache(maxsize=_CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic_poly(d: int) -> IntPoly:
     """
-    The d-th cyclotomic polynomial.
-
-    With r = rad(d), Phi_d(t) = Phi_r(t^(d/r)); for squarefree d = m q,
-    q the largest prime factor, Phi_d(t) = Phi_m(t^q) / Phi_m(t), so the
-    recursion runs once per prime factor of d.
+    The d-th cyclotomic polynomial, built by cyclotomic_times.
 
     >>> cyclotomic_poly(6)
     IntPoly('t^2 - t + 1')
     """
     if d < 1:
         raise ValueError("cyclotomic index must be positive")
-    if d == 1:
-        return IntPoly((-1, 1))
-    r = radical(d)
-    if r != d:
-        k, m = d // r, r
-    else:
-        k = factorize(d)[-1][0]  # the largest prime factor
-        m = d // k
-    base = cyclotomic_poly(m)
-    # base(t^k): spread the coefficients out.
-    out = [0] * (base.deg() * k + 1)
-    for i, c in enumerate(base.coeffs):
-        out[i * k] = c
-    spread = IntPoly(out)
-    if r != d:
-        return spread
-    quo, rem = spread.divmod_exact(base)
-    if not rem.is_zero():
-        raise ArithmeticError(f"Phi_{m} does not divide Phi_{m}(t^{k})")
-    return quo
+    return IntPoly(cyclotomic_times([1], d, 1))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -344,10 +339,10 @@ class CycFactorization:
     unit: int
 
     def expand(self) -> IntPoly:
-        out = IntPoly((self.unit,))
+        coeffs = [self.unit]
         for d, m in self.factors:
-            out = out * cyclotomic_poly(d) ** m
-        return out
+            coeffs = cyclotomic_times(coeffs, d, m)
+        return IntPoly(coeffs)
 
 
 def is_cyclotomic_product(p: IntPoly):
@@ -358,41 +353,33 @@ def is_cyclotomic_product(p: IntPoly):
     Only Phi_d with phi(d) <= deg p can divide p, so the candidates are
     totients_at_most(deg p), tried in ascending order while their degree
     fits the residue.  Phi_d(2) (_cyclotomic_at_two, in integers) must
-    divide the residue's value at 2 before Phi_d is built and tried by
-    exact division.  A residue of positive degree left after the last
-    candidate has a factor that is not cyclotomic.
+    divide the residue's value at 2 before cyclotomic_times tries the exact
+    division; the value at 2 is then divided by Phi_d(2) along with the
+    residue.  A residue of positive degree left after the last candidate
+    has a factor that is not cyclotomic.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if abs(p.lead()) != 1 or abs(p[0]) != 1:
         return None
-    residue = p
-    val2 = residue(2)
-    factors: list[tuple[int, int]] = []
+    residue, val2, factors = list(p.coeffs), p(2), []
     for d in totients_at_most(p.deg()):
-        if residue.deg() <= 0:
+        if len(residue) <= 1:
             break
-        if totient(d) > residue.deg():
-            continue
+        phi = totient(d)
         pval = _cyclotomic_at_two(d)
-        if val2 % pval:
-            continue
-        phi_d = cyclotomic_poly(d)
         mult = 0
-        while phi_d.deg() <= residue.deg() and val2 % pval == 0:
-            quo, rem = residue.divmod_exact(phi_d)
-            if not rem.is_zero():
+        while phi < len(residue) and val2 % pval == 0:
+            quo = cyclotomic_times(residue, d, -1)
+            if quo is None:
                 break
-            residue, val2 = quo, quo(2)
+            residue, val2 = quo, val2 // pval
             mult += 1
         if mult:
             factors.append((d, mult))
-    if residue.deg() > 0:
+    if len(residue) > 1 or residue[0] not in (1, -1):
         return None
-    unit = residue[0]
-    if unit not in (1, -1):
-        return None
-    return CycFactorization(tuple(factors), unit)
+    return CycFactorization(tuple(factors), residue[0])
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,8 @@ class MatGroup:
     # groups closed by CycNum products.
     exp_form: monomial.ExpForm | None = dataclasses.field(
         default=None, compare=False, repr=False)
-    # For groups closed by CycNum products, the Cayley table of monomial.closure.
+    # For groups closed by CycNum products, the Cayley table of monomial.closure
+    # on the generators, or of monomial.subgroup on a subset of them.
     cayley: list | None = dataclasses.field(default=None, compare=False, repr=False)
     # generated_subgroup results by index tuple.
     _subgroups: dict = dataclasses.field(
@@ -282,16 +283,18 @@ class MatGroup:
 
     @functools.cached_property
     def words(self) -> list[tuple[int, ...]]:
-        """Each element as a word in the generators, off the Cayley table:
-        an element's first entry in the table, row by row, is the edge by
-        which the breadth-first closure found it."""
+        """Each element as a word in the Cayley table's columns, by a
+        breadth-first walk of the table from the identity (on the table of a
+        closure, the edges by which the closure found the elements)."""
         if self.cayley is None:
             raise ValueError("the group has no Cayley table; close it with close_group")
         words = [()] + [None] * (len(self) - 1)
-        for i, row in enumerate(self.cayley):
-            for j, k in enumerate(row):
+        queue = [0]
+        for i in queue:  # grows while it is walked
+            for j, k in enumerate(self.cayley[i]):
                 if words[k] is None:
                     words[k] = words[i] + (j,)
+                    queue.append(k)
         return words
 
     def times(self, i: int, word) -> int:
@@ -384,15 +387,15 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     exponent form of `group` when it has one, on element indices through its
     Cayley table otherwise, where h times a generator s walks the word of s
     from h.  Either way the elements come in the order of close_group on
-    those generators, and no finite-order check runs.
+    those generators (see monomial.subgroup), and no finite-order check runs.
     """
     key = tuple(indices)
     sub = group._subgroups.get(key)
     if sub is None:
         gens = tuple(group.elements[i] for i in key)
         if group.exp_form is None:
-            found, cayley = monomial.closure(0, [group.words[i] for i in key],
-                                             group.times, lambda i: i, DEFAULT_CAP)
+            found, cayley = monomial.subgroup(
+                0, key, lambda i, j: group.times(i, group.words[j]), DEFAULT_CAP)
             sub = MatGroup(tuple(group.elements[i] for i in found), gens,
                            group.conductor, cayley=cayley)
         else:

@@ -60,6 +60,34 @@ def closure(identity, generators, mul, key, cap: int, size=None) -> tuple[list, 
     return elements, table
 
 
+def subgroup(identity, generators, mul, cap: int) -> tuple[list, list]:
+    """
+    The closure of the hashable `generators`, in the order of closure() on
+    all of them, by way of a generating subset S that takes each generator
+    the closure of S so far misses: at most log2 |G| members, and at most
+    |G| |S|^2 products to close <S> anew after each.  The walk over all the
+    generators then stops once it has found |<S>|, mostly within a few of
+    the |G| rows a full closure on them would take.  Returns the elements
+    and their Cayley table on S, renumbered from the last closure of S.
+    """
+    def close(gens, size=None):
+        return closure(identity, gens, mul, lambda x: x, cap, size)
+
+    chosen, (elements, table) = [], close(())
+    found = set(elements)
+    for g in generators:
+        if g not in found:
+            chosen.append(g)
+            elements, table = close(chosen)
+            found = set(elements)
+    walk, _ = close(generators, len(elements))
+    pos = {x: k for k, x in enumerate(walk)}
+    renumbered = [None] * len(walk)
+    for x, row in zip(elements, table):
+        renumbered[pos[x]] = [pos[elements[j]] for j in row]
+    return walk, renumbered
+
+
 def mul(x: Elem, y: Elem, modulus: int) -> Elem:
     """The matrix product x @ y."""
     xp, xk = x
@@ -154,31 +182,21 @@ class ExpForm:
         # determinants and eigenvalues do not depend on the basis.
         self.basis = basis
 
-    def closure(self, cap: int, gens=None, size=None) -> "ExpForm":
-        """The group the elements, or `gens`, generate, in the order of closure()."""
+    def closure(self, cap: int) -> "ExpForm":
+        """The group the elements generate, in the order of closure()."""
         n = len(self.elements[0][0])
-        identity = (tuple(range(n)), (0,) * n)
-        elements, _ = closure(identity, self.elements if gens is None else gens,
-                              functools.partial(mul, modulus=self.modulus),
-                              lambda x: x, cap, size)
+        elements, _ = closure((tuple(range(n)), (0,) * n), self.elements,
+                              functools.partial(mul, modulus=self.modulus), lambda x: x, cap)
         return ExpForm(self.modulus, tuple(elements), self.basis)
 
     def subgroup(self, indices, cap: int) -> "ExpForm":
-        """
-        The group generated by the elements at the given indices, in the
-        order of closure() on all of them.  A generating subset S takes each
-        element the closure of S misses: at most log2 |G| members, and at most
-        |G| |S|^2 products to close <S> anew after each.  The walk over all
-        the given elements then stops once it has found |<S>|, mostly within
-        a few of the |G| rows a full closure on them would take.
-        """
-        gens = [self.elements[i] for i in indices]
-        found, chosen = set(self.closure(cap, ()).elements), []  # the identity
-        for g in gens:
-            if g not in found:
-                chosen.append(g)
-                found = set(self.closure(cap, chosen).elements)
-        return self.closure(cap, gens, len(found))
+        """The group generated by the elements at the given indices, in the
+        order of closure() on all of them (see subgroup())."""
+        n = len(self.elements[0][0])
+        elements, _ = subgroup((tuple(range(n)), (0,) * n),
+                                  [self.elements[i] for i in indices],
+                                  functools.partial(mul, modulus=self.modulus), cap)
+        return ExpForm(self.modulus, tuple(elements), self.basis)
 
     @property
     def perms(self) -> tuple[tuple[int, ...], ...]:

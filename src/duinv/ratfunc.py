@@ -15,7 +15,7 @@ from fractions import Fraction
 from .cycnum import CycNum
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
                      NonRationalCollapse, ZeroDenominator, ZeroFunction)
-from .intpoly import (IntPoly, cyclotomic_poly, is_cyclotomic_product,
+from .intpoly import (IntPoly, cyclotomic_times, is_cyclotomic_product,
                       poly_gcd_q)
 
 
@@ -110,16 +110,8 @@ class RatFunc:
 
 
 def _vanishing_order_at_one(p: IntPoly) -> int:
-    order = 0
-    while not p.is_zero() and p(1) == 0:
-        # synthetic division by (1 - t)
-        coeffs = list(p.coeffs)
-        out = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            acc += coeffs[i]
-            out[i - 1] = -acc
-        p = IntPoly(out)
+    order, coeffs = 0, list(p.coeffs)
+    while coeffs and (coeffs := cyclotomic_times(coeffs, 1, -1)) is not None:
         order += 1
     return order
 
@@ -128,19 +120,19 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     """Divide out the polynomial gcd of num and den over Q."""
     fact = is_cyclotomic_product(den)
     if fact is not None:
-        # Cancel shared cyclotomic factors without a big-gcd computation.
-        remaining = []
+        # Cancel shared cyclotomic factors without a big-gcd computation:
+        # one exact division of num per shared Phi_d, and the denominator
+        # rebuilt from the multiplicities left.
+        num_c, den_c = list(num.coeffs), [fact.unit]
         for d, mult in fact.factors:
-            phi_d = cyclotomic_poly(d)
-            while mult and phi_d.divides(num):
-                num, _ = num.divmod_exact(phi_d)
-                mult -= 1
+            while mult:
+                quo = cyclotomic_times(num_c, d, -1)
+                if quo is None:
+                    break
+                num_c, mult = quo, mult - 1
             if mult:
-                remaining.append((d, mult))
-        den = IntPoly((fact.unit,))
-        for d, mult in remaining:
-            den = den * cyclotomic_poly(d) ** mult
-        return num, den
+                den_c = cyclotomic_times(den_c, d, mult)
+        return IntPoly(num_c), IntPoly(den_c)
     g = poly_gcd_q(num, den)
     if g.deg() > 0:
         num, _ = num.divmod_exact(g)

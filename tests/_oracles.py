@@ -2,10 +2,11 @@
 suite.
 
 Each suite cross-checks an exact routine against a computation that shares no
-code with it: complex root finding and Graeffe root squaring for the
-cyclotomic tester, truncated geometric-series convolution for power-series
-coefficients, the complex embedding for cyclotomic arithmetic, and CycNum
-matrix products for group closures and eigenvalues.
+code with it: complex root finding, Graeffe root squaring and trial division
+by Phi_d for the cyclotomic tester, the gcd over Q for cancellation,
+truncated geometric-series convolution for power-series coefficients, the
+complex embedding for cyclotomic arithmetic, and CycNum matrix products for
+group closures and eigenvalues.
 """
 import cmath
 import functools
@@ -19,7 +20,7 @@ from duinv import monomial
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
-    poly_gcd_q, totient
+    poly_gcd_q, totient, totients_at_most
 from duinv.matgroup import Mat2
 from duinv.ratfunc import RatFunc
 
@@ -153,6 +154,60 @@ def run_high_degree_cyclotomic_suite(seed: int = 404) -> None:
         assert (got is not None) == graeffe_is_cyclotomic(p), repr(p)
         if got is not None:
             assert got.expand() == p
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_by_division(d: int) -> IntPoly:
+    """Phi_d as t^d - 1 divided by every Phi_e with e a proper divisor of d."""
+    p = IntPoly((-1,) + (0,) * (d - 1) + (1,))
+    for e in range(1, d):
+        if d % e == 0:
+            p, rem = p.divmod_exact(cyclotomic_by_division(e))
+            assert rem.is_zero()
+    return p
+
+
+@functools.lru_cache(maxsize=None)
+def cyclotomic_at_two_by_division(d: int) -> int:
+    """Phi_d(2) as 2^d - 1 divided by every Phi_e(2), e a proper divisor of d."""
+    value = 2 ** d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            value //= cyclotomic_at_two_by_division(e)
+    return value
+
+
+def cyclotomic_product_by_trial_division(p: IntPoly):
+    """
+    (factors, unit) when p is +-(a product of cyclotomic polynomials), None
+    otherwise, by trial division: for each d with phi(d) <= deg p,
+    ascending, divide by cyclotomic_by_division(d) while its value at 2
+    divides the residue's and the remainder is zero.  is_cyclotomic_product
+    computed it this way before it divided by the binomial form of Phi_d;
+    the reference for its factor tuples and unit.
+    """
+    if abs(p.lead()) != 1 or abs(p[0]) != 1:
+        return None
+    residue, val2, factors = p, p(2), []
+    for d in totients_at_most(p.deg()):
+        mult = 0
+        while totient(d) <= residue.deg() and val2 % cyclotomic_at_two_by_division(d) == 0:
+            quo, rem = residue.divmod_exact(cyclotomic_by_division(d))
+            if not rem.is_zero():
+                break
+            residue, val2, mult = quo, quo(2), mult + 1
+        if mult:
+            factors.append((d, mult))
+    if residue.deg() > 0 or residue[0] not in (1, -1):
+        return None
+    return tuple(factors), residue[0]
+
+
+def cancel_by_gcd(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
+    """num and den divided by their gcd over Q, the primitive one with a
+    positive leading coefficient: the reference for ratfunc._cancel."""
+    g = poly_gcd_q(num, den)
+    return num.divmod_exact(g)[0], den.divmod_exact(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,9 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               close_monomial_group, hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
-from duinv.matgroup import (ElementTable, Mat2, MatGroup, _order_bound, classify,
-                            close_group, eigenvalues, generated_subgroup, mat_c,
-                            mat_s, standard_group)
+from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup, _order_bound,
+                            classify, close_group, eigenvalues, generated_subgroup,
+                            mat_c, mat_s, standard_group)
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
@@ -418,6 +418,42 @@ def test_generated_subgroup_of_no_elements_is_trivial(gens):
     assert sub.elements == (Mat2.identity(),)
     assert sub.generators == ()
     assert classify(sub).order == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["BT", "BO", "BI"]), st.data())
+def test_cayley_subgroup_matches_products_reference(name, data):
+    group = close_group({"BT": BT, "BO": BO, "BI": BI}[name])
+    # few indices: each one costs |<S>| CycNum products in the reference
+    indices = data.draw(st.lists(st.integers(0, len(group) - 1), max_size=4))
+    sub = generated_subgroup(group, indices)
+    expected = _close_by_products([group.elements[i] for i in indices],
+                                  group.conductor, DEFAULT_CAP)
+    assert _keys(sub, group.conductor) == _keys(expected, group.conductor)
+    # the subgroup's own Cayley table, on a generating subset, gives the
+    # orders of its elements and closes its subgroups
+    assert sub.table.orders == tuple(group.table.orders[group.elements.index(g)]
+                                     for g in sub)
+    inner = data.draw(st.lists(st.integers(0, len(sub) - 1), max_size=2))
+    expected = _close_by_products([sub.elements[i] for i in inner],
+                                  group.conductor, DEFAULT_CAP)
+    assert _keys(generated_subgroup(sub, inner), group.conductor) == \
+        _keys(expected, group.conductor)
+
+
+def test_cayley_subgroup_walk_budget(monkeypatch):
+    """BO on A(0, 1) has 47 bireflections.  A closure with every one of them
+    as a generator walks 48 x 47 = 2256 words; the subgroup of a fresh BO
+    closes in at most 400 walks, its element table included."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group(BO)
+    calls = []
+    times = MatGroup.times
+    monkeypatch.setattr(MatGroup, "times",
+                        lambda *a: calls.append(1) or times(*a))
+    sub = bireflection_subgroup(AlgebraCtx.down_up(0, 1), group)
+    assert len(sub.generators) == 47 and len(sub) == len(group) == 48
+    assert len(calls) <= 400, len(calls)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duinv.errors import ZeroDenominator, ZeroPolynomial
+from duinv import intpoly
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
-                           cyclotomic_poly, divisors, factorize,
+                           cyclotomic_poly, cyclotomic_times, divisors, factorize,
                            is_cyclotomic_product, one_minus_t_pow, poly_gcd_q,
                            totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
-from duinv.ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
+from duinv.ratfunc import CycPoly, RatFunc, _cancel, stanley_gorenstein_test
 from duinv.cycnum import zeta
+
+from _oracles import (cancel_by_gcd, cyclotomic_by_division,
+                      cyclotomic_product_by_trial_division)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +112,91 @@ def test_cyclotomic_test_reads_few_factorizations():
     factorize.cache_clear()
     assert is_cyclotomic_product(_family_one_numerator(200)) is None
     assert factorize.cache_info().currsize < 2000
+
+
+def test_number_theory_caches_stay_bounded():
+    assert is_cyclotomic_product(_family_one_numerator(200)) is None
+    caches = (factorize, totient, totients_at_most, intpoly._binomial_form,
+              _cyclotomic_at_two, cyclotomic_poly)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize, cache
+    # one Phi_d(2) per d with phi(d) <= 404
+    assert _cyclotomic_at_two.cache_info().currsize >= 790
+
+
+# Indices with one prime (d = 1 has none, and divides by -(1 - t)), prime
+# powers, and three or four distinct primes.
+KERNEL_INDICES = [1, 2, 3, 4, 8, 9, 25, 27, 32, 49, 30, 105, 210, 330, 390]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.sampled_from(KERNEL_INDICES), st.integers(1, 400)),
+       st.lists(st.integers(-5, 5), max_size=24),
+       st.lists(st.integers(-2, 2), max_size=8), st.booleans())
+def test_cyclotomic_times_matches_divmod_exact(d, quo, rem, random_input):
+    phi_d = cyclotomic_poly(d)
+    assert phi_d == cyclotomic_by_division(d)
+    quo = IntPoly(quo)
+    assert IntPoly(cyclotomic_times(list(quo.coeffs), d, 1) or []) == phi_d * quo
+    # a multiple of Phi_d plus a remainder of lower degree, or any polynomial
+    p = IntPoly(quo.coeffs + tuple(rem)) if random_input else \
+        phi_d * quo + IntPoly(rem[:phi_d.deg()])
+    expected, left = p.divmod_exact(phi_d)
+    got = cyclotomic_times(list(p.coeffs), d, -1)
+    if left.is_zero():
+        assert got is not None and IntPoly(got) == expected
+        assert len(got) == len(expected.coeffs)  # no trailing zeros
+    else:
+        assert got is None
+
+
+@st.composite
+def cyclotomic_products(draw, max_index=300, max_degree=500):
+    """(sign, [(d, multiplicity), ...]) for +-prod Phi_d^multiplicity."""
+    factors, degree = [], 0
+    for d in draw(st.lists(st.integers(1, max_index), min_size=1, max_size=5)):
+        mult = draw(st.integers(1, 3))
+        if degree + totient(d) * mult <= max_degree:
+            factors.append((d, mult))
+            degree += totient(d) * mult
+    return draw(st.sampled_from((1, -1))), factors
+
+
+def _expand(sign, factors):
+    p = IntPoly((sign,))
+    for d, mult in factors:
+        p = p * cyclotomic_by_division(d) ** mult
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_products(), st.integers(0, 10 ** 6), st.sampled_from((0, 1, -1)))
+def test_is_cyclotomic_product_matches_trial_division(product, where, moved):
+    p = _expand(*product)
+    if moved:
+        coeffs = list(p.coeffs)
+        coeffs[where % len(coeffs)] += moved
+        p = IntPoly(coeffs)
+    if p.is_zero():
+        return
+    got = is_cyclotomic_product(p)
+    expected = cyclotomic_product_by_trial_division(p)
+    assert (got.factors, got.unit) == expected if got is not None else expected is None
+    if not moved:
+        assert got is not None and got.expand() == p
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyclotomic_products(max_index=60, max_degree=80),
+       st.lists(st.tuples(st.integers(1, 60), st.integers(1, 3)), max_size=3),
+       st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+def test_cancel_matches_gcd_path(den, shared, rest):
+    den = _expand(*den)
+    num = _expand(1, shared) * IntPoly(rest)
+    if num.is_zero():
+        return
+    assert _cancel(num, den) == cancel_by_gcd(num, den)
 
 
 def test_cyclotomic_tester_against_graeffe_oracle_above_degree_400():
