@@ -4,7 +4,7 @@ cyclotomic arithmetic, Molien averages, homological determinants,
 bireflection structure and cyclotomic-Gorenstein reports.
 """
 
-from .cycnum import (CycNum, cyc_make, render_cyc, root_of_unity_order,
+from .cycnum import (CycNum, render_cyc, root_of_unity_order,
                      root_power_exponent, zeta)
 from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
                      DivisionByZero, DuinvError, GroupTooLarge,
@@ -27,7 +27,7 @@ from .invariants import (AlgebraCtx, AutShape, HdetResult, MonomialMat,
 from .matgroup import (GroupLabel, Mat2, MatGroup, classify, close_group,
                        eigenvalues, mat_c, mat_c_minus, mat_d1, mat_d2, mat_s,
                        mat_s1, mat_s2, sl2_part, standard_group)
-from .ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
+from .ratfunc import RatFunc, stanley_gorenstein_test
 from .cli import parse_cyc, parse_matrix, render_matrix
 
 __version__ = "0.1.0"

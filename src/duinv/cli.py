@@ -43,6 +43,9 @@ from . import paperlab
 # 'i' is shorthand for zeta(4); whitespace is ignored everywhere.
 # ---------------------------------------------------------------------------
 
+_MAX_DEPTH = 100  # nested '(' and '-'; deeper input is a ParseError, not a RecursionError
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -81,34 +84,36 @@ class _Scanner:
         return sign * self.uint()
 
 
-def _parse_expr(sc: _Scanner) -> CycNum:
-    value = _parse_term(sc)
+def _parse_expr(sc: _Scanner, depth: int = 0) -> CycNum:
+    value = _parse_term(sc, depth)
     while True:
         if sc.take("+"):
-            value = value + _parse_term(sc)
+            value = value + _parse_term(sc, depth)
         elif sc.take("-"):
-            value = value - _parse_term(sc)
+            value = value - _parse_term(sc, depth)
         else:
             return value
 
 
-def _parse_term(sc: _Scanner) -> CycNum:
-    value = _parse_factor(sc)
+def _parse_term(sc: _Scanner, depth: int) -> CycNum:
+    value = _parse_factor(sc, depth)
     while sc.take("*"):
-        value = value * _parse_factor(sc)
+        value = value * _parse_factor(sc, depth)
     return value
 
 
-def _parse_factor(sc: _Scanner) -> CycNum:
-    value = _parse_atom(sc)
+def _parse_factor(sc: _Scanner, depth: int) -> CycNum:
+    value = _parse_atom(sc, depth)
     if sc.take("^"):
         return value ** sc.signed_int()
     return value
 
 
-def _parse_atom(sc: _Scanner) -> CycNum:
+def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", sc.pos)
     if sc.take("-"):
-        return -_parse_atom(sc)
+        return -_parse_atom(sc, depth + 1)
     if sc.take("zeta"):
         sc.expect("(")
         n = sc.uint()
@@ -117,7 +122,7 @@ def _parse_atom(sc: _Scanner) -> CycNum:
     if sc.take("i"):
         return zeta(4)
     if sc.take("("):
-        value = _parse_expr(sc)
+        value = _parse_expr(sc, depth + 1)
         sc.expect(")")
         return value
     if sc.peek().isdigit():
@@ -336,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("paperlab", help="run a reproduction suite")
-    p.add_argument("--suite", default="all",
+    p.add_argument("--suite", default="all", choices=["all", *sorted(paperlab.SUITES)],
                    help="suite name or 'all' (see duinv.paperlab.run_suite)")
     p.add_argument("--max-n", type=int, default=8, dest="max_n")
     p.set_defaults(func=cmd_paperlab)

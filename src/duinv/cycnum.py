@@ -54,7 +54,7 @@ def _reduce(coeffs, n: int) -> tuple[Fraction, ...]:
 class CycNum:
     """An element of Q(zeta_n) with exact rational coordinates."""
 
-    __slots__ = ("conductor", "coeffs", "_hash", "_promos")
+    __slots__ = ("conductor", "coeffs", "_hash")
 
     def __init__(self, conductor: int, coeffs, _reduced: bool = False):
         if conductor < 1:
@@ -69,7 +69,6 @@ class CycNum:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", vec)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_promos", {})
 
     def __setattr__(self, *_):
         raise AttributeError("CycNum is immutable")
@@ -95,9 +94,6 @@ class CycNum:
         n = self.conductor
         if m == n:
             return self
-        cached = self._promos.get(m)
-        if cached is not None:
-            return cached
         if m % n:
             raise ValueError(f"{m} is not a multiple of conductor {n}")
         if m > CONDUCTOR_CAP:
@@ -106,9 +102,7 @@ class CycNum:
         spread = [Fraction(0)] * (len(self.coeffs) * k)
         for i, c in enumerate(self.coeffs):
             spread[i * k] = c
-        lifted = CycNum(m, spread)
-        self._promos[m] = lifted
-        return lifted
+        return CycNum(m, spread)
 
     def _pair(self, other: "CycNum"):
         m = math.lcm(self.conductor, other.conductor)
@@ -273,11 +267,6 @@ def zeta(n: int, k: int = 1) -> CycNum:
         raise ZeroConductor(f"conductor must be >= 1, got {n}")
     k %= n
     return CycNum(n, [Fraction(0)] * k + [Fraction(1)])
-
-
-def cyc_make(conductor: int, coeffs) -> CycNum:
-    """Build a CycNum from a coefficient sequence in powers of zeta_conductor."""
-    return CycNum(conductor, coeffs)
 
 
 def render_cyc(x: CycNum) -> str:

@@ -165,7 +165,6 @@ class IntPoly:
 
 
 ZERO = IntPoly()
-ONE = IntPoly((1,))
 
 
 def x_pow(k: int) -> IntPoly:

@@ -37,7 +37,7 @@ from .errors import (BireflectionMismatch, GroupTooLarge,
 from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pow
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
                        eigenvalues, generated_subgroup, remember)
-from .ratfunc import CycPoly, RatFunc, stanley_gorenstein_test
+from .ratfunc import RatFunc, stanley_gorenstein_test
 
 
 class AutShape(enum.Enum):
@@ -143,13 +143,23 @@ class TraceForm:
         Expand both products and collapse to an integer rational function;
         NonRationalCollapse if the coefficients are not rational.
         """
-        num = CycPoly.one()
-        for d, lam in self.num_factors:
-            num = num * CycPoly.binomial(lam, d)
-        den = CycPoly.one()
-        for d, lam in self.den_factors:
-            den = den * CycPoly.binomial(lam, d)
-        return RatFunc.from_frac_polys(num.to_fractions(), den.to_fractions())
+        products = []
+        for factors in (self.num_factors, self.den_factors):
+            coeffs = [CycNum.one()]
+            for d, lam in factors:  # times 1 - lam t^d
+                if d < 1:
+                    raise ValueError(f"factor degrees must be positive, got {d}")
+                out = [CycNum.zero()] * (len(coeffs) + d)
+                for i, c in enumerate(coeffs):
+                    if not c.is_zero():
+                        out[i], out[i + d] = out[i] + c, out[i + d] + c * -lam
+                coeffs = out
+            products.append(coeffs)
+        for coeffs in products:
+            for i, c in enumerate(coeffs):
+                if not c.is_rational():
+                    raise NonRationalCollapse(f"coefficient of t^{i} is irrational: {c!r}")
+        return RatFunc.from_frac_polys(*([c.rational_part() for c in p] for p in products))
 
 
 def downup_trace(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
@@ -215,17 +225,12 @@ def hdet_matrix(g: Mat2) -> CycNum:
     return d * d
 
 
-def hdet_from_trace(tr, injective_dim: int) -> HdetResult:
+def hdet_from_trace(tr: TraceForm, injective_dim: int) -> HdetResult:
     """
     Read the homological determinant off the trace series: at infinity,
     Tr(g, t) = (-1)^d * hdet(g)^-1 * t^l + lower order terms.
-    Accepts a TraceForm or an integer RatFunc.
     """
-    if isinstance(tr, TraceForm):
-        exponent, coeff = tr.laurent_leading_at_infinity()
-    else:
-        exponent, lead = tr.laurent_leading_at_infinity()
-        coeff = CycNum.from_rat(lead)
+    exponent, coeff = tr.laurent_leading_at_infinity()
     sign = CycNum.from_rat((-1) ** injective_dim)
     return HdetResult(sign / coeff, exponent)
 
@@ -321,10 +326,10 @@ def is_quasi_reflection(ctx: AlgebraCtx, g: Mat2) -> bool:
     return trace_form(ctx, g).pole_order_at_one() == ctx.gkdim - 1
 
 
-def is_bireflection(ctx: AlgebraCtx, g: Mat2, include_reflections: bool = True) -> bool:
+def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
     """
-    Pole order gkdim - 2 at t = 1; with include_reflections (the default)
-    pole order gkdim - 1 also qualifies.  The identity never qualifies.
+    Pole order gkdim - 2 or gkdim - 1 at t = 1, so reflections qualify too.
+    The identity never qualifies.
     On a down-up algebra the answer is cross-checked against the matrix
     criterion (BireflectionMismatch if they disagree).
     """
@@ -332,17 +337,16 @@ def is_bireflection(ctx: AlgebraCtx, g: Mat2, include_reflections: bool = True) 
         return g != Mat2.identity() and (g.det() == 1 or 1 in eigenvalues(g))
 
     return _bireflection_rule(ctx, trace_form(ctx, g).pole_order_at_one(),
-                              include_reflections, matrix_side, g)
+                              matrix_side, g)
 
 
-def _bireflection_rule(ctx: AlgebraCtx, poles: int, include_reflections: bool,
-                       matrix_side, g) -> bool:
+def _bireflection_rule(ctx: AlgebraCtx, poles: int, matrix_side, g) -> bool:
     """
     The answer from the pole order at t = 1.  On a down-up algebra it must
     agree with matrix_side(), the matrix criterion (BireflectionMismatch
     otherwise).
     """
-    ok = poles == ctx.gkdim - 2 or (include_reflections and poles == ctx.gkdim - 1)
+    ok = poles in (ctx.gkdim - 2, ctx.gkdim - 1)
     if ctx.kind == "down_up" and ok != matrix_side():
         raise BireflectionMismatch(
             f"trace and matrix bireflection tests disagree on {g}")
@@ -353,7 +357,7 @@ def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
     """is_bireflection for every element, read off the element table."""
     _, _, traces = _trace_exponents(ctx, group)
     table = group.table
-    return [_bireflection_rule(ctx, trace.count(0), True,
+    return [_bireflection_rule(ctx, trace.count(0),
                                lambda: eig != (0, 0) and (det == 0 or 0 in eig), g)
             for g, trace, det, eig in zip(group, traces, table.dets, table.eigenvalues)]
 
@@ -475,10 +479,6 @@ class MonomialMat:
         entries = tuple(_cyc(e) for e in entries)
         return MonomialMat(tuple(range(len(entries))), entries)
 
-    @staticmethod
-    def identity(n: int) -> "MonomialMat":
-        return MonomialMat.diag([1] * n)
-
     def __matmul__(self, other: "MonomialMat") -> "MonomialMat":
         perm = tuple(self.perm[p] for p in other.perm)
         scalars = tuple(other.scalars[j] * self.scalars[other.perm[j]]
@@ -531,8 +531,8 @@ def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMa
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
     """
     Hilbert series of the invariants of a finite monomial matrix group acting
-    on a polynomial ring whose variables have the given weights (default all
-    1).  Supported up to 4 variables.
+    on a polynomial ring whose variables have the given weights: one positive
+    int per variable, all 1 by default.  Supported up to 4 variables.
     """
     gens = [g if isinstance(g, MonomialMat) else MonomialMat.from_rows(g)
             for g in generators]
@@ -541,9 +541,9 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     n = len(gens[0].perm)
     if n > 4:
         raise UnsupportedAutomorphism("polynomial-ring averages support up to 4 variables")
-    if weights is None:
-        weights = (1,) * n
-    weights = tuple(int(w) for w in weights)
+    weights = (1,) * n if weights is None else tuple(weights)
+    if len(weights) != n or not all(isinstance(w, int) and w > 0 for w in weights):
+        raise ValueError(f"weights must be {n} positive integers, got {weights}")
     group = _close_monomials(gens, cap)
     if len(set(weights)) > 1 and any(g.perm != tuple(range(n)) for g in gens):
         # A permutation mixing variables of unequal weight does not act

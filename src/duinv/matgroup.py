@@ -407,13 +407,7 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
 
 def sl2_part(group: MatGroup) -> MatGroup:
     """The subgroup of determinant-one elements, in the order of `group`."""
-    keep = [i for i, det in enumerate(group.table.dets) if det == 0]
-    form = group.exp_form
-    if form is None:
-        return generated_subgroup(group, keep)
-    elems = tuple(group.elements[i] for i in keep)
-    return MatGroup(elems, elems, group.conductor, monomial.ExpForm(
-        form.modulus, tuple(form.elements[i] for i in keep), form.basis))
+    return generated_subgroup(group, [i for i, det in enumerate(group.table.dets) if det == 0])
 
 
 def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:

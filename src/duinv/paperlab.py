@@ -351,35 +351,38 @@ def check_involution_hdets(a_range=range(1, 7), d_range=range(4, 9)) -> list[Che
 # suites
 # ---------------------------------------------------------------------------
 
+# Each suite's checks at max_n, by name; also the CLI's --suite choices.
+SUITES = {
+    "cyclic-diagonal": lambda max_n: [r for n in range(2, max_n + 1)
+                                      for r in check_cyclic_diagonal_series(n)],
+    "reflection-extended": lambda max_n: [r for n in range(1, max_n + 1)
+                                          for r in check_reflection_extended_series(n)],
+    "odd-reflection": lambda max_n: [r for n in range(1, max_n + 1, 2)
+                                     for r in check_odd_reflection_series(n)],
+    "rotated-cyclic": lambda max_n: [r for n in range(1, max_n + 1)
+                                     for r in check_rotated_cyclic_series(n)],
+    "noncyclotomic": lambda max_n: sweep_noncyclotomic_families(max(max_n, 8)),
+    "three-variable": lambda max_n: [r for n in range(3, max_n + 1, 2)
+                                     for r in check_three_variable_numerator(n)],
+    "jordan-plane": lambda max_n: check_jordan_negation_series(),
+    "four-variable": lambda max_n: [r for vw in ((1, 1), (1, 2), (2, 3))
+                                    for r in check_four_variable_average(*vw)],
+    "flag-table": lambda max_n: reproduce_flag_table(max_n),
+    "involution-hdet": lambda max_n: check_involution_hdets(),
+}
+
+
 def run_suite(name: str, max_n: int = 8) -> list[CheckResult]:
-    """Run a named suite; "all" runs everything at its default ranges."""
-    suites = {
-        "cyclic-diagonal": lambda: [r for n in range(2, max_n + 1)
-                                    for r in check_cyclic_diagonal_series(n)],
-        "reflection-extended": lambda: [r for n in range(1, max_n + 1)
-                                        for r in check_reflection_extended_series(n)],
-        "odd-reflection": lambda: [r for n in range(1, max_n + 1, 2)
-                                   for r in check_odd_reflection_series(n)],
-        "rotated-cyclic": lambda: [r for n in range(1, max_n + 1)
-                                   for r in check_rotated_cyclic_series(n)],
-        "noncyclotomic": lambda: sweep_noncyclotomic_families(max(max_n, 8)),
-        "three-variable": lambda: [r for n in range(3, max_n + 1, 2)
-                                   for r in check_three_variable_numerator(n)],
-        "jordan-plane": lambda: check_jordan_negation_series(),
-        "four-variable": lambda: [r for vw in ((1, 1), (1, 2), (2, 3))
-                                  for r in check_four_variable_average(*vw)],
-        "flag-table": lambda: reproduce_flag_table(max_n),
-        "involution-hdet": lambda: check_involution_hdets(),
-    }
+    """Run a named suite of SUITES; "all" runs everything at its default ranges."""
     if name == "all":
         out = []
-        for key in sorted(suites):
-            out.extend(suites[key]())
+        for key in sorted(SUITES):
+            out.extend(SUITES[key](max_n))
         return out
-    if name not in suites:
+    if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
-                         f"{', '.join(sorted(suites))} or 'all'")
-    return suites[name]()
+                         f"{', '.join(sorted(SUITES))} or 'all'")
+    return SUITES[name](max_n)
 
 
 def result_to_json(result: CheckResult) -> dict:

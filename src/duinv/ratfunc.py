@@ -1,7 +1,6 @@
 """
 Rational functions in one variable over the rationals, stored as coprime
-integer polynomials with denominator constant term 1, plus polynomials with
-cyclotomic coefficients for intermediate trace computations.
+integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
 unique, so dataclass equality is true equality of rational functions.
@@ -12,9 +11,8 @@ import dataclasses
 import math
 from fractions import Fraction
 
-from .cycnum import CycNum
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
-                     NonRationalCollapse, ZeroDenominator, ZeroFunction)
+                     ZeroDenominator, ZeroFunction)
 from .intpoly import (IntPoly, cyclotomic_times, is_cyclotomic_product,
                       poly_gcd_q)
 
@@ -156,63 +154,3 @@ def stanley_gorenstein_test(f: RatFunc):
         return (-1, l)
     return None
 
-
-# ---------------------------------------------------------------------------
-# polynomials with cyclotomic coefficients
-# ---------------------------------------------------------------------------
-
-class CycPoly:
-    """
-    Dense polynomial in t whose coefficients are CycNums.  Used to expand
-    products like prod (1 - lambda_i t^d_i) before checking that a result
-    that ought to be rational really is.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, CycNum) else CycNum.from_rat(c)
-                  for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    @staticmethod
-    def one() -> "CycPoly":
-        return CycPoly([CycNum.one()])
-
-    @staticmethod
-    def binomial(scalar: CycNum, degree: int) -> "CycPoly":
-        """The factor 1 - scalar * t^degree."""
-        return CycPoly([CycNum.one()] + [CycNum.zero()] * (degree - 1) + [-scalar])
-
-    def __mul__(self, other: "CycPoly") -> "CycPoly":
-        if not self.coeffs or not other.coeffs:
-            return CycPoly([])
-        out = [CycNum.zero()] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return CycPoly(out)
-
-    def __add__(self, other: "CycPoly") -> "CycPoly":
-        longer, shorter = self.coeffs, other.coeffs
-        if len(longer) < len(shorter):
-            longer, shorter = shorter, longer
-        out = list(longer)
-        for i, c in enumerate(shorter):
-            out[i] = out[i] + c
-        return CycPoly(out)
-
-    def to_fractions(self) -> list[Fraction]:
-        """Collapse to rational coefficients; error if any coefficient is not."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if not c.is_rational():
-                raise NonRationalCollapse(
-                    f"coefficient of t^{i} is irrational: {c!r}")
-            out.append(c.rational_part())
-        return out

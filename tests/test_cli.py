@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from duinv.cli import (main, parse_cyc, parse_matrix, render_cyc,
+from duinv import paperlab
+from duinv.cli import (build_parser, main, parse_cyc, parse_matrix, render_cyc,
                        render_matrix)
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import ParseError
@@ -49,6 +50,24 @@ def test_parse_errors_have_positions():
         parse_cyc("1+*2")
     except ParseError as exc:
         assert exc.position == 2
+
+
+DEEP_ENTRIES = ["(" * 300 + "1" + ")" * 300, "-" * 1500 + "1"]
+
+
+@pytest.mark.parametrize("text", DEEP_ENTRIES, ids=["parentheses", "negations"])
+def test_parse_deep_nesting_is_a_parse_error(text):
+    with pytest.raises(ParseError, match="nested"):
+        parse_cyc(text)
+    with pytest.raises(ParseError, match="nested"):
+        parse_matrix(f"[[{text},0],[0,1]]")
+
+
+def test_parse_nesting_up_to_the_limit():
+    assert parse_cyc("(" * 100 + "i" + ")" * 100) == zeta(4)
+    assert parse_cyc("-" * 100 + "2") == 2
+    with pytest.raises(ParseError):
+        parse_cyc("-" * 101 + "2")
 
 
 def test_parse_matrix_forms():
@@ -189,6 +208,30 @@ def test_analyze_other_library_errors_exit_4(capsys, monkeypatch):
     assert main(["analyze", "--alpha", "1", "--beta", "1",
                  "--gen", "[[-1,0],[0,1]]"]) == 4
     assert "irrational" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", DEEP_ENTRIES, ids=["parentheses", "negations"])
+@pytest.mark.parametrize("command", [["analyze", "--alpha", "1", "--beta", "1"], ["classify"]],
+                         ids=["analyze", "classify"])
+def test_deep_nesting_is_an_input_error(capsys, command, text):
+    assert main(command + ["--gen", f"[[{text},0],[0,1]]"]) == 1
+    assert capsys.readouterr().err.startswith("input error: expression nested")
+
+
+def test_paperlab_unknown_suite_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["paperlab", "--suite", "bogus"])
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_paperlab_suite_choices_are_the_suite_names():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    suite = next(a for a in sub.choices["paperlab"]._actions if a.dest == "suite")
+    with pytest.raises(ValueError) as exc:
+        paperlab.run_suite("bogus")
+    listed = str(exc.value).split("choose from ")[1].removesuffix(" or 'all'")
+    assert set(suite.choices) == set(listed.split(", ")) | {"all"}
 
 
 def test_classify_exit_codes(capsys):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duinv.cycnum import (CycNum, cyc_make, root_of_unity_order,
-                          root_power_exponent, zeta)
+from duinv.cycnum import (CycNum, root_of_unity_order, root_power_exponent,
+                          zeta)
 from duinv.errors import DivisionByZero, PromotionOverflow, ZeroConductor
 
 
@@ -120,8 +120,8 @@ def test_zeta_has_exact_order(n):
 
 
 def test_cyc_make_reduces():
-    # zeta_4^2 = -1 supplied unreduced
-    x = cyc_make(4, [0, 0, 1])
+    # zeta_4^2 = -1 supplied unreduced to the constructor
+    x = CycNum(4, [0, 0, 1])
     assert x == -1
 
 

@@ -26,7 +26,7 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup, _order_bound,
                             classify, close_group, eigenvalues, generated_subgroup,
-                            mat_c, mat_s, standard_group)
+                            mat_c, mat_s, sl2_part, standard_group)
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
@@ -418,6 +418,28 @@ def test_generated_subgroup_of_no_elements_is_trivial(gens):
     assert sub.elements == (Mat2.identity(),)
     assert sub.generators == ()
     assert classify(sub).order == 1
+
+
+def _normalized_rows(table: ElementTable, indices):
+    m = table.modulus
+    return [(table.shapes[i], Fraction(table.dets[i], m),
+             tuple(Fraction(k, m) for k in table.eigenvalues[i])) for i in indices]
+
+
+@pytest.mark.parametrize("gens", [
+    [matgroup.mat_d1(), mat_s(), mat_c(zeta(6))],  # Q7(3), in exponent form
+    BT,                                            # det 1 throughout
+    BT + [Mat2.diag(I, I)],                        # on its Cayley table, BT times <i>
+])
+def test_sl2_part_keeps_group_order_and_table_rows(gens):
+    group = close_group(gens)
+    keep = [i for i, g in enumerate(group) if g.det() == 1]
+    sl2 = sl2_part(group)
+    assert sl2.elements == sl2.generators == tuple(group.elements[i] for i in keep)
+    assert sl2.conductor == group.conductor
+    assert (sl2.exp_form is None) == (group.exp_form is None)
+    assert _normalized_rows(sl2.table, range(len(sl2))) == \
+        _normalized_rows(group.table, keep)
 
 
 @settings(max_examples=20, deadline=None)

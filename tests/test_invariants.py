@@ -324,6 +324,23 @@ def test_polyring_molien_weighted_guard():
         polyring_molien([swap], weights=(1, 2))
 
 
+@pytest.mark.parametrize("degree", [0, -1])
+def test_trace_factor_degrees_must_be_positive(degree):
+    with pytest.raises(ValueError, match="degrees must be positive"):
+        normal_sequence_trace([(1, 1), (degree, 2)]).to_ratfunc()
+
+
+@pytest.mark.parametrize("weights", [(1, 2), (1, 1, 1, 1), (0, 1, 1), (-1, 1, 1),
+                                     (1.5, 1, 1)])
+def test_polyring_molien_rejects_bad_weights(weights, monkeypatch):
+    closures = []
+    monkeypatch.setattr(invariants, "_close_monomials",
+                        lambda *args: closures.append(args))
+    with pytest.raises(ValueError, match="weights must be 3 positive integers"):
+        polyring_molien([MonomialMat.diag([zeta(3), 1, 1])], weights=weights)
+    assert closures == []
+
+
 @pytest.mark.parametrize("fn", [close_monomial_group, polyring_molien])
 def test_monomial_groups_need_a_generator(fn):
     with pytest.raises(ValueError, match="need at least one generator"):

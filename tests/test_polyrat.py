@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duinv.errors import ZeroDenominator, ZeroPolynomial
+from duinv.errors import NonRationalCollapse, ZeroDenominator, ZeroPolynomial
 from duinv import intpoly
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            cyclotomic_poly, cyclotomic_times, divisors, factorize,
                            is_cyclotomic_product, one_minus_t_pow, poly_gcd_q,
                            totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
-from duinv.ratfunc import CycPoly, RatFunc, _cancel, stanley_gorenstein_test
+from duinv.invariants import TraceForm
+from duinv.ratfunc import RatFunc, _cancel, stanley_gorenstein_test
 from duinv.cycnum import zeta
 
 from _oracles import (cancel_by_gcd, cyclotomic_by_division,
@@ -283,8 +284,10 @@ def test_make_is_idempotent(nc, dc):
 
 
 def test_cycpoly_expand():
-    p = CycPoly.binomial(zeta(4), 1) * CycPoly.binomial(zeta(4, 3), 1)
-    assert p.to_fractions() == [Fraction(1), Fraction(0), Fraction(1)]  # 1 + t^2
-    q = CycPoly.binomial(zeta(3), 2)
-    with pytest.raises(Exception):
-        q.to_fractions()
+    """TraceForm.to_ratfunc expands products of 1 - lam t^d exactly."""
+    p = TraceForm((), ((1, zeta(4)), (1, zeta(4, 3))))  # (1 - it)(1 + it)
+    assert p.to_ratfunc() == RatFunc.make(IntPoly((1, 0, 1)), IntPoly((1,)))
+    q = TraceForm(((2, zeta(3)),))
+    with pytest.raises(NonRationalCollapse,
+                       match=r"^coefficient of t\^2 is irrational: CycNum\(3, \['0', '-1'\]\)$"):
+        q.to_ratfunc()
