@@ -48,6 +48,9 @@ class AutShape(enum.Enum):
     O = "diag_only"
 
 
+_down_up_cache: dict = {}  # AlgebraCtx.down_up by (alpha, beta) as passed; see remember
+
+
 @dataclasses.dataclass(frozen=True)
 class AlgebraCtx:
     """A graded algebra a 2x2 (or monomial) matrix group can act on."""
@@ -59,10 +62,17 @@ class AlgebraCtx:
 
     @staticmethod
     def down_up(alpha, beta) -> "AlgebraCtx":
-        beta = Fraction(beta)
-        if beta == 0:
-            raise ValueError("down-up algebra requires beta != 0")
-        return AlgebraCtx("down_up", alpha=Fraction(alpha), beta=beta)
+        """A(alpha, beta), memoized by (alpha, beta) as passed, so that a
+        repeated algebra keeps its allowed-shape set; beta = 0 raises
+        ValueError and is never stored."""
+        ctx = _down_up_cache.get((alpha, beta))
+        if ctx is None:
+            exact_beta = Fraction(beta)
+            if exact_beta == 0:
+                raise ValueError("down-up algebra requires beta != 0")
+            ctx = remember(_down_up_cache, (alpha, beta), AlgebraCtx(
+                "down_up", alpha=Fraction(alpha), beta=exact_beta))
+        return ctx
 
     @staticmethod
     def skew_plane(q: CycNum) -> "AlgebraCtx":

@@ -304,9 +304,10 @@ class MatGroup:
         return i
 
 
-# Closures and Molien series are memoized by their exact inputs.  Both caches
-# drop their oldest entry beyond this size; the 274 reports of the acceptance
-# sweep fill 64 closure and 59 Molien entries.
+# Closures, Molien series and down-up algebra contexts are memoized by their
+# exact inputs.  Each cache drops its oldest entry beyond this size; the 274
+# reports of the acceptance sweep fill 64 closure, 59 Molien and 4 context
+# entries.
 _CACHE_SIZE = 1024
 _closure_cache: dict = {}
 
@@ -351,9 +352,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
 
 
 def _exact_key(x: CycNum) -> tuple:
-    """x's conductor and coefficients, as ints when they are integral."""
-    ints = all(c.denominator == 1 for c in x.coeffs)
-    return x.conductor, tuple(c.numerator for c in x.coeffs) if ints else x.coeffs
+    """x's conductor and coefficients, read once: each integral coefficient
+    as its int (which hashes faster), every other one as its Fraction.  An
+    int never equals a non-integral Fraction, so two keys are equal exactly
+    when the conductors and the coefficients are."""
+    return x.conductor, tuple(c.numerator if c.denominator == 1 else c
+                              for c in x.coeffs)
 
 
 def remember(cache: dict, key, value):

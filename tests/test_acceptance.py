@@ -1,15 +1,22 @@
-"""Acceptance suite: the twelve headline checks.
+"""Acceptance suite: the twelve headline checks, and the golden answers.
 
 Every series identity is verified by exact equality of canonically reduced
 rational functions; the oracle suites compare exact routines against
 independent numeric computations.  Criteria 9 and 10 share one sweep over
-all admissible (algebra, group) pairs, computed once per module.
+all admissible (algebra, group) pairs, computed once per module; check 13
+compares that sweep and the `duinv analyze` requests of the benchmark with
+the answers recorded in perfbench/golden/.
 """
 import dataclasses
+import importlib
+import json
+import pathlib
+import sys
 
 import pytest
 
 from duinv import invariants, matgroup, paperlab
+from duinv.cli import main
 from duinv.cycnum import zeta
 from duinv.intpoly import IntPoly, cyclotomic_poly
 from duinv.invariants import (AlgebraCtx, downup_trace, theorem03_report)
@@ -113,7 +120,8 @@ PARAMS = ((1, 1), (0, 1), (2, -1), (3, -1))
 
 
 def _family_generators():
-    """Named generator lists: Q1..Q8 (n <= 8), C_m (m <= 12), BD_4m (m <= 6)."""
+    """Named generator lists: Q1..Q8 (n <= 8), C_m (m <= 12), BD_4m (m <= 6),
+    named as in the benchmark's sweep pool (BD(m) is BD_4m)."""
     cases = []
     for n in range(1, 9):
         cases.append((f"Q1({n})", True, [mat_c(zeta(n))]))
@@ -126,9 +134,9 @@ def _family_generators():
         cases.append((f"Q7({n})", False, [mat_d1(), mat_s(), mat_c(zeta(2 * n))]))
         cases.append((f"Q8({n})", False, [mat_s(), mat_c_minus(zeta(4 * n))]))
     for m in range(1, 13):
-        cases.append((f"C{m}", True, [mat_c(zeta(m))]))
+        cases.append((f"C({m})", True, [mat_c(zeta(m))]))
     for m in range(1, 7):
-        cases.append((f"BD{4 * m}", False, [mat_s1(), mat_c(zeta(2 * m))]))
+        cases.append((f"BD({m})", False, [mat_s1(), mat_c(zeta(2 * m))]))
     return cases
 
 
@@ -229,3 +237,46 @@ def test_11_cyclotomic_arithmetic_embedding():
 def test_12_four_variable_average():
     _assert_all_pass([r for vw in ((1, 1), (1, 2), (2, 3))
                       for r in paperlab.check_four_variable_average(*vw)])
+
+
+# ---------------------------------------------------------------------------
+# 13. golden answers: the outputs the benchmark judges against.  They change
+#     only through perfbench/capture_golden.py.
+# ---------------------------------------------------------------------------
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _perfbench(name):
+    """A module of the benchmark harness (perfbench/ is not a package)."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.append(str(PERFBENCH))
+    return importlib.import_module(name)
+
+
+def _golden(name):
+    return json.loads((PERFBENCH / "golden" / f"{name}.json").read_text())
+
+
+def test_13_sweep_matches_golden(sweep_reports):
+    digest = _perfbench("worker")._report_digest
+    got = {f"A({alpha},{beta})/{name}": json.loads(json.dumps(digest(rep)))
+           for (alpha, beta, name), rep in sweep_reports}
+    golden = _golden("sweep")
+    assert got.keys() == golden.keys()
+    assert [k for k in golden if got[k] != golden[k]] == []
+
+
+def test_13_analyze_requests_match_golden(capsys):
+    """Each request runs through duinv.cli.main in this process; an escaping
+    exception fails the test, as a traceback fails the benchmark's op."""
+    golden = _golden("analyze")
+    ops = _perfbench("pools").analyze_pool()
+    assert sorted(op["id"] for op in ops) == sorted(golden)
+    for op in ops:
+        want = golden[op["id"]]
+        code = main(op["argv"])
+        out = capsys.readouterr().out
+        assert code in want["exit"], (op["id"], code)
+        if "report" in want:
+            assert json.loads(out) == want["report"], op["id"]

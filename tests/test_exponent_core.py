@@ -26,7 +26,7 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup, _order_bound,
                             classify, close_group, eigenvalues, generated_subgroup,
-                            mat_c, mat_s, sl2_part, standard_group)
+                            mat_c, mat_d1, mat_s, mat_s1, sl2_part, standard_group)
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
@@ -544,11 +544,18 @@ def test_binary_icosahedral_report():
 @pytest.mark.parametrize("gens,first,second", [
     ([mat_s(), mat_c(zeta(3))], (3, -1), (1, 1)),  # Q6(3): antidiagonal
     (BT, (0, 1), (3, -1)),                          # BT: neither shape
+    (BT, (2, -1), (1, 1)),                          # BT under a diagonal-only algebra
+    ([mat_s1(), mat_c(zeta(4))], (3, -1), (Fraction(1, 2), 2)),  # Q5(2), non-integral alpha
 ])
 def test_cached_group_still_checks_shapes(gens, first, second):
+    """Neither a cached group nor a memoized algebra skips the shape check:
+    the second algebra's context is memoized by a report on a diagonal
+    group before the group is reported on under it."""
+    seen = theorem03_report(*second, [mat_d1()]).ctx
     theorem03_report(*first, gens)
     with pytest.raises(NotAnAutomorphism):
         theorem03_report(*second, gens)
+    assert AlgebraCtx.down_up(*second) is seen
 
 
 def test_cycnum_closure_cap_is_exact():

@@ -1,10 +1,12 @@
 """
 Source hygiene: checks in the library are real raises, not assert
 statements (which python -O strips), importing the package and its
-command-line front end does not load numpy, and the command line answers
-malformed input with its documented exit code and no traceback.
+command-line front end does not load numpy, the command line runs as
+`python -m duinv` and `python -m duinv.cli` alike, and it answers malformed
+input with its documented exit code and no traceback.
 """
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -49,3 +51,15 @@ def test_cli_rejects_malformed_input_without_traceback(argv, code):
     out = subprocess.run(run + argv, env=env, capture_output=True, text=True)
     assert "Traceback" not in out.stderr
     assert out.returncode == code, out.stderr
+
+
+def test_cli_runs_as_a_module_without_warnings():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = ANALYZE + ["[[-1,0],[0,1]]", "--gen", "[[zeta(6),0],[0,zeta(6)^-1]]"]
+    outs = [subprocess.run([sys.executable, "-m", module, *argv],
+                           env=env, capture_output=True, text=True)
+            for module in ("duinv", "duinv.cli")]
+    for out in outs:
+        assert (out.returncode, out.stderr) == (0, "")
+    assert json.loads(outs[0].stdout)["group"]["order"] == 12
+    assert outs[0].stdout == outs[1].stdout

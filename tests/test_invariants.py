@@ -38,6 +38,36 @@ def test_aut_shapes():
         AlgebraCtx.down_up(1, 0)
 
 
+def test_down_up_contexts_are_memoized_as_passed(monkeypatch):
+    monkeypatch.setattr(invariants, "_down_up_cache", {})
+    ctx = AlgebraCtx.down_up(3, -1)
+    assert AlgebraCtx.down_up(3, -1) is ctx
+    assert AlgebraCtx.down_up(Fraction(3), Fraction(-1)) is ctx  # an equal key
+    other = AlgebraCtx.down_up("3", "-1")  # another key, an equal context
+    assert other is not ctx and other == ctx
+    assert len(invariants._down_up_cache) == 2
+
+
+def test_down_up_context_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(invariants, "_down_up_cache", {})
+    first = AlgebraCtx.down_up(0, 1)
+    for alpha in range(1, matgroup._CACHE_SIZE + 10):  # one entry per alpha
+        AlgebraCtx.down_up(alpha, 1)
+    assert len(invariants._down_up_cache) == matgroup._CACHE_SIZE
+    again = AlgebraCtx.down_up(0, 1)  # evicted, so built anew
+    assert again is not first and again == first
+
+
+def test_beta_zero_raises_on_every_call(monkeypatch):
+    monkeypatch.setattr(invariants, "_down_up_cache", {})
+    for beta in (0, 0, Fraction(0), "0", 0.0, 0):
+        with pytest.raises(ValueError, match="beta != 0"):
+            AlgebraCtx.down_up(1, beta)
+        with pytest.raises(ValueError, match="beta != 0"):
+            theorem03_report(1, beta, [mat_d1()])
+    assert invariants._down_up_cache == {}
+
+
 def test_check_automorphism():
     o_ctx = AlgebraCtx.down_up(1, 1)
     o_ctx.check_automorphism(mat_c(zeta(5)))
@@ -231,8 +261,10 @@ def test_failed_report_keeps_no_facts(monkeypatch):
 def test_report_on_a_cached_group_does_no_group_work(monkeypatch):
     """After one report on a group, a report on another down-up algebra only
     checks the matrix shapes: it neither averages, classifies nor factors,
-    and multiplies no CycNum."""
+    and multiplies no CycNum.  Under an algebra already seen it builds no
+    AlgebraCtx either."""
     monkeypatch.setattr(matgroup, "_closure_cache", {})
+    monkeypatch.setattr(invariants, "_down_up_cache", {})
     calls = Counter()
 
     def count(owner, name):
@@ -251,6 +283,14 @@ def test_report_on_a_cached_group_does_no_group_work(monkeypatch):
     calls.clear()
     theorem03_report(2, -1, q7)
     theorem03_report(0, 1, q7)
+    assert not calls, calls
+    # Under an algebra it has already seen, a report builds no AlgebraCtx.
+    count(AlgebraCtx, "__init__")
+    theorem03_report(Fraction(1, 3), -1, q7)
+    assert calls == Counter({"__init__": 1})  # the counter sees a new algebra
+    calls.clear()
+    for alpha, beta in ((3, -1), (2, -1), (0, 1), (Fraction(1, 3), -1)):
+        theorem03_report(alpha, beta, q7)
     assert not calls, calls
 
 

@@ -1,4 +1,5 @@
 """Matrix closures, eigenvalues and recognition of the standard families."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from duinv import matgroup
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
+from duinv.intpoly import totient
 from duinv.matgroup import (Mat2, classify, close_group, eigenvalues, mat_c,
                             mat_c_minus, mat_d1, mat_d2, mat_s, mat_s1,
                             sl2_part, standard_group)
@@ -265,3 +267,55 @@ def test_equal_coefficients_over_other_conductors_do_not_share_a_closure(monkeyp
     assert zeta(3).coeffs == zeta(6).coeffs  # both (0, 1)
     assert len(close_group([Mat2.diag(zeta(3), 1)])) == 3
     assert len(close_group([Mat2.diag(zeta(6), 1)])) == 6
+
+
+# Properties of the key itself: CycNum pairs over conductors up to 24, with
+# integral and non-integral coefficients, the same value written at two
+# conductors, and Galois conjugates.
+
+@st.composite
+def _cycnums(draw, n=None):
+    n = n or draw(st.integers(1, 24))
+    coeff = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    return CycNum(n, draw(st.lists(coeff, max_size=n)))
+
+
+def _conjugate(x, k):
+    """x with zeta_n replaced by zeta_n^k."""
+    spread = [0] * x.conductor
+    for i, c in enumerate(x.coeffs):
+        spread[i * k % x.conductor] += c
+    return CycNum(x.conductor, spread)
+
+
+@st.composite
+def _cycnum_pairs(draw):
+    x = draw(_cycnums())
+    n = x.conductor
+    kind = draw(st.sampled_from(["any", "same-conductor", "same-numerators", "copy",
+                                 "promoted", "same-coefficients", "conjugate"]))
+    if kind == "any":
+        return x, draw(_cycnums())
+    if kind == "same-conductor":
+        return x, draw(_cycnums(n))
+    if kind == "same-numerators":  # each coefficient over the next denominator
+        return x, CycNum(n, [Fraction(c.numerator, c.denominator + 1) for c in x.coeffs])
+    if kind == "copy":  # equal coefficients, integral ones given as ints
+        return x, CycNum(n, [int(c) if c.denominator == 1 else c for c in x.coeffs])
+    if kind == "promoted":
+        return x, x.promoted(n * draw(st.integers(1, 24 // n)))
+    if kind == "same-coefficients":  # the coefficient vector at another conductor
+        m = draw(st.sampled_from([m for m in range(1, 25) if totient(m) == totient(n)]))
+        return x, CycNum(m, x.coeffs)
+    k = draw(st.sampled_from([k for k in range(1, n + 1) if math.gcd(k, n) == 1]))
+    return x, _conjugate(x, k)
+
+
+@settings(max_examples=300)
+@given(_cycnum_pairs())
+def test_exact_key_equal_exactly_when_conductor_and_coefficients_are(pair):
+    x, y = pair
+    kx, ky = matgroup._exact_key(x), matgroup._exact_key(y)
+    assert (kx == ky) == (x.conductor == y.conductor and x.coeffs == y.coeffs)
+    if kx == ky:
+        assert hash(kx) == hash(ky)
