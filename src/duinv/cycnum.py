@@ -4,7 +4,10 @@ Exact arithmetic in cyclotomic fields Q(zeta_n).
 A CycNum carries its own conductor n and a coefficient vector of length
 phi(n) over the rationals, expressing the value in the power basis
 1, zeta_n, ..., zeta_n^(phi(n)-1) reduced modulo the n-th cyclotomic
-polynomial.  Binary operations promote both sides to the least common
+polynomial.  Each coefficient is an int when it is integral and a Fraction
+only when its denominator exceeds 1 (never a float), so roots of unity and
+their sums have int vectors and int arithmetic; rational_part() is always a
+Fraction.  Binary operations promote both sides to the least common
 multiple of the two conductors; promotion is the field embedding
 zeta_n -> zeta_m^(m/n), so values compare equal independently of how they
 were built.
@@ -27,19 +30,17 @@ CONDUCTOR_CAP = 10 ** 6
 _RatLike = (int, Fraction)
 
 
-def _reduce(coeffs, n: int) -> tuple[Fraction, ...]:
+def _reduce(coeffs, n: int) -> tuple:
     """Reduce a rational polynomial in zeta_n modulo the n-th cyclotomic.
 
-    The arithmetic runs on the values as given (plain ints stay ints, which
-    is much faster than Fraction); the result is converted to Fractions.
+    The arithmetic runs on the values as given; the result is in canonical
+    form: an int for each integral coefficient, a Fraction for every other.
     """
     phi = totient(n)
     work = list(coeffs)
     while work and work[-1] == 0:
         work.pop()
     if len(work) > phi:
-        if all(type(c) is not Fraction or c.denominator == 1 for c in work):
-            work = [int(c) for c in work]
         mod = cyclotomic_poly(n).coeffs
         for i in range(len(work) - 1, phi - 1, -1):
             top = work[i]
@@ -48,7 +49,14 @@ def _reduce(coeffs, n: int) -> tuple[Fraction, ...]:
                     work[i - phi + j] -= top * c
             work.pop()
     work += [0] * (phi - len(work))
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in work)
+    return tuple(c if type(c) is int else _canon(c) for c in work)
+
+
+def _canon(c):
+    """A rational as an int when it is integral, else as a Fraction."""
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return int(c.numerator) if c.denominator == 1 else c
 
 
 class CycNum:
@@ -62,8 +70,7 @@ class CycNum:
         if conductor > CONDUCTOR_CAP:
             raise PromotionOverflow(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
         if _reduced:
-            vec = tuple(c if type(c) is Fraction else Fraction(c)
-                        for c in coeffs)
+            vec = tuple(c if type(c) is int else _canon(c) for c in coeffs)
         else:
             vec = _reduce(coeffs, conductor)
         object.__setattr__(self, "conductor", conductor)
@@ -77,7 +84,7 @@ class CycNum:
 
     @staticmethod
     def from_rat(value) -> "CycNum":
-        return CycNum(1, (Fraction(value),), _reduced=True)
+        return CycNum(1, (value,), _reduced=True)
 
     @staticmethod
     def zero() -> "CycNum":
@@ -99,7 +106,7 @@ class CycNum:
         if m > CONDUCTOR_CAP:
             raise PromotionOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
         k = m // n
-        spread = [Fraction(0)] * (len(self.coeffs) * k)
+        spread = [0] * (len(self.coeffs) * k)
         for i, c in enumerate(self.coeffs):
             spread[i * k] = c
         return CycNum(m, spread)
@@ -148,7 +155,7 @@ class CycNum:
         if other is None:
             return NotImplemented
         a, b = self._pair(other)
-        out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
+        out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
         for i, x in enumerate(a.coeffs):
             if x:
                 for j, y in enumerate(b.coeffs):
@@ -163,7 +170,7 @@ class CycNum:
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n = self.conductor
-        a = list(self.coeffs)
+        a = [Fraction(c) for c in self.coeffs]  # so x / c below stays exact
         while a and a[-1] == 0:
             a.pop()
         # Extended Euclid against Phi_n, which is irreducible, so the last
@@ -213,7 +220,7 @@ class CycNum:
 
     def rational_part(self) -> Fraction:
         """The value as a Fraction; only meaningful when is_rational()."""
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0])
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -266,7 +273,7 @@ def zeta(n: int, k: int = 1) -> CycNum:
     if n < 1:
         raise ZeroConductor(f"conductor must be >= 1, got {n}")
     k %= n
-    return CycNum(n, [Fraction(0)] * k + [Fraction(1)])
+    return CycNum(n, [0] * k + [1])
 
 
 def render_cyc(x: CycNum) -> str:

@@ -29,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import monomial
-from .cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
+from .cycnum import CycNum
 from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
                      NonRationalCollapse, NotAnAutomorphism,
@@ -488,33 +488,6 @@ class MonomialMat:
     def diag(entries) -> "MonomialMat":
         entries = tuple(_cyc(e) for e in entries)
         return MonomialMat(tuple(range(len(entries))), entries)
-
-    def __matmul__(self, other: "MonomialMat") -> "MonomialMat":
-        perm = tuple(self.perm[p] for p in other.perm)
-        scalars = tuple(other.scalars[j] * self.scalars[other.perm[j]]
-                        for j in range(len(self.perm)))
-        return MonomialMat(perm, scalars)
-
-    def key(self) -> tuple:
-        lcm = math.lcm(*(s.conductor for s in self.scalars))
-        return (self.perm, tuple(s.promoted(lcm).coeffs for s in self.scalars), lcm)
-
-    def eigenvalues(self) -> tuple[CycNum, ...]:
-        """Eigenvalues cycle by cycle: the l-th roots of the cycle product."""
-        out = []
-        for cycle in monomial.cycles(self.perm):
-            product = CycNum.one()
-            for j in cycle:
-                product = product * self.scalars[j]
-            o = root_of_unity_order(product)
-            if o is None:
-                raise InfiniteOrderSuspected("cycle product is not a root of unity")
-            ell = len(cycle)
-            k = root_power_exponent(product, o)
-            mu = zeta(ell * o, k)
-            for r in range(ell):
-                out.append(mu * zeta(ell, r))
-        return tuple(out)
 
 
 def _close_monomials(gens, cap: int) -> monomial.ExpForm:

@@ -253,9 +253,6 @@ class MatGroup:
         keys = {e.key(lcm) for e in self.elements}
         return m.key(lcm) in keys
 
-    def det_values(self) -> set[CycNum]:
-        return {e.det() for e in self.elements}
-
     @functools.cached_property
     def table(self) -> ElementTable:
         """Shapes, determinants, eigenvalues and orders of the elements, read
@@ -328,7 +325,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     written at another conductor only misses and is closed anew.
     """
     gens = list(generators) or [Mat2.identity()]
-    cache_key = (tuple(_exact_key(e) for g in gens for e in g.entries()), cap)
+    cache_key = (tuple([_exact_key(e) for g in gens for e in g.entries()]), cap)
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
@@ -352,12 +349,11 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
 
 
 def _exact_key(x: CycNum) -> tuple:
-    """x's conductor and coefficients, read once: each integral coefficient
-    as its int (which hashes faster), every other one as its Fraction.  An
-    int never equals a non-integral Fraction, so two keys are equal exactly
-    when the conductors and the coefficients are."""
-    return x.conductor, tuple(c.numerator if c.denominator == 1 else c
-                              for c in x.coeffs)
+    """x's conductor and coefficient tuple as they stand.  The coefficients
+    are in canonical form (an int when integral, else a Fraction; see
+    duinv.cycnum), so two keys are equal exactly when the conductors and the
+    coefficients are, and integral values hash as int tuples."""
+    return x.conductor, x.coeffs
 
 
 def remember(cache: dict, key, value):

@@ -17,10 +17,11 @@ from fractions import Fraction
 import numpy as np
 
 from duinv import monomial
-from duinv.cycnum import CycNum, zeta
+from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient, totients_at_most
+from duinv.invariants import MonomialMat
 from duinv.matgroup import Mat2
 from duinv.ratfunc import RatFunc
 
@@ -349,3 +350,41 @@ def _subgroup_by_all_generators(form, indices, cap: int) -> tuple:
                                    functools.partial(monomial.mul, modulus=form.modulus),
                                    lambda x: x, cap)
     return tuple(elements)
+
+
+# ---------------------------------------------------------------------------
+# monomial matrices by CycNum products
+# ---------------------------------------------------------------------------
+
+def _monomial_product(x: MonomialMat, y: MonomialMat) -> MonomialMat:
+    """The matrix product x @ y, scalar by scalar."""
+    perm = tuple(x.perm[p] for p in y.perm)
+    scalars = tuple(y.scalars[j] * x.scalars[y.perm[j]] for j in range(len(x.perm)))
+    return MonomialMat(perm, scalars)
+
+
+def _monomial_key(m: MonomialMat) -> tuple:
+    """The permutation and every scalar's coefficients at the lcm of their
+    conductors: equal exactly for equal matrices."""
+    lcm = math.lcm(*(s.conductor for s in m.scalars))
+    return (m.perm, tuple(s.promoted(lcm).coeffs for s in m.scalars), lcm)
+
+
+def _monomial_eigenvalues(m: MonomialMat) -> tuple[CycNum, ...]:
+    """
+    The eigenvalues cycle by cycle, by exact CycNum search: the l-th roots of
+    the product of the scalars along each cycle of length l.  The reference
+    for the eigenvalues of ExpForm.
+    """
+    out = []
+    for cycle in monomial.cycles(m.perm):
+        product = CycNum.one()
+        for j in cycle:
+            product = product * m.scalars[j]
+        o = root_of_unity_order(product)
+        if o is None:
+            raise InfiniteOrderSuspected("cycle product is not a root of unity")
+        ell = len(cycle)
+        mu = zeta(ell * o, root_power_exponent(product, o))
+        out.extend(mu * zeta(ell, r) for r in range(ell))
+    return tuple(out)

@@ -4,8 +4,8 @@ Every series identity is verified by exact equality of canonically reduced
 rational functions; the oracle suites compare exact routines against
 independent numeric computations.  Criteria 9 and 10 share one sweep over
 all admissible (algebra, group) pairs, computed once per module; check 13
-compares that sweep and the `duinv analyze` requests of the benchmark with
-the answers recorded in perfbench/golden/.
+compares that sweep, the `duinv analyze` requests and the paperlab suite ops
+of the benchmark with the answers recorded in perfbench/golden/.
 """
 import dataclasses
 import importlib
@@ -280,3 +280,19 @@ def test_13_analyze_requests_match_golden(capsys):
         assert code in want["exit"], (op["id"], code)
         if "report" in want:
             assert json.loads(out) == want["report"], op["id"]
+
+
+def test_13_paperlab_checks_match_golden():
+    """Every suite op of the benchmark's paperlab decks, run and judged by the
+    worker: the recorded number of checks, none of them failed."""
+    import duinv
+    golden = _golden("paperlab")
+    ops = _perfbench("pools")._suite_ops()
+    assert sorted(op["id"] for op in ops) == sorted(golden)
+    paperlab_op = _perfbench("worker")._paperlab_op
+    got = {}
+    for op in ops:
+        run, digest = paperlab_op(duinv, op, None)
+        got[op["id"]] = digest(run())[0]
+    assert got == {op_id: {"checks": checks, "failed_checks": []}
+                   for op_id, checks in golden.items()}

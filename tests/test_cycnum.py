@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from duinv.cycnum import (CycNum, root_of_unity_order, root_power_exponent,
                           zeta)
 from duinv.errors import DivisionByZero, PromotionOverflow, ZeroConductor
+from duinv.notation import parse_cyc
 
 
 def test_rational_basics():
@@ -129,3 +130,69 @@ def test_hash_consistency_across_conductors():
     values = [zeta(6), zeta(12, 2), zeta(3).promoted(15) * zeta(15, 5) / zeta(15, 5)]
     assert len({hash(v) for v in values[:2]}) == 1
     assert values[0] == values[1]
+
+
+# ---------------------------------------------------------------------------
+# canonical coefficients: an int when integral, else a Fraction, never a float
+# ---------------------------------------------------------------------------
+
+def _assert_canonical(x):
+    for c in x.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1), x
+    assert type(x.rational_part()) is Fraction
+
+
+# Conductors divide 24, and promotion at most doubles one, so every value
+# lives in a field of degree at most 16.
+_conductors = st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24])
+_leaves = st.one_of(
+    st.builds(zeta, _conductors, st.integers(0, 23)),
+    st.builds(lambda p, q, n, k: parse_cyc(f"{p}/{q}*zeta({n})^{k}"),
+              st.integers(-4, 4), st.integers(1, 4), _conductors, st.integers(-3, 3)),
+    st.builds(lambda p, q: parse_cyc(f"{p}/{q}"), st.integers(0, 6), st.integers(1, 3)),
+)
+
+
+def _apply(op, x, y, k):
+    if op == "+":
+        return x + y
+    if op == "-":
+        return x - y
+    if op == "*":
+        return x * y
+    if op == "/":
+        return x / y if not y.is_zero() else x / k
+    if op == "**":
+        return x ** k if not x.is_zero() else x ** abs(k)
+    if op == "int":  # a plain int on either side
+        return (k - x) * (x + k) / k
+    return x.promoted(x.conductor * (abs(k) % 2 + 1))
+
+
+_expressions = st.recursive(
+    _leaves,
+    lambda inner: st.builds(_apply, st.sampled_from(["+", "-", "*", "/", "**", "int",
+                                                     "promoted"]),
+                            inner, inner, st.integers(-3, 3).filter(bool)),
+    max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_expressions)
+def test_coefficients_are_ints_or_proper_fractions(x):
+    _assert_canonical(x)
+    for y in (-x, x.promoted(2 * x.conductor), CycNum(x.conductor, x.coeffs + (0,))):
+        _assert_canonical(y)
+    if not x.is_zero():
+        _assert_canonical(x.inv())
+        assert x * x.inv() == 1
+
+
+def test_floats_and_integral_fractions_are_stored_exactly():
+    assert CycNum.from_rat(0.5).coeffs == (Fraction(1, 2),)
+    assert CycNum.from_rat(Fraction(4, 2)).coeffs == (2,)
+    x = CycNum(4, [0.0, 0, 2.0])  # 2 zeta_4^2 = -2
+    assert x.coeffs == (-2, 0) and all(type(c) is int for c in x.coeffs)
+    assert CycNum(4, [0, 0, 2.5]).coeffs == (Fraction(-5, 2), 0)
+    assert zeta(8).coeffs == (0, 1, 0, 0)
+    assert type(CycNum.from_rat(3).rational_part()) is Fraction

@@ -58,7 +58,7 @@ def test_membership_and_dets():
     assert mat_d1() in g
     assert mat_d2() in g
     assert mat_s() not in g
-    dets = g.det_values()
+    dets = {e.det() for e in g}
     assert len(dets) == 2
 
 
@@ -270,8 +270,8 @@ def test_equal_coefficients_over_other_conductors_do_not_share_a_closure(monkeyp
 
 
 # Properties of the key itself: CycNum pairs over conductors up to 24, with
-# integral and non-integral coefficients, the same value written at two
-# conductors, and Galois conjugates.
+# integral and non-integral coefficients (integral ones given as ints or as
+# Fractions), the same value written at two conductors, and Galois conjugates.
 
 @st.composite
 def _cycnums(draw, n=None):
@@ -293,7 +293,8 @@ def _cycnum_pairs(draw):
     x = draw(_cycnums())
     n = x.conductor
     kind = draw(st.sampled_from(["any", "same-conductor", "same-numerators", "copy",
-                                 "promoted", "same-coefficients", "conjugate"]))
+                                 "as-fractions", "promoted", "same-coefficients",
+                                 "conjugate"]))
     if kind == "any":
         return x, draw(_cycnums())
     if kind == "same-conductor":
@@ -302,6 +303,8 @@ def _cycnum_pairs(draw):
         return x, CycNum(n, [Fraction(c.numerator, c.denominator + 1) for c in x.coeffs])
     if kind == "copy":  # equal coefficients, integral ones given as ints
         return x, CycNum(n, [int(c) if c.denominator == 1 else c for c in x.coeffs])
+    if kind == "as-fractions":  # equal coefficients, every one given as a Fraction
+        return x, CycNum(n, [Fraction(c) for c in x.coeffs], _reduced=True)
     if kind == "promoted":
         return x, x.promoted(n * draw(st.integers(1, 24 // n)))
     if kind == "same-coefficients":  # the coefficient vector at another conductor
@@ -316,6 +319,11 @@ def _cycnum_pairs(draw):
 def test_exact_key_equal_exactly_when_conductor_and_coefficients_are(pair):
     x, y = pair
     kx, ky = matgroup._exact_key(x), matgroup._exact_key(y)
+    # The key is the stored form itself: an int for each integral
+    # coefficient, a Fraction only for the others, however x was written.
+    assert kx == (x.conductor, x.coeffs) and ky == (y.conductor, y.coeffs)
+    for c in x.coeffs + y.coeffs:
+        assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
     assert (kx == ky) == (x.conductor == y.conductor and x.coeffs == y.coeffs)
     if kx == ky:
         assert hash(kx) == hash(ky)
