@@ -22,8 +22,8 @@ from .invariants import (AlgebraCtx, AutShape, HdetResult, MonomialMat,
                          close_monomial_group, downup_trace,
                          generated_by_bireflections, hdet_from_trace,
                          hdet_matrix, hypersurface_trace, is_bireflection,
-                         is_quasi_reflection, molien, normal_sequence_trace,
-                         plane_trace, polyring_molien, theorem03_report)
+                         molien, normal_sequence_trace, plane_trace,
+                         polyring_molien, theorem03_report)
 from .matgroup import (GroupLabel, Mat2, MatGroup, classify, close_group,
                        eigenvalues, mat_c, mat_c_minus, mat_d1, mat_d2, mat_s,
                        mat_s1, mat_s2, sl2_part, standard_group)

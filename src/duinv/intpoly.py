@@ -10,24 +10,25 @@ to use from several threads.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import itertools
 import math
+import typing
 from fractions import Fraction
 
 from .errors import ZeroPolynomial
 
 
-@dataclasses.dataclass(frozen=True, init=False)
 class IntPoly:
     """
-    Dense integer polynomial, lowest coefficient first.
+    Dense integer polynomial, lowest coefficient first.  Immutable; equal
+    polynomials hash equal.
 
     >>> IntPoly((1, 0, 1)) * IntPoly((1, 1))
     IntPoly('t^3 + t^2 + t + 1')
     """
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
@@ -36,6 +37,22 @@ class IntPoly:
         while end and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", coeffs[:end])
+
+    def __setattr__(self, *_):
+        raise AttributeError("IntPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.coeffs,))
+
+    def __reduce__(self):
+        return IntPoly, (self.coeffs,)
 
     # -- basic queries -------------------------------------------------
 
@@ -330,8 +347,7 @@ def cyclotomic_poly(d: int) -> IntPoly:
     return IntPoly(cyclotomic_times([1], d, 1))
 
 
-@dataclasses.dataclass(frozen=True)
-class CycFactorization:
+class CycFactorization(typing.NamedTuple):
     """A factorization unit * prod Phi_d^multiplicity with unit in {+1, -1}."""
 
     factors: tuple[tuple[int, int], ...]

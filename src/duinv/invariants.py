@@ -21,10 +21,10 @@ indexed by the exponent) and only reduced and rationality-checked at the end.
 """
 from __future__ import annotations
 
-import dataclasses
 import enum
 import functools
 import math
+import typing
 from collections import Counter
 from fractions import Fraction
 
@@ -51,14 +51,38 @@ class AutShape(enum.Enum):
 _down_up_cache: dict = {}  # AlgebraCtx.down_up by (alpha, beta) as passed; see remember
 
 
-@dataclasses.dataclass(frozen=True)
 class AlgebraCtx:
-    """A graded algebra a 2x2 (or monomial) matrix group can act on."""
+    """A graded algebra a 2x2 (or monomial) matrix group can act on.
+    Immutable; equal contexts hash equal."""
 
     kind: str  # "down_up" | "skew_plane" | "jordan_plane"
-    alpha: Fraction | None = None
-    beta: Fraction | None = None
-    q: CycNum | None = None
+    alpha: Fraction | None
+    beta: Fraction | None
+    q: CycNum | None
+
+    def __init__(self, kind: str, alpha: Fraction | None = None,
+                 beta: Fraction | None = None, q: CycNum | None = None):
+        # The instance dict, where cached_property also stores its value,
+        # because __setattr__ refuses.
+        vars(self).update(kind=kind, alpha=alpha, beta=beta, q=q)
+
+    def __setattr__(self, *_):
+        raise AttributeError("AlgebraCtx is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.kind, self.alpha, self.beta, self.q)
+                == (other.kind, other.alpha, other.beta, other.q))
+
+    def __hash__(self):
+        return hash((self.kind, self.alpha, self.beta, self.q))
+
+    def __repr__(self):
+        return (f"AlgebraCtx(kind={self.kind!r}, alpha={self.alpha!r}, "
+                f"beta={self.beta!r}, q={self.q!r})")
 
     @staticmethod
     def down_up(alpha, beta) -> "AlgebraCtx":
@@ -120,8 +144,7 @@ class AlgebraCtx:
 # trace series in factored form
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class TraceForm:
+class TraceForm(typing.NamedTuple):
     """
     A trace series prod(1 - lam t^d) [numerator] / prod(1 - lam t^d)
     [denominator], with cyclotomic scalars.  Factors are (degree, scalar).
@@ -223,8 +246,7 @@ def _cyc(x) -> CycNum:
 # homological determinant
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class HdetResult:
+class HdetResult(typing.NamedTuple):
     value: CycNum
     laurent_exponent: int
 
@@ -331,11 +353,6 @@ def trace_form(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
     return plane_trace(ctx, g)
 
 
-def is_quasi_reflection(ctx: AlgebraCtx, g: Mat2) -> bool:
-    """Pole order gkdim - 1 at t = 1 (classical reflection analogue)."""
-    return trace_form(ctx, g).pole_order_at_one() == ctx.gkdim - 1
-
-
 def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
     """
     Pole order gkdim - 2 or gkdim - 1 at t = 1, so reflections qualify too.
@@ -386,8 +403,7 @@ def generated_by_bireflections(ctx: AlgebraCtx, group: MatGroup) -> bool:
 # the full report
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class Theorem03Report:
+class Theorem03Report(typing.NamedTuple):
     """All invariants needed to decide the cyclotomic-Gorenstein picture."""
 
     ctx: AlgebraCtx
@@ -461,15 +477,35 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
 # monomial matrices on weighted polynomial rings (auxiliary checks)
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
 class MonomialMat:
     """
     An n x n monomial matrix: column j maps basis vector e_j to
-    scalars[j] * e_perm[j].
+    scalars[j] * e_perm[j].  Immutable; equal matrices hash equal.
     """
 
+    __slots__ = ("perm", "scalars")
     perm: tuple[int, ...]
     scalars: tuple[CycNum, ...]
+
+    def __init__(self, perm: tuple[int, ...], scalars: tuple[CycNum, ...]):
+        object.__setattr__(self, "perm", perm)
+        object.__setattr__(self, "scalars", scalars)
+
+    def __setattr__(self, *_):
+        raise AttributeError("MonomialMat is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.perm, self.scalars) == (other.perm, other.scalars)
+
+    def __hash__(self):
+        return hash((self.perm, self.scalars))
+
+    def __repr__(self):
+        return f"MonomialMat(perm={self.perm!r}, scalars={self.scalars!r})"
 
     @staticmethod
     def from_rows(rows) -> "MonomialMat":

@@ -20,7 +20,6 @@ serves only one eigenvalue search per element.
 """
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 import typing
@@ -33,14 +32,37 @@ from .intpoly import totient, totients_at_most
 DEFAULT_CAP = 10_000
 
 
-@dataclasses.dataclass(frozen=True)
 class Mat2:
-    """A 2x2 matrix with CycNum entries (row-major)."""
+    """A 2x2 matrix with CycNum entries (row-major).  Immutable; `@` is the
+    matrix product."""
 
+    __slots__ = ("a", "b", "c", "d")
     a: CycNum
     b: CycNum
     c: CycNum
     d: CycNum
+
+    def __init__(self, a: CycNum, b: CycNum, c: CycNum, d: CycNum):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, *_):
+        raise AttributeError("Mat2 is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.c, self.d))
+
+    def __repr__(self):
+        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -220,27 +242,51 @@ class ElementTable(typing.NamedTuple):
 _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 
 
-@dataclasses.dataclass(frozen=True)
 class MatGroup:
     """A finite group of 2x2 matrices, all stored at a common conductor, as
-    built by close_group, generated_subgroup or sl2_part."""
+    built by close_group, generated_subgroup or sl2_part.  Equality, hash and
+    repr use the elements, the generators and the conductor only."""
 
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
     conductor: int
     # The same elements, in the same order, in exponent form; None for
     # groups closed by CycNum products.
-    exp_form: monomial.ExpForm | None = dataclasses.field(
-        default=None, compare=False, repr=False)
+    exp_form: monomial.ExpForm | None
     # For groups closed by CycNum products, the Cayley table of monomial.closure
     # on the generators, or of monomial.subgroup on a subset of them.
-    cayley: list | None = dataclasses.field(default=None, compare=False, repr=False)
+    cayley: list | None
     # generated_subgroup results by index tuple.
-    _subgroups: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    _subgroups: dict
     # The fields of invariants.theorem03_report that depend on the group alone.
-    _facts: dict = dataclasses.field(
-        default_factory=dict, init=False, compare=False, repr=False)
+    _facts: dict
+
+    def __init__(self, elements: tuple[Mat2, ...], generators: tuple[Mat2, ...],
+                 conductor: int, exp_form: monomial.ExpForm | None = None,
+                 cayley: list | None = None):
+        # The instance dict, where cached_property also stores its values,
+        # because __setattr__ refuses.
+        vars(self).update(elements=elements, generators=generators,
+                          conductor=conductor, exp_form=exp_form, cayley=cayley,
+                          _subgroups={}, _facts={})
+
+    def __setattr__(self, *_):
+        raise AttributeError("MatGroup is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.elements, self.generators, self.conductor)
+                == (other.elements, other.generators, other.conductor))
+
+    def __hash__(self):
+        return hash((self.elements, self.generators, self.conductor))
+
+    def __repr__(self):
+        return (f"MatGroup(elements={self.elements!r}, "
+                f"generators={self.generators!r}, conductor={self.conductor!r})")
 
     def __len__(self):
         return len(self.elements)
@@ -462,8 +508,7 @@ def _det_and_eigen_exponents(g: Mat2, m: int) -> tuple[int, tuple[int, int]]:
 # classification
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class GroupLabel:
+class GroupLabel(typing.NamedTuple):
     family: str
     n: int | None
     order: int

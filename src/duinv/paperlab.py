@@ -10,7 +10,7 @@ CheckResult records; `run_suite` collects them by suite name.
 """
 from __future__ import annotations
 
-import dataclasses
+import typing
 from fractions import Fraction
 
 from .cycnum import CycNum, render_cyc, zeta
@@ -23,8 +23,7 @@ from .matgroup import Mat2, close_group, mat_c, standard_group
 from .ratfunc import RatFunc, stanley_gorenstein_test
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(typing.NamedTuple):
     check_id: str
     parameters: tuple[tuple[str, int], ...]
     passed: bool
@@ -402,13 +401,10 @@ def _jsonify(value):
         return list(value.coeffs)
     if isinstance(value, CycNum):
         return render_cyc(value)
+    if hasattr(value, "_asdict"):  # a NamedTuple record, by field
+        return {k: _jsonify(v) for k, v in value._asdict().items()}
     if isinstance(value, (tuple, list)):
         return [_jsonify(v) for v in value]
     if value is None or isinstance(value, (bool, int, str)):
         return value
-    if isinstance(value, Fraction):
-        return str(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: _jsonify(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
     return str(value)

@@ -3,11 +3,11 @@ Rational functions in one variable over the rationals, stored as coprime
 integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
-unique, so dataclass equality is true equality of rational functions.
+unique, so equality of the stored pair is true equality of rational
+functions.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,10 +17,35 @@ from .intpoly import (IntPoly, cyclotomic_times, is_cyclotomic_product,
                       poly_gcd_q)
 
 
-@dataclasses.dataclass(frozen=True)
 class RatFunc:
+    """num / den in canonical form; build one with make.  Immutable."""
+
+    __slots__ = ("num", "den")
     num: IntPoly
     den: IntPoly
+
+    def __init__(self, num: IntPoly, den: IntPoly):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, *_):
+        raise AttributeError("RatFunc is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self.den)
+
+    def __repr__(self):
+        return f"RatFunc(num={self.num!r}, den={self.den!r})"
 
     # -- construction --------------------------------------------------
 

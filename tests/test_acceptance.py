@@ -5,9 +5,9 @@ rational functions; the oracle suites compare exact routines against
 independent numeric computations.  Criteria 9 and 10 share one sweep over
 all admissible (algebra, group) pairs, computed once per module; check 13
 compares that sweep, the `duinv analyze` requests and the paperlab suite ops
-of the benchmark with the answers recorded in perfbench/golden/.
+of the benchmark with the answers recorded in perfbench/golden/, and answers
+on larger inputs with tests/golden/large.json.
 """
-import dataclasses
 import importlib
 import json
 import pathlib
@@ -175,8 +175,7 @@ def test_09_reports_on_a_cached_group_match_fresh_ones(monkeypatch):
                 params.setdefault(name, (gens, []))[1].append((alpha, beta))
 
     def fields(rep):
-        return {f.name: getattr(rep, f.name)
-                for f in dataclasses.fields(rep) if f.name != "ctx"}
+        return {k: v for k, v in rep._asdict().items() if k != "ctx"}
 
     def clear():
         monkeypatch.setattr(matgroup, "_closure_cache", {})
@@ -240,8 +239,9 @@ def test_12_four_variable_average():
 
 
 # ---------------------------------------------------------------------------
-# 13. golden answers: the outputs the benchmark judges against.  They change
-#     only through perfbench/capture_golden.py.
+# 13. golden answers: the outputs the benchmark judges against, which change
+#     only through perfbench/capture_golden.py, and answers on larger inputs,
+#     which change only through tests/large_golden.py.
 # ---------------------------------------------------------------------------
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
@@ -296,3 +296,13 @@ def test_13_paperlab_checks_match_golden():
         got[op["id"]] = digest(run())[0]
     assert got == {op_id: {"checks": checks, "failed_checks": []}
                    for op_id, checks in golden.items()}
+
+
+def test_13_large_inputs_match_golden():
+    """Molien series and reports on inputs larger than the benchmark's (see
+    tests/large_golden.py, which also regenerates the file)."""
+    from large_golden import GOLDEN, answers
+    golden = json.loads(GOLDEN.read_text())
+    got = answers(_perfbench("worker")._report_digest)
+    assert got.keys() == golden.keys()
+    assert [k for k in golden if got[k] != golden[k]] == []

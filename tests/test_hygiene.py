@@ -1,7 +1,8 @@
 """
 Source hygiene: checks in the library are real raises, not assert
 statements (which python -O strips), importing the package and its
-command-line front end does not load numpy, the command line runs as
+command-line front end loads neither numpy nor dataclasses, the value
+classes keep the contract of frozen records, the command line runs as
 `python -m duinv` and `python -m duinv.cli` alike, and it answers malformed
 input with its documented exit code and no traceback.
 """
@@ -9,10 +10,18 @@ import ast
 import json
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+
+from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
+                   MatGroup, MonomialMat, RatFunc, close_group, downup_trace,
+                   hdet_from_trace, is_cyclotomic_product, theorem03_report,
+                   zeta)
+from duinv.paperlab import CheckResult
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -26,11 +35,76 @@ def test_library_has_no_assert_statements():
 
 
 def test_import_does_not_load_numpy():
-    code = "import sys, duinv, duinv.cli; print('numpy' in sys.modules)"
+    """The start-up of every command-line call, `import duinv, duinv.cli`,
+    loads neither numpy nor dataclasses and the inspect module that
+    dataclasses imports, and binds the submodules the benchmark reads."""
+    code = ("import sys; before = set(sys.modules); import duinv, duinv.cli; "
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & (set(sys.modules) - before))); "
+            "print([name for name in ('paperlab', 'invariants', 'intpoly') "
+            "if not hasattr(duinv, name)])")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+def _value_pairs():
+    """Pairs of equal values of every value class, built apart."""
+    ctx = AlgebraCtx.down_up(1, 1)
+    g = Mat2.diag(zeta(4), zeta(4).inv())
+    trace = downup_trace(ctx, g)
+    report = theorem03_report(1, 1, [g])
+    return [
+        (IntPoly((1, -2, 0, 3)), IntPoly([1, -2, 0, 3, 0])),
+        (RatFunc.make(IntPoly((1, 1)), IntPoly((1, 0, -1))),
+         RatFunc.make(IntPoly((2,)), IntPoly((2, -2)))),
+        (is_cyclotomic_product(IntPoly((1, 0, 0, 0, 0, 0, -1))),  # 1 - t^6
+         CycFactorization(((1, 1), (2, 1), (3, 1), (6, 1)), -1)),
+        (ctx, AlgebraCtx("down_up", Fraction(1), Fraction(1))),
+        (g, Mat2.diag(zeta(4), -zeta(4))),
+        (MonomialMat.diag([zeta(3), 1]), MonomialMat.from_rows([[zeta(3), 0], [0, 1]])),
+        (trace, downup_trace(ctx, Mat2.diag(zeta(4), -zeta(4)))),
+        (hdet_from_trace(trace, 3), hdet_from_trace(trace, 3)),
+        (report.label, GroupLabel("Q1", 4, 4, ("Q1(n=4)", "C4", "BD4"))),
+        (report, theorem03_report(1, 1, [Mat2.diag(zeta(4), -zeta(4))])),
+        (CheckResult.compare("c", {"n": 2}, 1, 1), CheckResult("c", (("n", 2),), True, 1, 1)),
+    ]
+
+
+def test_value_classes_keep_the_record_contract():
+    for x, y in _value_pairs():
+        assert x is not y and x == y and not x != y, type(x).__name__
+        assert hash(x) == hash(y), type(x).__name__
+        field = next(iter(vars(type(x)).get("__annotations__", {})))
+        with pytest.raises(AttributeError):
+            setattr(x, field, None)
+    assert (repr(GroupLabel("Q1", 4, 4, ("Q1(n=4)", "C4")))
+            == "GroupLabel(family='Q1', n=4, order=4, all_matches=('Q1(n=4)', 'C4'))")
+    assert repr(IntPoly((1, -2, 0, 3))) == "IntPoly('3t^3 - 2t + 1')"
+    f = RatFunc.make(IntPoly((1,)), IntPoly((1, -1)))
+    assert repr(f) == "RatFunc(num=IntPoly('1'), den=IntPoly('-t + 1'))"
+    assert repr(Mat2.of(0, 1, 1, 0)) == ("Mat2(a=CycNum(1, ['0']), b=CycNum(1, ['1']), "
+                                         "c=CycNum(1, ['1']), d=CycNum(1, ['0']))")
+    assert repr(AlgebraCtx.jordan_plane()) == (
+        "AlgebraCtx(kind='jordan_plane', alpha=None, beta=None, q=None)")
+    for p in (IntPoly((1, 2)), f):
+        assert pickle.loads(pickle.dumps(p)) == p
+    # Arithmetic never falls back to tuple repetition or concatenation.
+    with pytest.raises(TypeError):
+        2 * f
+    with pytest.raises(TypeError):
+        Mat2.identity() + Mat2.identity()
+
+
+def test_mat_group_equality_ignores_its_caches():
+    group = close_group([Mat2.of(0, 1, 1, 0)])
+    bare = MatGroup(group.elements, group.generators, group.conductor)
+    theorem03_report(0, 1, group.generators)  # fills the facts of `group`
+    assert group._facts and not bare._facts and group.exp_form is not None
+    assert group == bare and hash(group) == hash(bare)
+    assert repr(bare) == repr(group) == (
+        f"MatGroup(elements={group.elements!r}, "
+        f"generators={group.generators!r}, conductor=1)")
 
 
 ANALYZE = ["analyze", "--alpha", "1", "--beta", "1", "--gen"]

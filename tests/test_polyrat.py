@@ -1,7 +1,8 @@
 """Integer polynomials, cyclotomic factorization and exact rational functions.
 
-The cyclotomic tester and the series expansion are cross-checked against the
-numerical oracles in _oracles.py.
+The cyclotomic tester is cross-checked against the numerical oracles in
+_oracles.py; the series expansion against its convolution oracle in
+test_acceptance.py (check 11).
 """
 from fractions import Fraction
 
@@ -242,11 +243,6 @@ def test_arithmetic_and_scale():
     from duinv.errors import NonNormalizableDenominator
     with pytest.raises(NonNormalizableDenominator):
         geo.scale(Fraction(3, 2))
-
-
-def test_series_against_convolution_oracle():
-    from _oracles import run_series_oracle_suite
-    run_series_oracle_suite(cases=100, n_terms=32)
 
 
 def test_pole_order_at_one():
