@@ -185,6 +185,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="duinv",
@@ -205,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("paperlab", help="run a reproduction suite")
     p.add_argument("--suite", default="all", choices=["all", *sorted(paperlab.SUITES)],
                    help="suite name or 'all' (see duinv.paperlab.run_suite)")
-    p.add_argument("--max-n", type=int, default=8, dest="max_n")
+    p.add_argument("--max-n", type=_at_least_one, default=8, dest="max_n")
     p.set_defaults(func=cmd_paperlab)
 
     p = sub.add_parser("classify", help="identify the group a set of matrices generates")

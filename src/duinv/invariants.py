@@ -331,9 +331,9 @@ def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):
         m = table.modulus
         return (1, 1, 2), m, [(x, y, (x + y) % m) for x, y in table.eigenvalues]
     if ctx.kind in ("skew_plane", "jordan_plane"):
-        for g, shape, (x, y) in zip(group, table.shapes, table.eigenvalues):
+        for i, (shape, (x, y)) in enumerate(zip(table.shapes, table.eigenvalues)):
             if shape != "diagonal" or (ctx.kind == "jordan_plane" and x != y):
-                plane_trace(ctx, g)  # raises the shape error for this g
+                plane_trace(ctx, group.elements[i])  # raises the shape error for it
         return (1, 1), table.modulus, list(table.eigenvalues)
     raise ValueError(f"molien does not handle context kind {ctx.kind!r}")
 
@@ -364,19 +364,19 @@ def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
         return g != Mat2.identity() and (g.det() == 1 or 1 in eigenvalues(g))
 
     return _bireflection_rule(ctx, trace_form(ctx, g).pole_order_at_one(),
-                              matrix_side, g)
+                              matrix_side, lambda: g)
 
 
-def _bireflection_rule(ctx: AlgebraCtx, poles: int, matrix_side, g) -> bool:
+def _bireflection_rule(ctx: AlgebraCtx, poles: int, matrix_side, element) -> bool:
     """
     The answer from the pole order at t = 1.  On a down-up algebra it must
     agree with matrix_side(), the matrix criterion (BireflectionMismatch
-    otherwise).
+    otherwise, naming the matrix element()).
     """
     ok = poles in (ctx.gkdim - 2, ctx.gkdim - 1)
     if ctx.kind == "down_up" and ok != matrix_side():
         raise BireflectionMismatch(
-            f"trace and matrix bireflection tests disagree on {g}")
+            f"trace and matrix bireflection tests disagree on {element()}")
     return ok
 
 
@@ -385,8 +385,9 @@ def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
     _, _, traces = _trace_exponents(ctx, group)
     table = group.table
     return [_bireflection_rule(ctx, trace.count(0),
-                               lambda: eig != (0, 0) and (det == 0 or 0 in eig), g)
-            for g, trace, det, eig in zip(group, traces, table.dets, table.eigenvalues)]
+                               lambda: eig != (0, 0) and (det == 0 or 0 in eig),
+                               lambda: group.elements[i])
+            for i, (trace, det, eig) in enumerate(zip(traces, table.dets, table.eigenvalues))]
 
 
 def bireflection_subgroup(ctx: AlgebraCtx, group: MatGroup) -> MatGroup:
@@ -464,7 +465,7 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
             cyclotomic=cyclotomic,
             cyclotomic_factors=fact.factors if fact is not None else None,
             noncyclotomic_witness=None if cyclotomic else series.num,
-            bireflection_count=len(bireflections.generators),
+            bireflection_count=len(bireflections._generator_indices),  # one per flag
             generated_by_bireflections=generated,
             condition_c2=c2,
             condition_c3=c3,
@@ -563,10 +564,10 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     weights = (1,) * n if weights is None else tuple(weights)
     if len(weights) != n or not all(isinstance(w, int) and w > 0 for w in weights):
         raise ValueError(f"weights must be {n} positive integers, got {weights}")
-    group = _close_monomials(gens, cap)
     if len(set(weights)) > 1 and any(g.perm != tuple(range(n)) for g in gens):
         # A permutation mixing variables of unequal weight does not act
         # on the weighted ring degree-wise; the group permutes variables
         # exactly when a generator does.
         raise NotAnAutomorphism("permutation mixes variables of different weights")
+    group = _close_monomials(gens, cap)
     return _average_inverse_products(weights, group.eigen_modulus, group.eigenvalues)

@@ -2,21 +2,18 @@
 2x2 matrices over cyclotomic fields, finite multiplicative closures, and
 recognition of the standard families of finite subgroups of GL_2.
 
-Group closure is breadth-first from the identity, so element order is
-deterministic for a given generator list.  All elements of a closure are
-stored at the least common multiple of the generators' conductors, which
-makes hashing and membership exact and cheap.
-
-Classification and the invariants read a group through its ElementTable:
-the shape, determinant, eigenvalues and order of every element as integers.
-Diagonal and antidiagonal generators (every Q1..Q8, C_n and BD_4n group, and
-any diagonal conjugate of one) close in the integer exponent form of
-`duinv.monomial`, and the table is read off that form.  Only non-monomial
+A group stores one integer form; no CycNum matrix is stored eagerly.  A
+closure is breadth-first from the identity, so element order is
+deterministic for a given generator list.  Diagonal and antidiagonal
+generators (every Q1..Q8, C_n and BD_4n group, and any diagonal conjugate of
+one) close in the exponent form of `duinv.monomial`.  Only non-monomial
 generators (the binary polyhedral groups, a group in a conjugated basis)
-close by CycNum matrix products.  Their closure records its Cayley table,
-the index of each element times each generator, so subgroups and element
-orders are read on indices; beyond the closure products, CycNum arithmetic
-serves only one eigenvalue search per element.
+close by CycNum matrix products, which record the Cayley table.  A subgroup
+is the list of its element indices in its closure.  Classification and the
+invariants read every group through its ElementTable: the shape,
+determinant, eigenvalues and order of each element as integers.  CycNum
+stays at the edges: the generators, the closure of non-monomial ones with
+one eigenvalue search per element, and `MatGroup.elements`, built on demand.
 """
 from __future__ import annotations
 
@@ -235,7 +232,7 @@ class ElementTable(typing.NamedTuple):
     @staticmethod
     def of_form(form: monomial.ExpForm) -> "ElementTable":
         return ElementTable(form.eigen_modulus,
-                            tuple(_PERM_SHAPES[perm] for perm in form.perms),
+                            tuple(_PERM_SHAPES[perm] for perm, _ in form.elements),
                             form.dets, tuple(tuple(sorted(e)) for e in form.eigenvalues))
 
 
@@ -243,32 +240,40 @@ _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 
 
 class MatGroup:
-    """A finite group of 2x2 matrices, all stored at a common conductor, as
-    built by close_group, generated_subgroup or sl2_part.  Equality, hash and
-    repr use the elements, the generators and the conductor only."""
+    """
+    A finite group of 2x2 matrices at a common conductor.  A closure (see
+    close_group) stores `exp_form` for diagonal and antidiagonal generators,
+    else its CycNum elements and the Cayley table of monomial.closure on the
+    generators.  A subgroup (see generated_subgroup) stores the indices of
+    its elements and generators among those of its closure, `_root`.
+    `elements`, and a subgroup's `generators`, are built on first read;
+    len() and `table` never build one.  Equality, hash and repr use the
+    elements, the generators and the conductor only.
+    """
 
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
     conductor: int
-    # The same elements, in the same order, in exponent form; None for
-    # groups closed by CycNum products.
     exp_form: monomial.ExpForm | None
-    # For groups closed by CycNum products, the Cayley table of monomial.closure
-    # on the generators, or of monomial.subgroup on a subset of them.
     cayley: list | None
-    # generated_subgroup results by index tuple.
-    _subgroups: dict
+    _root: "MatGroup"
+    _indices: typing.Sequence[int]
+    _generator_indices: tuple[int, ...]
+    _subgroups: dict  # a closure's generated_subgroup results; see remember
     # The fields of invariants.theorem03_report that depend on the group alone.
     _facts: dict
 
-    def __init__(self, elements: tuple[Mat2, ...], generators: tuple[Mat2, ...],
+    def __init__(self, elements: tuple[Mat2, ...] | None, generators: tuple[Mat2, ...],
                  conductor: int, exp_form: monomial.ExpForm | None = None,
                  cayley: list | None = None):
-        # The instance dict, where cached_property also stores its values,
+        # A closure, with `elements` None when `exp_form` holds them.  The
+        # instance dict, where cached_property also stores its values,
         # because __setattr__ refuses.
-        vars(self).update(elements=elements, generators=generators,
-                          conductor=conductor, exp_form=exp_form, cayley=cayley,
-                          _subgroups={}, _facts={})
+        vars(self).update(generators=generators, conductor=conductor, exp_form=exp_form,
+                          cayley=cayley, _root=self, _subgroups={}, _facts={},
+                          _indices=range(len(elements or exp_form.elements)))
+        if elements is not None:
+            vars(self)["elements"] = elements
 
     def __setattr__(self, *_):
         raise AttributeError("MatGroup is immutable")
@@ -289,7 +294,7 @@ class MatGroup:
                 f"generators={self.generators!r}, conductor={self.conductor!r})")
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._indices)
 
     def __iter__(self):
         return iter(self.elements)
@@ -300,18 +305,35 @@ class MatGroup:
         return m.key(lcm) in keys
 
     @functools.cached_property
+    def elements(self) -> tuple[Mat2, ...]:
+        if self._root is not self:
+            return tuple(self._root.elements[i] for i in self._indices)
+        zero = CycNum.zero().promoted(self.conductor)
+        return tuple(Mat2.from_monomial(*m, zero)
+                     for m in self.exp_form.monomials(self.conductor))
+
+    @functools.cached_property
+    def generators(self) -> tuple[Mat2, ...]:
+        return tuple(self._root.elements[i] for i in self._generator_indices)
+
+    @functools.cached_property
     def table(self) -> ElementTable:
-        """Shapes, determinants, eigenvalues and orders of the elements, read
-        off the exponent form when the group has one.  Otherwise an element's
-        order is the least power of its word that walks back to index 0, and
-        one CycNum search at that order finds its eigenvalues."""
+        """Shapes, determinants, eigenvalues and orders of the elements: a
+        subgroup's are its closure's rows at its indices.  A closure by CycNum
+        products finds an element's order as the least power that the index
+        product takes back to index 0, and its eigenvalues by one CycNum
+        search at that order."""
+        if self._root is not self:
+            modulus, *columns = self._root.table
+            return ElementTable(modulus, *(tuple(column[i] for i in self._indices)
+                                           for column in columns))
         if self.exp_form is not None:
             return ElementTable.of_form(self.exp_form)
         rows = []
-        for g, word in zip(self.elements, self.words):
-            power, m = self.times(0, word), 1
+        for i, g in enumerate(self.elements):
+            power, m = i, 1
             while power:
-                power, m = self.times(power, word), m + 1
+                power, m = self._product(power, i), m + 1
             det, eig = _det_and_eigen_exponents(g, m)
             rows.append([(m, det)] + [(m, k) for k in eig])
         m, exps = monomial.lift(rows)
@@ -327,8 +349,8 @@ class MatGroup:
     @functools.cached_property
     def words(self) -> list[tuple[int, ...]]:
         """Each element as a word in the Cayley table's columns, by a
-        breadth-first walk of the table from the identity (on the table of a
-        closure, the edges by which the closure found the elements)."""
+        breadth-first walk of the table from the identity (the edges by
+        which the closure found the elements)."""
         if self.cayley is None:
             raise ValueError("the group has no Cayley table; close it with close_group")
         words = [()] + [None] * (len(self) - 1)
@@ -340,11 +362,20 @@ class MatGroup:
                     queue.append(k)
         return words
 
-    def times(self, i: int, word) -> int:
-        """The index of elements[i] times the product of the word."""
-        for j in word:
-            i = self.cayley[i][j]
+    def _product(self, i: int, j: int) -> int:
+        """On a closure, the index of elements[i] @ elements[j]; on the
+        Cayley table, the walk of the word of j from i."""
+        form = self.exp_form
+        if form is not None:
+            return self._exp_index[monomial.mul(form.elements[i], form.elements[j],
+                                                form.modulus)]
+        for k in self.words[j]:
+            i = self.cayley[i][k]
         return i
+
+    @functools.cached_property
+    def _exp_index(self) -> dict:
+        return {x: i for i, x in enumerate(self.exp_form.elements)}
 
 
 # Closures, Molien series and down-up algebra contexts are memoized by their
@@ -381,7 +412,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
             raise SingularGenerator("group generator has zero determinant")
     form = monomial.exponent_form([g.monomial() for g in gens])
     if form is not None:
-        group = _from_form(form.closure(cap), tuple(gens), conductor)
+        group = MatGroup(None, tuple(gens), conductor, form.closure(cap))
     else:
         for g in gens:
             _check_finite_order(g)
@@ -420,34 +451,21 @@ def _order_bound(conductor: int) -> int:
     return totients_at_most(2 * totient(conductor))[-1]
 
 
-def _from_form(form: monomial.ExpForm, generators, conductor: int) -> MatGroup:
-    """The MatGroup whose elements, at `conductor`, are those of `form`."""
-    zero = CycNum.zero().promoted(conductor)
-    elements = tuple(Mat2.from_monomial(*m, zero) for m in form.monomials(conductor))
-    return MatGroup(elements, generators, conductor, form)
-
-
 def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     """
-    The closure of the elements of `group` at the given indices: in the
-    exponent form of `group` when it has one, on element indices through its
-    Cayley table otherwise, where h times a generator s walks the word of s
-    from h.  Either way the elements come in the order of close_group on
-    those generators (see monomial.subgroup), and no finite-order check runs.
+    The closure of the elements of `group` at the given indices, in the order
+    of close_group on them (see monomial.subgroup), with no finite-order
+    check: on indices into the closure of `group`, by its index product.
     """
-    key = tuple(indices)
-    sub = group._subgroups.get(key)
+    root = group._root
+    gens = tuple(group._indices[i] for i in indices)
+    sub = root._subgroups.get(gens)
     if sub is None:
-        gens = tuple(group.elements[i] for i in key)
-        if group.exp_form is None:
-            found, cayley = monomial.subgroup(
-                0, key, lambda i, j: group.times(i, group.words[j]), DEFAULT_CAP)
-            sub = MatGroup(tuple(group.elements[i] for i in found), gens,
-                           group.conductor, cayley=cayley)
-        else:
-            sub = _from_form(group.exp_form.subgroup(key, DEFAULT_CAP), gens,
-                             group.conductor)
-        group._subgroups[key] = sub
+        sub = MatGroup.__new__(MatGroup)
+        vars(sub).update(conductor=root.conductor, exp_form=None, cayley=None,
+                         _root=root, _generator_indices=gens,
+                         _indices=tuple(monomial.subgroup(0, gens, root._product, DEFAULT_CAP)))
+        remember(root._subgroups, gens, sub)
     return sub
 
 
@@ -459,26 +477,21 @@ def sl2_part(group: MatGroup) -> MatGroup:
 def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
     """
     The eigenvalue pair of a finite-order matrix, each an m-th root of unity
-    for m the order of g, sorted by exponent as a power of zeta_m.
+    for m the order of g, sorted by exponent as a power of zeta_m: read off
+    the exponent form when g has one.
     """
-    m, exps = _eigen_exponents(g, cap)
-    return tuple(zeta(m, k) for k in exps)
-
-
-def _eigen_exponents(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[int, tuple[int, int]]:
-    """The order m of a finite-order matrix, and its eigenvalues as sorted
-    exponents of zeta_m: read off the exponent form when g has one."""
     form = monomial.exponent_form([g.monomial()])
     if form is None:
         _check_finite_order(g)
         m = g.order(cap=min(cap, _order_bound(g.conductor())))
-        return m, _det_and_eigen_exponents(g, m)[1]
-    table = ElementTable.of_form(form)
-    m = table.orders[0]
-    if m > cap:
-        raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
-    step = table.modulus // m
-    return m, tuple(k // step for k in table.eigenvalues[0])
+        exps = _det_and_eigen_exponents(g, m)[1]
+    else:
+        table = ElementTable.of_form(form)
+        m = table.orders[0]
+        if m > cap:
+            raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
+        exps = [k // (table.modulus // m) for k in table.eigenvalues[0]]
+    return tuple(zeta(m, k) for k in exps)
 
 
 def _check_finite_order(g: Mat2) -> None:

@@ -60,32 +60,24 @@ def closure(identity, generators, mul, key, cap: int, size=None) -> tuple[list, 
     return elements, table
 
 
-def subgroup(identity, generators, mul, cap: int) -> tuple[list, list]:
+def subgroup(identity, generators, mul, cap: int) -> list:
     """
     The closure of the hashable `generators`, in the order of closure() on
     all of them, by way of a generating subset S that takes each generator
     the closure of S so far misses: at most log2 |G| members, and at most
     |G| |S|^2 products to close <S> anew after each.  The walk over all the
     generators then stops once it has found |<S>|, mostly within a few of
-    the |G| rows a full closure on them would take.  Returns the elements
-    and their Cayley table on S, renumbered from the last closure of S.
+    the |G| rows a full closure on them would take.
     """
     def close(gens, size=None):
-        return closure(identity, gens, mul, lambda x: x, cap, size)
+        return closure(identity, gens, mul, lambda x: x, cap, size)[0]
 
-    chosen, (elements, table) = [], close(())
-    found = set(elements)
+    chosen, found = [], {identity}
     for g in generators:
         if g not in found:
             chosen.append(g)
-            elements, table = close(chosen)
-            found = set(elements)
-    walk, _ = close(generators, len(elements))
-    pos = {x: k for k, x in enumerate(walk)}
-    renumbered = [None] * len(walk)
-    for x, row in zip(elements, table):
-        renumbered[pos[x]] = [pos[elements[j]] for j in row]
-    return walk, renumbered
+            found = set(close(chosen))
+    return close(generators, len(found))
 
 
 def mul(x: Elem, y: Elem, modulus: int) -> Elem:
@@ -188,19 +180,6 @@ class ExpForm:
         elements, _ = closure((tuple(range(n)), (0,) * n), self.elements,
                               functools.partial(mul, modulus=self.modulus), lambda x: x, cap)
         return ExpForm(self.modulus, tuple(elements), self.basis)
-
-    def subgroup(self, indices, cap: int) -> "ExpForm":
-        """The group generated by the elements at the given indices, in the
-        order of closure() on all of them (see subgroup())."""
-        n = len(self.elements[0][0])
-        elements, _ = subgroup((tuple(range(n)), (0,) * n),
-                                  [self.elements[i] for i in indices],
-                                  functools.partial(mul, modulus=self.modulus), cap)
-        return ExpForm(self.modulus, tuple(elements), self.basis)
-
-    @property
-    def perms(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(perm for perm, _ in self.elements)
 
     def monomials(self, conductor: int) -> list[tuple[tuple[int, ...], tuple]]:
         """Every element as (perm, scalars) in the standard basis, with CycNum

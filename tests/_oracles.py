@@ -5,8 +5,9 @@ Each suite cross-checks an exact routine against a computation that shares no
 code with it: complex root finding, Graeffe root squaring and trial division
 by Phi_d for the cyclotomic tester, the gcd over Q for cancellation,
 truncated geometric-series convolution for power-series coefficients, the
-complex embedding for cyclotomic arithmetic, and CycNum matrix products for
-group closures and eigenvalues.
+complex embedding for cyclotomic arithmetic, CycNum matrix products for
+group closures and eigenvalues, and lattice counts for the Molien series of
+2x2 monomial groups.
 """
 import cmath
 import functools
@@ -339,10 +340,10 @@ def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
 def _subgroup_by_all_generators(form, indices, cap: int) -> tuple:
     """
     The breadth-first closure of the elements of an exponent form at the
-    given indices, with every one of them as a generator, as ExpForm.subgroup
-    computed it before it grew a generating subset: |<S>| len(indices)
-    products.  The reference for ExpForm.subgroup and, on exponent-form
-    groups, generated_subgroup.
+    given indices, with every one of them as a generator, as subgroups were
+    computed before monomial.subgroup grew a generating subset: |<S>|
+    len(indices) products.  The reference for monomial.subgroup and, on
+    exponent-form groups, generated_subgroup.
     """
     n = len(form.elements[0][0])
     elements, _ = monomial.closure((tuple(range(n)), (0,) * n),
@@ -388,3 +389,60 @@ def _monomial_eigenvalues(m: MonomialMat) -> tuple[CycNum, ...]:
         mu = zeta(ell * o, root_power_exponent(product, o))
         out.extend(mu * zeta(ell, r) for r in range(ell))
     return tuple(out)
+
+
+# ---------------------------------------------------------------------------
+# Molien series of 2x2 monomial groups by lattice counts
+# ---------------------------------------------------------------------------
+
+def _lattice_molien_coeffs(modulus: int, generators, count: int) -> list[Fraction]:
+    """
+    The first `count` coefficients of the Molien series on a down-up algebra
+    of the group generated by 2x2 monomial matrices (anti, x, y): column 0
+    holds zeta_modulus^x and column 1 holds zeta_modulus^y, on the diagonal,
+    or off it when `anti` is 1.  Integers only, and no duinv code:
+
+    - diag(zeta^x, zeta^y) has the trace series sum over a, b, c of
+      zeta^(p x + q y) t^(a + b + 2c) with p = a + c and q = b + c.  Over the
+      diagonal subgroup D the character zeta^(p x + q y) sums to |D| when it
+      is trivial on D and to 0 otherwise, and min(p, q) + 1 triples (a, b, c)
+      give p and q;
+    - an antidiagonal g with entries b and c has the trace series
+      1 / (1 - (bc)^2 t^4).  Over its coset sD, bc is bc(s) det(d), so the
+      coset adds bc(s)^(k/2) |D| at t^k when 4 | k and det^(k/2) is trivial
+      on D; then bc(s)^(k/2) = +-1, as s^2 = bc(s) I lies in D.
+    """
+    m = modulus
+
+    def mul(g, h):
+        # h sends e_0 to zeta^u e_t and e_1 to zeta^v e_(1-t); g scales
+        # e_j by its column-j exponent and sends it to e_(j xor s).
+        s, x, y = g
+        t, u, v = h
+        col = (x, y)
+        return s ^ t, (u + col[t]) % m, (v + col[1 - t]) % m
+
+    group, todo = {(0, 0, 0)}, [(0, 0, 0)]
+    while todo:
+        g = todo.pop()
+        for h in generators:
+            p = mul(g, h)
+            if p not in group:
+                group.add(p)
+                todo.append(p)
+    diag = [(x, y) for s, x, y in group if s == 0]
+    anti = [(x, y) for s, x, y in group if s == 1]
+
+    @functools.cache
+    def trivial(p: int, q: int) -> bool:
+        return all((p * x + q * y) % m == 0 for x, y in diag)
+
+    out = []
+    for k in range(count):
+        total = sum(min(p, k - p) + 1 for p in range(k + 1) if trivial(p % m, (k - p) % m))
+        if anti and k % 4 == 0 and trivial(k // 2 % m, k // 2 % m):
+            e = sum(anti[0]) * (k // 2) % m
+            assert 2 * e % m == 0, "bc(s)^(k/2) is not +-1"
+            total += 1 if e == 0 else -1
+        out.append(Fraction(total * len(diag), len(group)))
+    return out

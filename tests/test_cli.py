@@ -225,6 +225,15 @@ def test_paperlab_unknown_suite_is_a_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("max_n", ["0", "-1", "x"])
+def test_paperlab_max_n_below_one_is_a_usage_error(capsys, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main(["paperlab", "--suite", "flag-table", "--max-n", max_n])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--max-n: must be an integer of at least 1" in out.err
+
+
 def test_paperlab_suite_choices_are_the_suite_names():
     sub = next(a for a in build_parser()._actions if a.dest == "command")
     suite = next(a for a in sub.choices["paperlab"]._actions if a.dest == "suite")

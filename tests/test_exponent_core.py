@@ -30,8 +30,9 @@ from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup, _order_bo
 from duinv.ratfunc import RatFunc
 
 from _oracles import (_cayley_by_products, _close_by_products,
-                      _eigen_exponents_by_search, _monomial_eigenvalues, _monomial_key,
-                      _monomial_product, _subgroup_by_all_generators)
+                      _eigen_exponents_by_search, _lattice_molien_coeffs,
+                      _monomial_eigenvalues, _monomial_key, _monomial_product,
+                      _subgroup_by_all_generators)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -151,6 +152,25 @@ def test_monomial_groups_match_cycnum_reference(gens):
     reference = _average_inverse_products(
         shape, *_root_exponents([_monomial_eigenvalues(m) for m in ref]))
     assert polyring_molien(gens, cap=CAP) == reference
+
+
+@st.composite
+def exponent_generator_sets(draw):
+    """(M, generators): one to three 2x2 monomial matrices (anti, x, y) with
+    entries zeta_M^x and zeta_M^y, M <= 24."""
+    m = draw(st.integers(1, 24))
+    exps = st.integers(0, m - 1)
+    return m, draw(st.lists(st.tuples(st.integers(0, 1), exps, exps), min_size=1, max_size=3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(exponent_generator_sets())
+def test_molien_matches_lattice_counts(case):
+    m, gens = case
+    mats = [Mat2.of(0, zeta(m, y), zeta(m, x), 0) if anti else Mat2.diag(zeta(m, x), zeta(m, y))
+            for anti, x, y in gens]
+    series = molien(AlgebraCtx.down_up(0, 1), close_group(mats))
+    assert series.series_coeffs(25) == _lattice_molien_coeffs(m, gens, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +318,8 @@ def test_generated_subgroup_matches_all_generator_closure(gens, data):
         return
     indices = data.draw(_index_lists(len(group)))
     sub = generated_subgroup(group, indices)
-    assert sub.exp_form.elements == \
+    assert sub._root is group
+    assert tuple(group.exp_form.elements[i] for i in sub._indices) == \
         _subgroup_by_all_generators(group.exp_form, indices, CAP)
     expected = _close_by_products([group.elements[i] for i in indices],
                                   group.conductor, CAP)
@@ -315,9 +336,13 @@ def test_exp_form_subgroup_matches_all_generator_closure(gens, data):
     except (GroupTooLarge, InfiniteOrderSuspected):
         return
     indices = data.draw(_index_lists(len(form.elements)))
-    sub = form.subgroup(indices, CAP)
-    assert sub.elements == _subgroup_by_all_generators(form, indices, CAP)
-    assert sub.modulus == form.modulus and sub.basis is form.basis
+    # monomial.subgroup on element indices, as generated_subgroup runs it
+    index = {x: i for i, x in enumerate(form.elements)}
+    found = monomial.subgroup(
+        0, indices, lambda i, j: index[monomial.mul(form.elements[i], form.elements[j],
+                                                    form.modulus)], CAP)
+    assert tuple(form.elements[i] for i in found) == \
+        _subgroup_by_all_generators(form, indices, CAP)
 
 
 @pytest.mark.parametrize("family", [5, 6, 7, 8])
@@ -438,7 +463,7 @@ def test_sl2_part_keeps_group_order_and_table_rows(gens):
     sl2 = sl2_part(group)
     assert sl2.elements == sl2.generators == tuple(group.elements[i] for i in keep)
     assert sl2.conductor == group.conductor
-    assert (sl2.exp_form is None) == (group.exp_form is None)
+    assert sl2._root is group and sl2.exp_form is None
     assert _normalized_rows(sl2.table, range(len(sl2))) == \
         _normalized_rows(group.table, keep)
 
@@ -464,6 +489,25 @@ def test_cayley_subgroup_matches_products_reference(name, data):
         _keys(expected, group.conductor)
 
 
+@pytest.mark.parametrize("gens,sl2_label", [(BT + [Mat2.diag(I, I)], "BT"), (BO, "BO"),
+                                            (BI, "BI")], ids=["BTxiI", "BO", "BI"])
+def test_cayley_subgroup_tables_are_the_closure_rows(gens, sl2_label, monkeypatch):
+    """Classifying the SL_2 part and the bireflection subgroup of a closed
+    non-monomial group reads the closure's table rows: no eigenvalue search
+    runs beyond the closure's own."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group(gens)
+    group.table
+    calls = []
+    search = matgroup._det_and_eigen_exponents
+    monkeypatch.setattr(matgroup, "_det_and_eigen_exponents",
+                        lambda *a: calls.append(1) or search(*a))
+    assert classify(sl2_part(group)).family == sl2_label
+    sub = bireflection_subgroup(AlgebraCtx.down_up(0, 1), group)
+    assert classify(sub).order == len(sub)
+    assert not calls, len(calls)
+
+
 def test_cayley_subgroup_walk_budget(monkeypatch):
     """BO on A(0, 1) has 47 bireflections.  A closure with every one of them
     as a generator walks 48 x 47 = 2256 words; the subgroup of a fresh BO
@@ -471,9 +515,9 @@ def test_cayley_subgroup_walk_budget(monkeypatch):
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     group = close_group(BO)
     calls = []
-    times = MatGroup.times
-    monkeypatch.setattr(MatGroup, "times",
-                        lambda *a: calls.append(1) or times(*a))
+    product = MatGroup._product
+    monkeypatch.setattr(MatGroup, "_product",
+                        lambda *a: calls.append(1) or product(*a))
     sub = bireflection_subgroup(AlgebraCtx.down_up(0, 1), group)
     assert len(sub.generators) == 47 and len(sub) == len(group) == 48
     assert len(calls) <= 400, len(calls)

@@ -314,6 +314,38 @@ def test_report_on_a_cached_group_promotes_nothing(monkeypatch):
     assert not calls, calls
 
 
+@pytest.mark.parametrize("family", [1, 7, 8])
+def test_cold_report_builds_no_matrix(family, monkeypatch):
+    """A cold report on an exponent-form group reads its integer form only:
+    it constructs no Mat2 and never turns the exponent form back into
+    CycNum scalars."""
+    gens = standard_group(family, 8).generators
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    monkeypatch.setattr(invariants, "_molien_cache", {})
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a: calls.update([name]) or fn(*a))
+
+    count(Mat2, "__init__")
+    count(monomial.ExpForm, "monomials")
+    report = theorem03_report(3, -1, gens)
+    assert len(report.group) == (8 if family == 1 else 64) and report.bireflection_count
+    assert not calls, calls
+
+
+def test_subgroup_cache_is_bounded(monkeypatch):
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group([mat_c(zeta(64))])
+    first = matgroup.generated_subgroup(group, [1])
+    for k in range(matgroup._CACHE_SIZE + 10):  # one entry per index pair
+        matgroup.generated_subgroup(group, [k % 64, k // 64])
+    assert len(group._subgroups) == matgroup._CACHE_SIZE
+    again = matgroup.generated_subgroup(group, [1])  # evicted, so closed anew
+    assert again is not first and again == first
+
+
 @pytest.mark.parametrize("family,alpha,beta", [(7, 3, -1), (8, 0, 1)])
 def test_bireflection_subgroup_product_budget(family, alpha, beta, monkeypatch):
     """Q7(8) and Q8(8) have 49 and 47 bireflections.  The subgroup they
@@ -360,10 +392,18 @@ def test_polyring_molien_cyclic():
     assert series.series_coeffs(5) == [Fraction(x) for x in (1, 0, 3, 0, 5)]
 
 
-def test_polyring_molien_weighted_guard():
+def test_polyring_molien_weighted_guard(monkeypatch):
+    closures = []
+    monkeypatch.setattr(invariants, "_close_monomials",
+                        lambda *args: closures.append(args))
     swap = MonomialMat.from_rows([[0, 1], [1, 0]])
-    with pytest.raises(NotAnAutomorphism):
-        polyring_molien([swap], weights=(1, 2))
+    # With diag(zeta_200, 1) the swap generates a finite group of order
+    # 80 000, beyond the cap: the weights are checked before any closure.
+    for gens in ([swap], [swap, MonomialMat.diag([zeta(200), 1])],
+                 [swap, MonomialMat.diag([zeta(3), 1])]):
+        with pytest.raises(NotAnAutomorphism):
+            polyring_molien(gens, weights=(1, 2))
+    assert closures == []
 
 
 @pytest.mark.parametrize("degree", [0, -1])
