@@ -22,6 +22,7 @@ import cmath
 import math
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DivisionByZero, PromotionOverflow, ZeroConductor
 from .intpoly import _fdivmod, cyclotomic_poly, divisors, factorize, totient
 
@@ -59,7 +60,7 @@ def _canon(c):
     return int(c.numerator) if c.denominator == 1 else c
 
 
-class CycNum:
+class CycNum(Record):
     """An element of Q(zeta_n) with exact rational coordinates."""
 
     __slots__ = ("conductor", "coeffs", "_hash")
@@ -76,9 +77,6 @@ class CycNum:
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", vec)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("CycNum is immutable")
 
     # -- construction --------------------------------------------------
 

@@ -16,10 +16,11 @@ import math
 import typing
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ZeroPolynomial
 
 
-class IntPoly:
+class IntPoly(Record):
     """
     Dense integer polynomial, lowest coefficient first.  Immutable; equal
     polynomials hash equal.
@@ -28,7 +29,7 @@ class IntPoly:
     IntPoly('t^3 + t^2 + t + 1')
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = _fields = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
@@ -37,19 +38,6 @@ class IntPoly:
         while end and coeffs[end - 1] == 0:
             end -= 1
         object.__setattr__(self, "coeffs", coeffs[:end])
-
-    def __setattr__(self, *_):
-        raise AttributeError("IntPoly is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs,))
 
     def __reduce__(self):
         return IntPoly, (self.coeffs,)

@@ -29,6 +29,7 @@ from collections import Counter
 from fractions import Fraction
 
 from . import monomial
+from ._record import Record
 from .cycnum import CycNum
 from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
@@ -51,10 +52,11 @@ class AutShape(enum.Enum):
 _down_up_cache: dict = {}  # AlgebraCtx.down_up by (alpha, beta) as passed; see remember
 
 
-class AlgebraCtx:
+class AlgebraCtx(Record):
     """A graded algebra a 2x2 (or monomial) matrix group can act on.
     Immutable; equal contexts hash equal."""
 
+    _fields = ("kind", "alpha", "beta", "q")
     kind: str  # "down_up" | "skew_plane" | "jordan_plane"
     alpha: Fraction | None
     beta: Fraction | None
@@ -65,24 +67,6 @@ class AlgebraCtx:
         # The instance dict, where cached_property also stores its value,
         # because __setattr__ refuses.
         vars(self).update(kind=kind, alpha=alpha, beta=beta, q=q)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgebraCtx is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.kind, self.alpha, self.beta, self.q)
-                == (other.kind, other.alpha, other.beta, other.q))
-
-    def __hash__(self):
-        return hash((self.kind, self.alpha, self.beta, self.q))
-
-    def __repr__(self):
-        return (f"AlgebraCtx(kind={self.kind!r}, alpha={self.alpha!r}, "
-                f"beta={self.beta!r}, q={self.q!r})")
 
     @staticmethod
     def down_up(alpha, beta) -> "AlgebraCtx":
@@ -478,35 +462,19 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
 # monomial matrices on weighted polynomial rings (auxiliary checks)
 # ---------------------------------------------------------------------------
 
-class MonomialMat:
+class MonomialMat(Record):
     """
     An n x n monomial matrix: column j maps basis vector e_j to
     scalars[j] * e_perm[j].  Immutable; equal matrices hash equal.
     """
 
-    __slots__ = ("perm", "scalars")
+    __slots__ = _fields = ("perm", "scalars")
     perm: tuple[int, ...]
     scalars: tuple[CycNum, ...]
 
     def __init__(self, perm: tuple[int, ...], scalars: tuple[CycNum, ...]):
         object.__setattr__(self, "perm", perm)
         object.__setattr__(self, "scalars", scalars)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MonomialMat is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.perm, self.scalars) == (other.perm, other.scalars)
-
-    def __hash__(self):
-        return hash((self.perm, self.scalars))
-
-    def __repr__(self):
-        return f"MonomialMat(perm={self.perm!r}, scalars={self.scalars!r})"
 
     @staticmethod
     def from_rows(rows) -> "MonomialMat":

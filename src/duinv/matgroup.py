@@ -22,18 +22,19 @@ import math
 import typing
 
 from . import monomial
+from ._record import Record
 from .cycnum import CycNum, zeta
-from .errors import InfiniteOrderSuspected, SingularGenerator
+from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from .intpoly import totient, totients_at_most
 
 DEFAULT_CAP = 10_000
 
 
-class Mat2:
+class Mat2(Record):
     """A 2x2 matrix with CycNum entries (row-major).  Immutable; `@` is the
     matrix product."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = _fields = ("a", "b", "c", "d")
     a: CycNum
     b: CycNum
     c: CycNum
@@ -44,22 +45,6 @@ class Mat2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
-
-    def __setattr__(self, *_):
-        raise AttributeError("Mat2 is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"Mat2(a={self.a!r}, b={self.b!r}, c={self.c!r}, d={self.d!r})"
 
     @staticmethod
     def of(a, b, c, d) -> "Mat2":
@@ -239,7 +224,7 @@ class ElementTable(typing.NamedTuple):
 _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 
 
-class MatGroup:
+class MatGroup(Record):
     """
     A finite group of 2x2 matrices at a common conductor.  A closure (see
     close_group) stores `exp_form` for diagonal and antidiagonal generators,
@@ -251,6 +236,7 @@ class MatGroup:
     elements, the generators and the conductor only.
     """
 
+    _fields = ("elements", "generators", "conductor")
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
     conductor: int
@@ -275,24 +261,6 @@ class MatGroup:
         if elements is not None:
             vars(self)["elements"] = elements
 
-    def __setattr__(self, *_):
-        raise AttributeError("MatGroup is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.elements, self.generators, self.conductor)
-                == (other.elements, other.generators, other.conductor))
-
-    def __hash__(self):
-        return hash((self.elements, self.generators, self.conductor))
-
-    def __repr__(self):
-        return (f"MatGroup(elements={self.elements!r}, "
-                f"generators={self.generators!r}, conductor={self.conductor!r})")
-
     def __len__(self):
         return len(self._indices)
 
@@ -300,9 +268,15 @@ class MatGroup:
         return iter(self.elements)
 
     def __contains__(self, m: Mat2) -> bool:
-        lcm = math.lcm(self.conductor, m.conductor())
-        keys = {e.key(lcm) for e in self.elements}
-        return m.key(lcm) in keys
+        if self.conductor % m.conductor():
+            lcm = math.lcm(self.conductor, m.conductor())
+            return m.key(lcm) in {e.key(lcm) for e in self.elements}
+        return m.key(self.conductor) in self._keys
+
+    @functools.cached_property
+    def _keys(self) -> frozenset:
+        """The elements' exact forms at the group's conductor (see Mat2.key)."""
+        return frozenset(e.key(self.conductor) for e in self.elements)
 
     @functools.cached_property
     def elements(self) -> tuple[Mat2, ...]:
@@ -396,10 +370,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     roots of unity (see monomial.exponent_form), or a non-monomial
     generator whose determinant is not a root of unity, whose eigenvalue
     is repeated, or whose powers up to the bound of _order_bound are not
-    the identity.  Closures are memoized by each generator entry's own
-    conductor and coefficients: equal keys mean equal matrices, so a hit
-    returns the same group and runs none of these checks, and the same value
-    written at another conductor only misses and is closed anew.
+    the identity.  Non-monomial generators are closed up to the smaller of
+    `cap` and _group_order_bound; GroupTooLarge at that bound names it, and
+    means the group is infinite.  Closures are memoized by each generator
+    entry's own conductor and coefficients: equal keys mean equal matrices,
+    so a hit returns the same group and runs none of these checks, and the
+    same value written at another conductor only misses and is closed anew.
     """
     gens = list(generators) or [Mat2.identity()]
     cache_key = (tuple([_exact_key(e) for g in gens for e in g.entries()]), cap)
@@ -419,8 +395,15 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
             g.order(cap=_order_bound(g.conductor()))
         ident, *lifted = [Mat2(*(e.promoted(conductor) for e in g.entries()))
                           for g in (Mat2.identity(), *gens)]
-        elements, cayley = monomial.closure(ident, lifted, Mat2.__matmul__,
-                                            lambda m: m.key(conductor), cap)
+        limit = min(cap, _group_order_bound(conductor))
+        try:
+            elements, cayley = monomial.closure(ident, lifted, Mat2.__matmul__,
+                                                lambda m: m.key(conductor), limit)
+        except GroupTooLarge:
+            if limit == cap:
+                raise
+            raise GroupTooLarge(f"closure exceeded {limit} elements, the most a finite "
+                                f"subgroup of GL_2(Q(zeta_{conductor})) has") from None
         group = MatGroup(tuple(elements), tuple(gens), conductor, cayley=cayley)
     return remember(_closure_cache, cache_key, group)
 
@@ -449,6 +432,23 @@ def _order_bound(conductor: int) -> int:
     hence phi(m) <= 2 phi(conductor), and m is at most the largest such index.
     """
     return totients_at_most(2 * totient(conductor))[-1]
+
+
+def _group_order_bound(conductor: int) -> int:
+    """
+    B(n) = max(R^2, lcm(2, n) max(60, 2R)) with R = _order_bound(n): an upper
+    bound on the order of a finite subgroup G of GL_2(Q(zeta_n)), whose
+    elements all have order at most R.  If G is reducible over C, it is
+    diagonalizable (Maschke), so abelian, and it embeds in the product of
+    its two eigenvalue characters.  The image of each is cyclic, generated
+    by the image of one element, so of order at most R.  If G is
+    irreducible, the kernel of G -> PGL_2 is its scalar matrices, roots of
+    unity in Q(zeta_n), of which there are lcm(2, n).  The image is cyclic,
+    dihedral of order 2k, A_4, S_4 or A_5, and k <= R, as an element's image
+    has the order of its eigenvalue ratio.
+    """
+    r = _order_bound(conductor)
+    return max(r * r, math.lcm(2, conductor) * max(60, 2 * r))
 
 
 def generated_subgroup(group: MatGroup, indices) -> MatGroup:

@@ -11,16 +11,17 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from ._record import Record
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
                      ZeroDenominator, ZeroFunction)
 from .intpoly import (IntPoly, cyclotomic_times, is_cyclotomic_product,
                       poly_gcd_q)
 
 
-class RatFunc:
+class RatFunc(Record):
     """num / den in canonical form; build one with make.  Immutable."""
 
-    __slots__ = ("num", "den")
+    __slots__ = _fields = ("num", "den")
     num: IntPoly
     den: IntPoly
 
@@ -28,24 +29,8 @@ class RatFunc:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __setattr__(self, *_):
-        raise AttributeError("RatFunc is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __reduce__(self):
         return RatFunc, (self.num, self.den)
-
-    def __repr__(self):
-        return f"RatFunc(num={self.num!r}, den={self.den!r})"
 
     # -- construction --------------------------------------------------
 

@@ -218,7 +218,8 @@ def cancel_by_gcd(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
 
 def run_series_oracle_suite(cases: int = 100, n_terms: int = 32,
                             seed: int = 77) -> None:
-    """1/den equals the truncated expansion sum_k (1 - den)^k by convolution."""
+    """1/den equals the truncated expansion sum_k (1 - den)^k by convolution,
+    in ints: den(0) = 1, so every term of the expansion is an integer."""
     rng = random.Random(seed)
     N = n_terms
     for _ in range(cases):
@@ -229,16 +230,16 @@ def run_series_oracle_suite(cases: int = 100, n_terms: int = 32,
         f = RatFunc(num, den)  # possibly non-canonical; series only divides
         got = f.series_coeffs(N)
         # oracle: inv = sum_{k} g^k truncated, with g = 1 - den
-        g = [Fraction(0) - c for c in den.coeffs]
+        g = [-c for c in den.coeffs]
         g[0] += 1
-        inv = [Fraction(0)] * N
-        inv[0] = Fraction(1)
-        powg = [Fraction(1)] + [Fraction(0)] * (N - 1)
+        inv = [0] * N
+        inv[0] = 1
+        powg = [1] + [0] * (N - 1)
         for _k in range(1, N):
             powg = [sum(powg[i] * (g[j - i] if 0 <= j - i < len(g) else 0)
                         for i in range(j + 1)) for j in range(N)]
             inv = [a + b for a, b in zip(inv, powg)]
-        expected = [sum(Fraction(num[i]) * inv[k - i] for i in range(k + 1))
+        expected = [sum(num[i] * inv[k - i] for i in range(k + 1))
                     for k in range(N)]
         assert got == expected
 

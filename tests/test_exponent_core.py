@@ -24,8 +24,9 @@ from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products
                               close_monomial_group, hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
-from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup, _order_bound,
-                            classify, close_group, eigenvalues, generated_subgroup,
+from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup,
+                            _group_order_bound, _order_bound, classify,
+                            close_group, eigenvalues, generated_subgroup,
                             mat_c, mat_d1, mat_s, mat_s1, sl2_part, standard_group)
 from duinv.ratfunc import RatFunc
 
@@ -586,6 +587,24 @@ def test_binary_icosahedral_report():
     assert report.cyclotomic
 
 
+def test_repeated_membership_builds_no_element_keys(monkeypatch):
+    """The group keeps its elements' keys: a test at a conductor dividing
+    the group's builds only the key of the matrix under test; any other
+    conductor compares at the common one, as before."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group(BI)
+    calls = []
+    key = Mat2.key
+    monkeypatch.setattr(Mat2, "key", lambda m, n: calls.append(m) or key(m, n))
+    g = group.elements[7]
+    assert g in group and len(calls) == len(group) + 1
+    for _ in range(5):
+        assert g in group and mat_s() not in group
+    assert len(calls) == len(group) + 11
+    assert Mat2.diag(zeta(7), 1) not in group
+    assert Mat2.of(1, 0, 0, zeta(7) ** 7) in group
+
+
 @pytest.mark.parametrize("gens,first,second", [
     ([mat_s(), mat_c(zeta(3))], (3, -1), (1, 1)),  # Q6(3): antidiagonal
     (BT, (0, 1), (3, -1)),                          # BT: neither shape
@@ -609,10 +628,21 @@ def test_cycnum_closure_cap_is_exact():
     assert len(close_group(BT, cap=24)) == 24
 
 
-def test_sl2z_pair_exceeds_the_cap():
+def test_sl2z_pair_exceeds_the_cap(monkeypatch):
     # Both generators have finite order, 4 and 6, but they generate SL_2(Z).
+    gens = [Mat2.of(0, -1, 1, 0), Mat2.of(0, -1, 1, 1)]
     with pytest.raises(GroupTooLarge):
-        close_group([Mat2.of(0, -1, 1, 0), Mat2.of(0, -1, 1, 1)], cap=200)
+        close_group(gens, cap=200)
+    # No finite subgroup of GL_2(Q) has more than 120 elements, so the
+    # closure stops at its 121st: at most two products per element found,
+    # after at most _order_bound(1) products per generator to check its order.
+    assert [_group_order_bound(n) for n in (1, 4, 8)] == [120, 240, 900]
+    calls = []
+    matmul = Mat2.__matmul__
+    monkeypatch.setattr(Mat2, "__matmul__", lambda x, y: calls.append(1) or matmul(x, y))
+    with pytest.raises(GroupTooLarge, match="exceeded 120 elements"):
+        close_group(gens)
+    assert len(calls) <= 2 * 120 + 2 * _order_bound(1)
 
 
 @pytest.mark.parametrize("gens,alpha,beta", [(BT, 0, 1), (BO, 2, -1)])

@@ -21,6 +21,7 @@ from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
                    MatGroup, MonomialMat, RatFunc, close_group, downup_trace,
                    hdet_from_trace, is_cyclotomic_product, theorem03_report,
                    zeta)
+from duinv._record import Record
 from duinv.paperlab import CheckResult
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
@@ -94,6 +95,61 @@ def test_value_classes_keep_the_record_contract():
         2 * f
     with pytest.raises(TypeError):
         Mat2.identity() + Mat2.identity()
+
+
+def _bare_group(*gens):
+    group = close_group(gens)
+    return MatGroup(group.elements, group.generators, group.conductor)
+
+
+# The seven classes built on Record: a builder of a value, called twice for
+# two equal values built apart; a field; the methods the class keeps for a
+# meaning of its own; and the value's repr and hash as they were before the
+# classes shared the base (64-bit hashes).  AlgebraCtx hashes a str and
+# None, whose hashes change from run to run, so its pin is the hash of its
+# field tuple.
+RECORDS = {
+    "CycNum": (lambda: zeta(12, 5) + Fraction(1, 3), "coeffs",
+               {"__eq__", "__hash__", "__repr__"},
+               "CycNum(12, ['1/3', '-1', '0', '1'])", 1537228672809129301),
+    "IntPoly": (lambda: IntPoly((1, -2, 0, 3)), "coeffs", {"__repr__"},
+                "IntPoly('3t^3 - 2t + 1')", -6510532465580222948),
+    "RatFunc": (lambda: RatFunc.make(IntPoly((1, 1)), IntPoly((1, 0, -1))), "num", set(),
+                "RatFunc(num=IntPoly('1'), den=IntPoly('-t + 1'))", 3991686824967421266),
+    "Mat2": (lambda: Mat2.diag(zeta(4), -zeta(4)), "a", set(),
+             "Mat2(a=CycNum(4, ['0', '1']), b=CycNum(1, ['0']), c=CycNum(1, ['0']), "
+             "d=CycNum(4, ['0', '-1']))", -3226225171056353554),
+    "MonomialMat": (lambda: MonomialMat.diag([zeta(3), 1]), "perm", set(),
+                    "MonomialMat(perm=(0, 1), scalars=(CycNum(3, ['0', '1']), "
+                    "CycNum(1, ['1'])))", -774676816662655675),
+    "AlgebraCtx": (lambda: AlgebraCtx("down_up", Fraction(1), Fraction(1)), "kind", set(),
+                   "AlgebraCtx(kind='down_up', alpha=Fraction(1, 1), beta=Fraction(1, 1), "
+                   "q=None)", hash(("down_up", Fraction(1), Fraction(1), None))),
+    "MatGroup": (lambda: _bare_group(Mat2.of(-1, 0, 0, -1)), "conductor", set(),
+                 "MatGroup(elements=(Mat2(a=CycNum(1, ['1']), b=CycNum(1, ['0']), "
+                 "c=CycNum(1, ['0']), d=CycNum(1, ['1'])), Mat2(a=CycNum(1, ['-1']), "
+                 "b=CycNum(1, ['0']), c=CycNum(1, ['0']), d=CycNum(1, ['-1']))), "
+                 "generators=(Mat2(a=CycNum(1, ['-1']), b=CycNum(1, ['0']), "
+                 "c=CycNum(1, ['0']), d=CycNum(1, ['-1'])),), conductor=1)",
+                 2931740011269793517),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_share_one_frozen_contract(name):
+    make, field, own, text, pinned = RECORDS[name]
+    x, y = make(), make()
+    cls = type(x)
+    assert cls.__name__ == name and issubclass(cls, Record)
+    assert own == {m for m in ("__setattr__", "__delattr__", "__eq__", "__hash__", "__repr__")
+                   if m in vars(cls)}
+    assert x is not y and x == y and not x != y and hash(x) == hash(y)
+    assert (repr(x), hash(x)) == (text, pinned)
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(x, field, getattr(x, field))
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        delattr(x, field)
+    assert x == y and repr(x) == text
 
 
 def test_mat_group_equality_ignores_its_caches():
