@@ -19,7 +19,7 @@ from .intpoly import (CycFactorization, IntPoly, cyclotomic_poly, divisors,
                       poly_gcd_q, totient, x_pow)
 from .invariants import (AlgebraCtx, AutShape, HdetResult, MonomialMat,
                          Theorem03Report, TraceForm, bireflection_subgroup,
-                         close_monomial_group, downup_trace,
+                         downup_trace,
                          generated_by_bireflections, hdet_from_trace,
                          hdet_matrix, hypersurface_trace, is_bireflection,
                          molien, normal_sequence_trace, plane_trace,

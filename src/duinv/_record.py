@@ -10,7 +10,8 @@ class Record:
     Class(field=value!r, ...).  A subclass sets its fields in __init__
     through object.__setattr__, or through vars(self) when it keeps an
     instance dict for cached_property values, and overrides a method only
-    where its meaning differs.
+    where its meaning differs.  Copies and pickles call the class on the
+    field values, so its constructor takes them first, and caches restart.
     """
 
     __slots__ = ()
@@ -18,6 +19,9 @@ class Record:
 
     def _values(self) -> tuple:
         return tuple([getattr(self, f) for f in self._fields])
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")

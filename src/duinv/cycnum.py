@@ -12,9 +12,9 @@ multiple of the two conductors; promotion is the field embedding
 zeta_n -> zeta_m^(m/n), so values compare equal independently of how they
 were built.
 
-No floating point enters any result.  A complex embedding is available as
-a *hint* for discrete logarithms of roots of unity; every hint is verified
-exactly and a brute-force exact search is the fallback.
+No floating point enters any result.  A complex embedding proposes the
+discrete logarithm of a root of unity (see root_exponent), and the
+proposal is verified exactly.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DivisionByZero, PromotionOverflow, ZeroConductor
-from .intpoly import _fdivmod, cyclotomic_poly, divisors, factorize, totient
+from .intpoly import _fdivmod, cyclotomic_poly, factorize, totient
 
 CONDUCTOR_CAP = 10 ** 6
 
@@ -64,6 +64,7 @@ class CycNum(Record):
     """An element of Q(zeta_n) with exact rational coordinates."""
 
     __slots__ = ("conductor", "coeffs", "_hash")
+    _fields = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs, _reduced: bool = False):
         if conductor < 1:
@@ -299,31 +300,43 @@ def render_cyc(x: CycNum) -> str:
     return out
 
 
-def root_of_unity_order(x: CycNum):
+def root_exponent(x: CycNum):
     """
-    The multiplicative order of x if it is a root of unity, else None.
+    (order, e) with x == zeta_order^e when x is a root of unity, else None.
 
-    The torsion units of Q(zeta_n) form the cyclic group generated by
-    -zeta_n, so every candidate order divides lcm(2, n).
+    Every root of unity in Q(zeta_n) is a power of zeta_n' for n' = lcm(2, n).
+    The complex embedding proposes which power, and the candidate is
+    compared exactly.  A root of unity always matches its candidate, so
+    when the candidate does not match, x is not a root of unity.
     """
-    bound = x.conductor if x.conductor % 2 == 0 else 2 * x.conductor
-    for m in divisors(bound):
-        if (x ** m) == 1:
-            return m
-    return None
+    n = x.conductor
+    big = n if n % 2 == 0 else 2 * n
+    guess = round(cmath.phase(x.approx()) * big / (2 * math.pi)) % big
+    if _power_at(big, guess, n).coeffs != x.coeffs:
+        return None
+    order = big // math.gcd(big, guess)
+    return order, guess // (big // order)
+
+
+def _power_at(m: int, k: int, n: int) -> CycNum:
+    """zeta_m^k at conductor n, for m | n, or n odd and m | 2n."""
+    if n % m == 0:
+        return zeta(n, k * (n // m))
+    j = k * (2 * n // m)
+    # zeta_2n^j = -zeta_2n^(j+n) = -zeta_n^((j+n)/2) for odd j and odd n.
+    return zeta(n, j // 2) if j % 2 == 0 else -zeta(n, (j + n) // 2)
+
+
+def root_of_unity_order(x: CycNum):
+    """The multiplicative order of x if it is a root of unity, else None."""
+    root = root_exponent(x)
+    return root and root[0]
 
 
 def root_power_exponent(x: CycNum, m: int) -> int:
-    """
-    The discrete logarithm e with x == zeta_m^e, for x a root of unity whose
-    order divides m.  A float argument supplies the first guess; the answer
-    is verified exactly, with an exhaustive exact search as fallback.
-    """
-    guess = round(cmath.phase(x.approx()) * m / (2 * math.pi)) % m
-    z = zeta(m)
-    if z ** guess == x:
-        return guess
-    for e in range(m):
-        if z ** e == x:
-            return e
-    raise ValueError(f"value is not an m-th root of unity for m={m}")
+    """The discrete logarithm e with x == zeta_m^e, for x a root of unity
+    whose order divides m."""
+    root = root_exponent(x)
+    if root is None or m % root[0]:
+        raise ValueError(f"value is not an m-th root of unity for m={m}")
+    return root[1] * (m // root[0])

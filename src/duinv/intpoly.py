@@ -39,9 +39,6 @@ class IntPoly(Record):
             end -= 1
         object.__setattr__(self, "coeffs", coeffs[:end])
 
-    def __reduce__(self):
-        return IntPoly, (self.coeffs,)
-
     # -- basic queries -------------------------------------------------
 
     def deg(self) -> int:
@@ -146,13 +143,6 @@ class IntPoly(Record):
     def reverse(self) -> "IntPoly":
         """Coefficients reversed with respect to the degree: t^deg * p(1/t)."""
         return IntPoly(reversed(self.coeffs))
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t^k."""
-        return IntPoly((0,) * k + self.coeffs)
 
     def __repr__(self):
         if not self.coeffs:

@@ -155,29 +155,6 @@ class TraceForm(typing.NamedTuple):
             raise ZeroFunction("trace has a zero factor")
         return exponent, coeff
 
-    def to_ratfunc(self) -> RatFunc:
-        """
-        Expand both products and collapse to an integer rational function;
-        NonRationalCollapse if the coefficients are not rational.
-        """
-        products = []
-        for factors in (self.num_factors, self.den_factors):
-            coeffs = [CycNum.one()]
-            for d, lam in factors:  # times 1 - lam t^d
-                if d < 1:
-                    raise ValueError(f"factor degrees must be positive, got {d}")
-                out = [CycNum.zero()] * (len(coeffs) + d)
-                for i, c in enumerate(coeffs):
-                    if not c.is_zero():
-                        out[i], out[i + d] = out[i] + c, out[i + d] + c * -lam
-                coeffs = out
-            products.append(coeffs)
-        for coeffs in products:
-            for i, c in enumerate(coeffs):
-                if not c.is_rational():
-                    raise NonRationalCollapse(f"coefficient of t^{i} is irrational: {c!r}")
-        return RatFunc.from_frac_polys(*([c.rational_part() for c in p] for p in products))
-
 
 def downup_trace(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
     """Trace series of g acting on a down-up algebra."""
@@ -504,16 +481,6 @@ def _close_monomials(gens, cap: int) -> monomial.ExpForm:
         return monomial.exponent_form([(g.perm, g.scalars) for g in gens]).closure(cap)
     except GroupTooLarge as exc:
         raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
-
-
-def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMat, ...]:
-    gens = list(generators)
-    if not gens:
-        raise ValueError("need at least one generator")
-    # Every scalar at the lcm of the generators' conductors, so the elements
-    # share one conductor.
-    conductor = math.lcm(*(s.conductor for g in gens for s in g.scalars))
-    return tuple(MonomialMat(*m) for m in _close_monomials(gens, cap).monomials(conductor))
 
 
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:

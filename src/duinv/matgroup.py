@@ -2,28 +2,32 @@
 2x2 matrices over cyclotomic fields, finite multiplicative closures, and
 recognition of the standard families of finite subgroups of GL_2.
 
-A group stores one integer form; no CycNum matrix is stored eagerly.  A
-closure is breadth-first from the identity, so element order is
+A group stores one integer form of its elements; no CycNum matrix is stored
+eagerly.  A closure is breadth-first from the identity, so element order is
 deterministic for a given generator list.  Diagonal and antidiagonal
 generators (every Q1..Q8, C_n and BD_4n group, and any diagonal conjugate of
-one) close in the exponent form of `duinv.monomial`.  Only non-monomial
-generators (the binary polyhedral groups, a group in a conjugated basis)
-close by CycNum matrix products, which record the Cayley table.  A subgroup
-is the list of its element indices in its closure.  Classification and the
-invariants read every group through its ElementTable: the shape,
-determinant, eigenvalues and order of each element as integers.  CycNum
-stays at the edges: the generators, the closure of non-monomial ones with
-one eigenvalue search per element, and `MatGroup.elements`, built on demand.
+one) close in the exponent form of `duinv.monomial`; all others (the binary
+polyhedral groups, a group in a conjugated basis) in MatForm, integer
+coefficient vectors over one denominator.  In both forms an element is its
+own exact key and a product is integer arithmetic, so every closure has one
+index product, and a subgroup is the list of its element indices in its
+closure.  Classification and the invariants read every group through its
+ElementTable: the shape, determinant, eigenvalues and order of each element
+as integers.  CycNum stays at the edges: the generators, one exactly checked
+eigenvalue per element of a MatForm closure, and `MatGroup.elements`, built
+on demand.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import typing
+from fractions import Fraction
 
 from . import monomial
 from ._record import Record
-from .cycnum import CycNum, zeta
+from .cycnum import CycNum, _reduce, root_exponent, zeta
 from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from .intpoly import totient, totients_at_most
 
@@ -116,14 +120,92 @@ class Mat2(Record):
         return Mat2(x, zero, zero, y) if perm == (0, 1) else Mat2(zero, y, x, zero)
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
-        """Multiplicative order; InfiniteOrderSuspected beyond the cap."""
-        power = self
-        ident = Mat2.identity()
-        for k in range(1, cap + 1):
-            if power == ident:
-                return k
-            power = power @ self
-        raise InfiniteOrderSuspected(f"no power up to {cap} equals the identity")
+        """Multiplicative order, the size of the cyclic closure in MatForm;
+        InfiniteOrderSuspected beyond the cap."""
+        try:
+            return len(MatForm.of(self.conductor(), [self]).closure(cap).elements)
+        except GroupTooLarge:
+            raise InfiniteOrderSuspected(f"no power up to {cap} equals the identity") from None
+
+
+class MatForm:
+    """
+    2x2 matrices over Q(zeta_n), n the conductor, as integers; usually a
+    finite group.  An element is (den, a, b, c, d): the entries as int
+    coefficient vectors in the power basis of duinv.cycnum, over one
+    positive denominator with no factor common to all of them, so it is the
+    matrix's one exact key.  The product convolves the vectors and reduces
+    them modulo Phi_n, a monic integer polynomial.
+    """
+
+    def __init__(self, conductor: int, elements: tuple):
+        self.conductor, self.elements = conductor, elements
+        one, zero = _reduce([1], conductor), _reduce([], conductor)
+        self.identity = (1, one, zero, zero, one)
+
+    @staticmethod
+    def of(conductor: int, mats) -> "MatForm":
+        """The matrices over the lcm of their coefficients' denominators, whose
+        prime powers each divide one denominator exactly, so no factor is
+        common to all the scaled numerators."""
+        elements = []
+        for g in mats:
+            vecs = [e.promoted(conductor).coeffs for e in g.entries()]
+            den = math.lcm(*(c.denominator for v in vecs for c in v))
+            elements.append((den, *(tuple(c.numerator * (den // c.denominator) for c in v)
+                                    for v in vecs)))
+        return MatForm(conductor, tuple(elements))
+
+    def _cyc(self, v: tuple, den: int) -> CycNum:
+        return CycNum(self.conductor, [Fraction(c, den) for c in v], _reduced=True)
+
+    def mat(self, x) -> Mat2:
+        return Mat2(*(self._cyc(v, x[0]) for v in x[1:]))
+
+    def mul(self, x, y):
+        """The matrix product x @ y."""
+        (dx, a, b, c, d), (dy, e, f, g, h), n = x, y, self.conductor
+        out = [_reduce(_convolve(*v), n) for v in ((a, e, b, g), (a, f, b, h),
+                                                   (c, e, d, g), (c, f, d, h))]
+        den = dx * dy
+        k = math.gcd(den, *(v for vec in out for v in vec)) if den > 1 else 1
+        return (den // k, *(tuple(v // k for v in vec) for vec in out)) if k > 1 else (den, *out)
+
+    def closure(self, cap: int) -> "MatForm":
+        """The group the elements generate, in the order of monomial.closure."""
+        return MatForm(self.conductor,
+                       tuple(monomial.closure(self.identity, self.elements, self.mul, cap)))
+
+    def table(self) -> "ElementTable":
+        """The ElementTable of elements that form a group.  The cyclic closure
+        of x, of size m, lists each x^j, of order m / gcd(m, j); each
+        element's determinant and eigenvalues are read at its order."""
+        index, orders = {x: i for i, x in enumerate(self.elements)}, [0] * len(self.elements)
+        for i, x in enumerate(self.elements):
+            if not orders[i]:
+                powers = MatForm(self.conductor, (x,)).closure(len(index)).elements
+                for j, power in enumerate(powers):
+                    orders[index[power]] = len(powers) // math.gcd(len(powers), j)
+        rows = []
+        for (den, a, b, c, d), m in zip(self.elements, orders):
+            det = self._cyc(_reduce(_convolve(a, d, b, tuple(-v for v in c)), self.conductor),
+                           den * den)
+            tr = self._cyc(tuple(u + v for u, v in zip(a, d)), den)
+            rows.append([(m, k) for k in _eigen_exponents(m, det, tr)])
+        m, exps = monomial.lift(rows)
+        return ElementTable(m, tuple(self.mat(x).shape() for x in self.elements),
+                            tuple(det for det, *_ in exps), tuple(tuple(eig) for _, *eig in exps))
+
+
+def _convolve(p: tuple, q: tuple, r: tuple, s: tuple) -> list:
+    """The coefficients of p q + r s, for coefficient vectors of one length."""
+    out = [0] * (2 * len(p) - 1)
+    for u, v in ((p, q), (r, s)):
+        for i, x in enumerate(u):
+            if x:
+                for j, y in enumerate(v):
+                    out[i + j] += x * y
+    return out
 
 
 # Named matrices used throughout: reflections, rotations and the diagonal
@@ -227,21 +309,23 @@ _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 class MatGroup(Record):
     """
     A finite group of 2x2 matrices at a common conductor.  A closure (see
-    close_group) stores `exp_form` for diagonal and antidiagonal generators,
-    else its CycNum elements and the Cayley table of monomial.closure on the
-    generators.  A subgroup (see generated_subgroup) stores the indices of
-    its elements and generators among those of its closure, `_root`.
+    close_group) stores its elements in one integer form, `form`: the
+    exponent form of duinv.monomial for diagonal and antidiagonal
+    generators, else MatForm.  A group built from its elements gets its form
+    on first read: the exponent form when every element is monomial, else
+    MatForm.  A subgroup (see generated_subgroup) stores the indices of its
+    elements and generators among those of its closure, `_root`.
     `elements`, and a subgroup's `generators`, are built on first read;
     len() and `table` never build one.  Equality, hash and repr use the
-    elements, the generators and the conductor only.
+    elements, the generators and the conductor only.  A copy or a pickle
+    keeps those, and a subgroup also keeps its closure.
     """
 
     _fields = ("elements", "generators", "conductor")
     elements: tuple[Mat2, ...]
     generators: tuple[Mat2, ...]
     conductor: int
-    exp_form: monomial.ExpForm | None
-    cayley: list | None
+    form: "monomial.ExpForm | MatForm"
     _root: "MatGroup"
     _indices: typing.Sequence[int]
     _generator_indices: tuple[int, ...]
@@ -250,16 +334,22 @@ class MatGroup(Record):
     _facts: dict
 
     def __init__(self, elements: tuple[Mat2, ...] | None, generators: tuple[Mat2, ...],
-                 conductor: int, exp_form: monomial.ExpForm | None = None,
-                 cayley: list | None = None):
-        # A closure, with `elements` None when `exp_form` holds them.  The
+                 conductor: int, form: "monomial.ExpForm | MatForm | None" = None):
+        # A closure, with `elements` None when `form` holds them.  The
         # instance dict, where cached_property also stores its values,
         # because __setattr__ refuses.
-        vars(self).update(generators=generators, conductor=conductor, exp_form=exp_form,
-                          cayley=cayley, _root=self, _subgroups={}, _facts={},
-                          _indices=range(len(elements or exp_form.elements)))
+        vars(self).update(generators=generators, conductor=conductor, _root=self,
+                          _subgroups={}, _facts={},
+                          _indices=range(len(elements or form.elements)))
         if elements is not None:
             vars(self)["elements"] = elements
+        if form is not None:
+            vars(self)["form"] = form
+
+    def __reduce__(self):
+        if self._root is self:
+            return super().__reduce__()
+        return generated_subgroup, (self._root, self._generator_indices)
 
     def __len__(self):
         return len(self._indices)
@@ -279,12 +369,20 @@ class MatGroup(Record):
         return frozenset(e.key(self.conductor) for e in self.elements)
 
     @functools.cached_property
+    def form(self) -> "monomial.ExpForm | MatForm":
+        """The integer form of a group built from its elements."""
+        return (monomial.exponent_form([g.monomial() for g in self.elements])
+                or MatForm.of(self.conductor, self.elements))
+
+    @functools.cached_property
     def elements(self) -> tuple[Mat2, ...]:
         if self._root is not self:
             return tuple(self._root.elements[i] for i in self._indices)
+        form = self.form
+        if isinstance(form, MatForm):
+            return tuple(map(form.mat, form.elements))
         zero = CycNum.zero().promoted(self.conductor)
-        return tuple(Mat2.from_monomial(*m, zero)
-                     for m in self.exp_form.monomials(self.conductor))
+        return tuple(Mat2.from_monomial(*m, zero) for m in form.monomials(self.conductor))
 
     @functools.cached_property
     def generators(self) -> tuple[Mat2, ...]:
@@ -293,63 +391,27 @@ class MatGroup(Record):
     @functools.cached_property
     def table(self) -> ElementTable:
         """Shapes, determinants, eigenvalues and orders of the elements: a
-        subgroup's are its closure's rows at its indices.  A closure by CycNum
-        products finds an element's order as the least power that the index
-        product takes back to index 0, and its eigenvalues by one CycNum
-        search at that order."""
+        subgroup's are its closure's rows at its indices."""
         if self._root is not self:
             modulus, *columns = self._root.table
             return ElementTable(modulus, *(tuple(column[i] for i in self._indices)
                                            for column in columns))
-        if self.exp_form is not None:
-            return ElementTable.of_form(self.exp_form)
-        rows = []
-        for i, g in enumerate(self.elements):
-            power, m = i, 1
-            while power:
-                power, m = self._product(power, i), m + 1
-            det, eig = _det_and_eigen_exponents(g, m)
-            rows.append([(m, det)] + [(m, k) for k in eig])
-        m, exps = monomial.lift(rows)
-        return ElementTable(m, tuple(g.shape() for g in self.elements),
-                            tuple(det for det, *_ in exps),
-                            tuple(tuple(eig) for _, *eig in exps))
+        form = self.form
+        return form.table() if isinstance(form, MatForm) else ElementTable.of_form(form)
 
     @functools.cached_property
     def shapes(self) -> frozenset[str]:
         """The shapes that occur among the elements (see Mat2.shape)."""
         return frozenset(self.table.shapes)
 
-    @functools.cached_property
-    def words(self) -> list[tuple[int, ...]]:
-        """Each element as a word in the Cayley table's columns, by a
-        breadth-first walk of the table from the identity (the edges by
-        which the closure found the elements)."""
-        if self.cayley is None:
-            raise ValueError("the group has no Cayley table; close it with close_group")
-        words = [()] + [None] * (len(self) - 1)
-        queue = [0]
-        for i in queue:  # grows while it is walked
-            for j, k in enumerate(self.cayley[i]):
-                if words[k] is None:
-                    words[k] = words[i] + (j,)
-                    queue.append(k)
-        return words
-
     def _product(self, i: int, j: int) -> int:
-        """On a closure, the index of elements[i] @ elements[j]; on the
-        Cayley table, the walk of the word of j from i."""
-        form = self.exp_form
-        if form is not None:
-            return self._exp_index[monomial.mul(form.elements[i], form.elements[j],
-                                                form.modulus)]
-        for k in self.words[j]:
-            i = self.cayley[i][k]
-        return i
+        """On a closure, the index of elements[i] @ elements[j]."""
+        form = self.form
+        return self._index[form.mul(form.elements[i], form.elements[j])]
 
     @functools.cached_property
-    def _exp_index(self) -> dict:
-        return {x: i for i, x in enumerate(self.exp_form.elements)}
+    def _index(self) -> dict:
+        return {x: i for i, x in enumerate(self.form.elements)}
 
 
 # Closures, Molien series and down-up algebra contexts are memoized by their
@@ -386,25 +448,27 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     for g in gens:
         if g.det().is_zero():
             raise SingularGenerator("group generator has zero determinant")
-    form = monomial.exponent_form([g.monomial() for g in gens])
-    if form is not None:
-        group = MatGroup(None, tuple(gens), conductor, form.closure(cap))
-    else:
-        for g in gens:
+    form, limit = monomial.exponent_form([g.monomial() for g in gens]), cap
+    if form is None:
+        form = MatForm.of(conductor, gens)
+        for i, (g, x) in enumerate(zip(gens, form.elements)):
             _check_finite_order(g)
-            g.order(cap=_order_bound(g.conductor()))
-        ident, *lifted = [Mat2(*(e.promoted(conductor) for e in g.entries()))
-                          for g in (Mat2.identity(), *gens)]
+            bound = _order_bound(g.conductor())
+            try:
+                MatForm(conductor, (x,)).closure(bound)
+            except GroupTooLarge:
+                from .notation import render_matrix  # notation imports this module
+                raise InfiniteOrderSuspected(
+                    f"generator {i + 1} of {len(gens)}, {render_matrix(g)}, has no power "
+                    f"up to R = {bound} equal to the identity, so it has infinite order") from None
         limit = min(cap, _group_order_bound(conductor))
-        try:
-            elements, cayley = monomial.closure(ident, lifted, Mat2.__matmul__,
-                                                lambda m: m.key(conductor), limit)
-        except GroupTooLarge:
-            if limit == cap:
-                raise
-            raise GroupTooLarge(f"closure exceeded {limit} elements, the most a finite "
-                                f"subgroup of GL_2(Q(zeta_{conductor})) has") from None
-        group = MatGroup(tuple(elements), tuple(gens), conductor, cayley=cayley)
+    try:
+        group = MatGroup(None, tuple(gens), conductor, form.closure(limit))
+    except GroupTooLarge:
+        if limit == cap:
+            raise
+        raise GroupTooLarge(f"closure exceeded {limit} elements, the most a finite "
+                            f"subgroup of GL_2(Q(zeta_{conductor})) has") from None
     return remember(_closure_cache, cache_key, group)
 
 
@@ -461,10 +525,11 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     gens = tuple(group._indices[i] for i in indices)
     sub = root._subgroups.get(gens)
     if sub is None:
+        identity = root._index[root.form.identity]
         sub = MatGroup.__new__(MatGroup)
-        vars(sub).update(conductor=root.conductor, exp_form=None, cayley=None,
-                         _root=root, _generator_indices=gens,
-                         _indices=tuple(monomial.subgroup(0, gens, root._product, DEFAULT_CAP)))
+        vars(sub).update(conductor=root.conductor, _root=root, _generator_indices=gens,
+                         _indices=tuple(monomial.subgroup(identity, gens, root._product,
+                                                          DEFAULT_CAP)))
         remember(root._subgroups, gens, sub)
     return sub
 
@@ -484,7 +549,7 @@ def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
     if form is None:
         _check_finite_order(g)
         m = g.order(cap=min(cap, _order_bound(g.conductor())))
-        exps = _det_and_eigen_exponents(g, m)[1]
+        exps = _eigen_exponents(m, g.det(), g.trace())[1:]
     else:
         table = ElementTable.of_form(form)
         m = table.orders[0]
@@ -499,22 +564,24 @@ def _check_finite_order(g: Mat2) -> None:
     is not a root of unity, or it is not scalar and has a repeated eigenvalue
     (trace^2 = 4 det), so in characteristic 0 it is not diagonalizable."""
     det, tr = g.det(), g.trace()
-    if monomial.root_exponent(det) is None:
+    if root_exponent(det) is None:
         raise InfiniteOrderSuspected("determinant is not a root of unity")
     if not (g.is_diagonal() and g.a == g.d) and tr * tr == 4 * det:
         raise InfiniteOrderSuspected("non-scalar matrix with a repeated eigenvalue")
 
 
-def _det_and_eigen_exponents(g: Mat2, m: int) -> tuple[int, tuple[int, int]]:
-    """The determinant and the sorted eigenvalues of a matrix of order m as
-    exponents of zeta_m: with det = zeta_m^d, zeta_m^k is an eigenvalue
-    exactly when zeta_m^k + zeta_m^(d - k) is the trace."""
-    order, e = monomial.root_exponent(g.det())
-    det, tr = e * (m // order), g.trace()
-    for k in range(m):
-        if zeta(m, k) + zeta(m, det - k) == tr:
-            return det, tuple(sorted((k, (det - k) % m)))
-    raise InfiniteOrderSuspected("could not locate eigenvalues among roots of unity")
+def _eigen_exponents(m: int, det: CycNum, tr: CycNum) -> tuple[int, int, int]:
+    """The exponents of det = zeta_m^d and of the sorted eigenvalues of a
+    matrix of order m and trace tr, as powers of zeta_m.  A complex root of
+    t^2 - tr t + det, its phase rounded to a multiple of 2 pi / m, proposes
+    zeta_m^k, and zeta_m^k + zeta_m^(d - k) = tr checks it exactly."""
+    order, e = root_exponent(det)
+    d, t = e * (m // order), tr.approx()
+    root = (t + cmath.sqrt(t * t - 4 * det.approx())) / 2
+    k = round(cmath.phase(root) * m / (2 * math.pi)) % m
+    if zeta(m, k) + zeta(m, d - k) != tr:
+        raise InfiniteOrderSuspected(f"the eigenvalues are not roots of unity of order {m}")
+    return (d, *sorted((k, (d - k) % m)))
 
 
 # ---------------------------------------------------------------------------

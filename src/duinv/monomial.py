@@ -19,45 +19,35 @@ CycNum scalars in the original basis.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 
-from .cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
+from .cycnum import CycNum, _power_at, root_exponent
 from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 
 Elem = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-def closure(identity, generators, mul, key, cap: int, size=None) -> tuple[list, list]:
+def closure(identity, generators, mul, cap: int, size=None) -> list:
     """
     Breadth-first multiplicative closure from `identity`: every element, in
     the order found, times every generator, in that order, so the element
-    order is deterministic.  `key` maps an element to its exact hashable
-    form.  Returns the elements and their Cayley table, whose row i holds
-    the index of elements[i] @ generators[j] for each j.  Raises
+    order is deterministic.  Elements are their own exact keys.  Raises
     GroupTooLarge when the closure exceeds `cap` elements.  Given the group
-    order as `size`, the walk and the table end with the row that completes it.
+    order as `size`, the walk ends once it has found that many elements.
     """
-    elements = [identity]
-    index = {key(identity): 0}
-    table = []
+    elements, found = [identity], {identity}
     for x in elements:  # grows while it is walked
         if len(elements) == size:
             break
-        row = []
         for g in generators:
             p = mul(x, g)
-            k = key(p)
-            j = index.get(k)
-            if j is None:
+            if p not in found:
                 if len(elements) >= cap:
                     raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
-                j = index[k] = len(elements)
+                found.add(p)
                 elements.append(p)
-            row.append(j)
-        table.append(row)
-    return elements, table
+    return elements
 
 
 def subgroup(identity, generators, mul, cap: int) -> list:
@@ -69,15 +59,12 @@ def subgroup(identity, generators, mul, cap: int) -> list:
     generators then stops once it has found |<S>|, mostly within a few of
     the |G| rows a full closure on them would take.
     """
-    def close(gens, size=None):
-        return closure(identity, gens, mul, lambda x: x, cap, size)[0]
-
     chosen, found = [], {identity}
     for g in generators:
         if g not in found:
             chosen.append(g)
-            found = set(close(chosen))
-    return close(generators, len(found))
+            found = set(closure(identity, chosen, mul, cap))
+    return closure(identity, generators, mul, cap, len(found))
 
 
 def mul(x: Elem, y: Elem, modulus: int) -> Elem:
@@ -169,17 +156,21 @@ class ExpForm:
     def __init__(self, modulus: int, elements: tuple[Elem, ...], basis=None):
         self.modulus = modulus
         self.elements = elements
+        self.mul = functools.partial(mul, modulus=modulus)  # the matrix product x @ y
         # The CycNum d_j of the basis d_j e_j the elements are written in,
         # None for the standard basis; only monomials() reads it, as
         # determinants and eigenvalues do not depend on the basis.
         self.basis = basis
 
+    @property
+    def identity(self) -> Elem:
+        n = len(self.elements[0][0])
+        return tuple(range(n)), (0,) * n
+
     def closure(self, cap: int) -> "ExpForm":
         """The group the elements generate, in the order of closure()."""
-        n = len(self.elements[0][0])
-        elements, _ = closure((tuple(range(n)), (0,) * n), self.elements,
-                              functools.partial(mul, modulus=self.modulus), lambda x: x, cap)
-        return ExpForm(self.modulus, tuple(elements), self.basis)
+        return ExpForm(self.modulus, tuple(closure(self.identity, self.elements, self.mul, cap)),
+                       self.basis)
 
     def monomials(self, conductor: int) -> list[tuple[tuple[int, ...], tuple]]:
         """Every element as (perm, scalars) in the standard basis, with CycNum
@@ -233,33 +224,3 @@ def lift(roots_per_generator) -> tuple[int, list[tuple[int, ...]]]:
     """
     m = math.lcm(*(o for roots in roots_per_generator for o, _ in roots))
     return m, [tuple(e * (m // o) for o, e in roots) for roots in roots_per_generator]
-
-
-def root_exponent(x: CycNum):
-    """
-    (order, e) with x == zeta_order^e when x is a root of unity, else None.
-
-    Every root of unity in Q(zeta_n) is a power of zeta_n' for n' = lcm(2, n).
-    The complex embedding proposes which power; the candidate is compared
-    exactly, and when it does not match, the exact search of
-    root_of_unity_order decides.
-    """
-    n = x.conductor
-    big = n if n % 2 == 0 else 2 * n
-    guess = round(cmath.phase(x.approx()) * big / (2 * math.pi)) % big
-    if _power_at(big, guess, n).coeffs == x.coeffs:
-        order = big // math.gcd(big, guess)
-        return order, guess // (big // order)
-    order = root_of_unity_order(x)
-    if order is None:
-        return None
-    return order, root_power_exponent(x, order)
-
-
-def _power_at(m: int, k: int, n: int) -> CycNum:
-    """zeta_m^k at conductor n, for m | n, or n odd and m | 2n."""
-    if n % m == 0:
-        return zeta(n, k * (n // m))
-    j = k * (2 * n // m)
-    # zeta_2n^j = -zeta_2n^(j+n) = -zeta_n^((j+n)/2) for odd j and odd n.
-    return zeta(n, j // 2) if j % 2 == 0 else -zeta(n, (j + n) // 2)

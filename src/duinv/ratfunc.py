@@ -29,9 +29,6 @@ class RatFunc(Record):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __reduce__(self):
-        return RatFunc, (self.num, self.den)
-
     # -- construction --------------------------------------------------
 
     @staticmethod

@@ -19,11 +19,11 @@ import numpy as np
 
 from duinv import monomial
 from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
-from duinv.errors import GroupTooLarge, InfiniteOrderSuspected
+from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, NonRationalCollapse
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient, totients_at_most
-from duinv.invariants import MonomialMat
-from duinv.matgroup import Mat2
+from duinv.invariants import MonomialMat, TraceForm, _close_monomials
+from duinv.matgroup import DEFAULT_CAP, Mat2
 from duinv.ratfunc import RatFunc
 
 
@@ -32,7 +32,7 @@ from duinv.ratfunc import RatFunc
 # ---------------------------------------------------------------------------
 
 def squarefree_part(p: IntPoly) -> IntPoly:
-    g = poly_gcd_q(p, p.derivative())
+    g = poly_gcd_q(p, IntPoly(i * c for i, c in enumerate(p.coeffs) if i))  # p'
     if g.deg() <= 0:
         return p
     quo, rem = p.divmod_exact(g) if g.lead() in (1, -1) else (None, None)
@@ -125,7 +125,7 @@ def graeffe_is_cyclotomic(p: IntPoly) -> bool:
             return False
         seen.add(f)
         even, odd = IntPoly(f[0::2]), IntPoly(f[1::2])
-        f = (even * even - (odd * odd).shift(1)).coeffs
+        f = (even * even - IntPoly((0,) + (odd * odd).coeffs)).coeffs
 
 
 def run_high_degree_cyclotomic_suite(seed: int = 404) -> None:
@@ -286,17 +286,20 @@ def run_embedding_suite(cases: int = 200, depth: int = 5, tol: float = 1e-9,
 # group closure and eigenvalues by CycNum matrix products
 # ---------------------------------------------------------------------------
 
-def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
+def _close_by_products(gens, conductor: int, cap: int, size=None) -> tuple[Mat2, ...]:
     """
     The breadth-first closure of the generators by CycNum matrix products at
     `conductor`, frontier by frontier, each frontier element times each
-    generator in order; GroupTooLarge beyond `cap` elements.  The reference
-    for close_group and generated_subgroup on any generators.
+    generator in order; GroupTooLarge beyond `cap` elements.  Given the
+    order of a finite group that holds the generators as `size`, it stops
+    once it has found that many elements, as a subgroup that large is the
+    whole group.  The reference for close_group and generated_subgroup on
+    any generators.
     """
     lifted = [Mat2(*(e.promoted(conductor) for e in g.entries())) for g in gens]
     ident = Mat2(*(e.promoted(conductor) for e in Mat2.identity().entries()))
     elements, seen, frontier = [ident], {ident.key(conductor)}, [ident]
-    while frontier:
+    while frontier and len(elements) != size:
         nxt = []
         for x in frontier:
             for g in lifted:
@@ -311,10 +314,9 @@ def _close_by_products(gens, conductor: int, cap: int) -> tuple[Mat2, ...]:
     return tuple(elements)
 
 
-def _cayley_by_products(elements, gens, conductor: int) -> list[list[int]]:
-    """Row i: the index of elements[i] @ gens[j] for each j, by products."""
-    index = {x.key(conductor): i for i, x in enumerate(elements)}
-    return [[index[(x @ g).key(conductor)] for g in gens] for x in elements]
+def _order_by_products(g: Mat2, conductor: int, cap: int) -> int:
+    """The order of g, as the size of its cyclic closure by products."""
+    return len(_close_by_products([g], conductor, cap))
 
 
 def _eigen_exponents_by_search(g: Mat2, m: int) -> tuple[int, int]:
@@ -347,11 +349,9 @@ def _subgroup_by_all_generators(form, indices, cap: int) -> tuple:
     exponent-form groups, generated_subgroup.
     """
     n = len(form.elements[0][0])
-    elements, _ = monomial.closure((tuple(range(n)), (0,) * n),
-                                   [form.elements[i] for i in indices],
-                                   functools.partial(monomial.mul, modulus=form.modulus),
-                                   lambda x: x, cap)
-    return tuple(elements)
+    return tuple(monomial.closure((tuple(range(n)), (0,) * n),
+                                  [form.elements[i] for i in indices],
+                                  functools.partial(monomial.mul, modulus=form.modulus), cap))
 
 
 # ---------------------------------------------------------------------------
@@ -447,3 +447,43 @@ def _lattice_molien_coeffs(modulus: int, generators, count: int) -> list[Fractio
             total += 1 if e == 0 else -1
         out.append(Fraction(total * len(diag), len(group)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# trace series expanded by CycNum products, and monomial closures as matrices
+# ---------------------------------------------------------------------------
+
+def trace_to_ratfunc(tr: TraceForm) -> RatFunc:
+    """
+    The trace series with both products of (1 - lam t^d) expanded as plain
+    lists of CycNum, collapsed to an integer rational function;
+    NonRationalCollapse if a coefficient is not rational.  The reference for
+    a Molien series as the average of the trace series of the elements.
+    """
+    products = []
+    for factors in (tr.num_factors, tr.den_factors):
+        coeffs = [CycNum.one()]
+        for d, lam in factors:  # times 1 - lam t^d
+            if d < 1:
+                raise ValueError(f"factor degrees must be positive, got {d}")
+            out = [CycNum.zero()] * (len(coeffs) + d)
+            for i, c in enumerate(coeffs):
+                if not c.is_zero():
+                    out[i], out[i + d] = out[i] + c, out[i + d] + c * -lam
+            coeffs = out
+        products.append(coeffs)
+    for coeffs in products:
+        for i, c in enumerate(coeffs):
+            if not c.is_rational():
+                raise NonRationalCollapse(f"coefficient of t^{i} is irrational: {c!r}")
+    return RatFunc.from_frac_polys(*([c.rational_part() for c in p] for p in products))
+
+
+def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMat, ...]:
+    """The closure of monomial generators in exponent form, as MonomialMats
+    with every scalar at the lcm of the generators' conductors."""
+    gens = list(generators)
+    if not gens:
+        raise ValueError("need at least one generator")
+    conductor = math.lcm(*(s.conductor for g in gens for s in g.scalars))
+    return tuple(MonomialMat(*m) for m in _close_monomials(gens, cap).monomials(conductor))

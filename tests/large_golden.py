@@ -2,7 +2,7 @@
 Golden answers on inputs larger than the benchmark's: Molien series of
 Q1(128) on A(1,1) and of Q7(32) and Q8(32) on A(0,1), and full reports on
 the binary tetrahedral, octahedral and icosahedral groups.  They guard the
-Molien accumulation, the rational-function reduction and the CycNum closure
+Molien accumulation, the rational-function reduction and the MatForm closure
 on sizes the sweep and the analyze requests do not reach.  Reports are
 digested as the benchmark digests them (perfbench/worker.py).
 

@@ -21,19 +21,19 @@ from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NotAnAutomorphi
                           SingularGenerator)
 from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
-                              close_monomial_group, hdet_matrix,
+                              hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
-from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatGroup,
+from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatForm, MatGroup,
                             _group_order_bound, _order_bound, classify,
                             close_group, eigenvalues, generated_subgroup,
                             mat_c, mat_d1, mat_s, mat_s1, sl2_part, standard_group)
 from duinv.ratfunc import RatFunc
 
-from _oracles import (_cayley_by_products, _close_by_products,
-                      _eigen_exponents_by_search, _lattice_molien_coeffs,
-                      _monomial_eigenvalues, _monomial_key, _monomial_product,
-                      _subgroup_by_all_generators)
+from _oracles import (_close_by_products, _eigen_exponents_by_search,
+                      _lattice_molien_coeffs, _monomial_eigenvalues, _monomial_key,
+                      _monomial_product, _order_by_products, _subgroup_by_all_generators,
+                      close_monomial_group, trace_to_ratfunc)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -75,7 +75,7 @@ def test_mat2_groups_match_cycnum_reference(gens):
         with pytest.raises(GroupTooLarge):
             _close_by_products(gens, math.lcm(*(g.conductor() for g in gens)), CAP)
         return
-    assert fast.exp_form is not None
+    assert isinstance(fast.form, monomial.ExpForm)
     ref = _close_by_products(gens, fast.conductor, CAP)
     assert _keys(fast, fast.conductor) == _keys(ref, fast.conductor)
 
@@ -94,9 +94,8 @@ def test_mat2_groups_match_cycnum_reference(gens):
         pairs.append(tuple(zeta(order, k) for k in expected))
         assert eigenvalues(g) == pairs[-1]
 
-    ref_group = MatGroup(ref, tuple(gens), fast.conductor,
-                         cayley=_cayley_by_products(ref, gens, fast.conductor))
-    assert ref_group.exp_form is None
+    # the same elements through the MatForm path
+    ref_group = MatGroup(ref, tuple(gens), fast.conductor, MatForm.of(fast.conductor, ref))
     assert ref_group.table.shapes == table.shapes
     assert ref_group.table.orders == table.orders
     assert classify(fast) == classify(ref_group)
@@ -134,8 +133,7 @@ def _monomial_reference(gens):
     gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
             for g in gens]
     ident = MonomialMat(tuple(range(size)), (CycNum.one().promoted(lcm),) * size)
-    elements, _ = monomial.closure(ident, gens, _monomial_product, _monomial_key, CAP)
-    return elements
+    return monomial.closure(ident, gens, _monomial_product, CAP)
 
 
 @settings(max_examples=25)
@@ -240,7 +238,7 @@ def test_irrational_monomial_molien_matches_trace_average(gens):
         total = RatFunc.constant(0)
         for m in ref:
             trace = normal_sequence_trace([(1, lam) for lam in _monomial_eigenvalues(m)])
-            total = total + trace.to_ratfunc()
+            total = total + trace_to_ratfunc(trace)
         assert polyring_molien(gens, cap=CAP) == total.scale(Fraction(1, len(ref)))
 
 
@@ -296,7 +294,7 @@ def test_conjugated_monomial_groups_match_cycnum_reference(case):
     if len(gens[0].perm) == 2:  # the same group as Mat2s
         mats = [Mat2.from_monomial(g.perm, g.scalars, CycNum.zero()) for g in conjugated]
         group = close_group(mats, cap=CAP)
-        assert group.exp_form is not None
+        assert isinstance(group.form, monomial.ExpForm)
         assert _keys(group, group.conductor) == _keys(
             _close_by_products(mats, group.conductor, CAP), group.conductor)
 
@@ -320,8 +318,8 @@ def test_generated_subgroup_matches_all_generator_closure(gens, data):
     indices = data.draw(_index_lists(len(group)))
     sub = generated_subgroup(group, indices)
     assert sub._root is group
-    assert tuple(group.exp_form.elements[i] for i in sub._indices) == \
-        _subgroup_by_all_generators(group.exp_form, indices, CAP)
+    assert tuple(group.form.elements[i] for i in sub._indices) == \
+        _subgroup_by_all_generators(group.form, indices, CAP)
     expected = _close_by_products([group.elements[i] for i in indices],
                                   group.conductor, CAP)
     assert _keys(sub, group.conductor) == _keys(expected, group.conductor)
@@ -353,7 +351,7 @@ def test_diagonal_conjugate_has_the_same_report(family, n):
     ref = theorem03_report(3, -1, gens)
     # diag(1, 2)^-1 g diag(1, 2)
     conj = theorem03_report(3, -1, [Mat2(g.a, 2 * g.b, g.c / 2, g.d) for g in gens])
-    assert conj.group.exp_form.basis is not None
+    assert conj.group.form.basis is not None
     assert conj.group.elements != ref.group.elements
     assert conj.hilbert_series == ref.hilbert_series
     assert conj.label == ref.label
@@ -411,11 +409,27 @@ C6_CONJUGATED = [P @ Mat2.diag(zeta(6), zeta(6, 5)) @ P.inverse()]
 @pytest.mark.parametrize("gens,order", [(BT, 24), (BO, 48), (C6_CONJUGATED, 6)])
 def test_cycnum_group_table_matches_eigenvalues(gens, order):
     group = close_group(gens)
-    assert len(group) == order and group.exp_form is None
+    assert len(group) == order and isinstance(group.form, MatForm)
     m, exps = _root_exponents([(g.det(), *eigenvalues(g)) for g in group])
     assert group.table == ElementTable(m, tuple(g.shape() for g in group),
                                        tuple(det for det, *_ in exps),
                                        tuple(tuple(sorted(eig)) for _, *eig in exps))
+
+
+@pytest.mark.parametrize("gens,form", [
+    (BT, MatForm), (BO, MatForm), (BI, MatForm),
+    ([matgroup.mat_d1(), mat_s(), mat_c(zeta(8))], monomial.ExpForm),  # Q7(4)
+], ids=["BT", "BO", "BI", "Q7(4)"])
+def test_groups_built_from_their_elements_read_like_closures(gens, form):
+    """A group built by the constructor from a closure's elements gets its
+    integer form on first read: the same table, label and SL_2 part as the
+    closure."""
+    group = close_group(gens)
+    bare = MatGroup(group.elements, group.generators, group.conductor)
+    assert isinstance(bare.form, form) and bare == group
+    assert bare.table == group.table
+    assert classify(bare) == classify(group)
+    assert sl2_part(bare).elements == sl2_part(group).elements
 
 
 @pytest.mark.parametrize("gens", [BT, BO, C6_CONJUGATED])
@@ -438,7 +452,7 @@ def test_cycnum_generated_subgroup_matches_close_group(gens):
 
 @pytest.mark.parametrize("gens", [
     [matgroup.mat_d1(), mat_s(), mat_c(zeta(8))],  # Q7(4), in exponent form
-    BT,                                            # on its Cayley table
+    BT,                                            # in MatForm
 ])
 def test_generated_subgroup_of_no_elements_is_trivial(gens):
     sub = generated_subgroup(close_group(gens), [])
@@ -456,7 +470,7 @@ def _normalized_rows(table: ElementTable, indices):
 @pytest.mark.parametrize("gens", [
     [matgroup.mat_d1(), mat_s(), mat_c(zeta(6))],  # Q7(3), in exponent form
     BT,                                            # det 1 throughout
-    BT + [Mat2.diag(I, I)],                        # on its Cayley table, BT times <i>
+    BT + [Mat2.diag(I, I)],                        # in MatForm, BT times <i>
 ])
 def test_sl2_part_keeps_group_order_and_table_rows(gens):
     group = close_group(gens)
@@ -464,7 +478,7 @@ def test_sl2_part_keeps_group_order_and_table_rows(gens):
     sl2 = sl2_part(group)
     assert sl2.elements == sl2.generators == tuple(group.elements[i] for i in keep)
     assert sl2.conductor == group.conductor
-    assert sl2._root is group and sl2.exp_form is None
+    assert sl2._root is group and "form" not in vars(sl2)
     assert _normalized_rows(sl2.table, range(len(sl2))) == \
         _normalized_rows(group.table, keep)
 
@@ -479,8 +493,8 @@ def test_cayley_subgroup_matches_products_reference(name, data):
     expected = _close_by_products([group.elements[i] for i in indices],
                                   group.conductor, DEFAULT_CAP)
     assert _keys(sub, group.conductor) == _keys(expected, group.conductor)
-    # the subgroup's own Cayley table, on a generating subset, gives the
-    # orders of its elements and closes its subgroups
+    # the subgroup's orders are its closure's rows, and its own subgroups
+    # close by the closure's index product
     assert sub.table.orders == tuple(group.table.orders[group.elements.index(g)]
                                      for g in sub)
     inner = data.draw(st.lists(st.integers(0, len(sub) - 1), max_size=2))
@@ -494,15 +508,16 @@ def test_cayley_subgroup_matches_products_reference(name, data):
                                             (BI, "BI")], ids=["BTxiI", "BO", "BI"])
 def test_cayley_subgroup_tables_are_the_closure_rows(gens, sl2_label, monkeypatch):
     """Classifying the SL_2 part and the bireflection subgroup of a closed
-    non-monomial group reads the closure's table rows: no eigenvalue search
-    runs beyond the closure's own."""
+    non-monomial group reads the closure's table rows: no eigenvalue is read
+    beyond the closure's own, one per element."""
     monkeypatch.setattr(matgroup, "_closure_cache", {})
+    calls = []
+    read = matgroup._eigen_exponents
+    monkeypatch.setattr(matgroup, "_eigen_exponents", lambda *a: calls.append(1) or read(*a))
     group = close_group(gens)
     group.table
-    calls = []
-    search = matgroup._det_and_eigen_exponents
-    monkeypatch.setattr(matgroup, "_det_and_eigen_exponents",
-                        lambda *a: calls.append(1) or search(*a))
+    assert len(calls) == len(group)
+    calls.clear()
     assert classify(sl2_part(group)).family == sl2_label
     sub = bireflection_subgroup(AlgebraCtx.down_up(0, 1), group)
     assert classify(sub).order == len(sub)
@@ -511,8 +526,8 @@ def test_cayley_subgroup_tables_are_the_closure_rows(gens, sl2_label, monkeypatc
 
 def test_cayley_subgroup_walk_budget(monkeypatch):
     """BO on A(0, 1) has 47 bireflections.  A closure with every one of them
-    as a generator walks 48 x 47 = 2256 words; the subgroup of a fresh BO
-    closes in at most 400 walks, its element table included."""
+    as a generator takes 48 x 47 = 2256 index products; the subgroup of a
+    fresh BO closes in at most 400, its element table included."""
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     group = close_group(BO)
     calls = []
@@ -525,8 +540,8 @@ def test_cayley_subgroup_walk_budget(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the CycNum path: the closure's Cayley table, and subgroups and element
-# orders read on indices
+# the MatForm path: closures of non-monomial generators, and subgroups and
+# element orders read on indices
 # ---------------------------------------------------------------------------
 
 RATIONALS = [Fraction(k) for k in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction(-1, 3)]
@@ -534,29 +549,31 @@ RATIONALS = [Fraction(k) for k in (-2, -1, 0, 1, 2)] + [Fraction(1, 2), Fraction
 
 @st.composite
 def conjugated_mat2_sets(draw):
-    """A mat2_generator_sets draw conjugated by P = [[1, a], [b, 1 + ab]] for
-    random rationals a and b, which mostly takes it off the exponent form."""
-    gens = draw(mat2_generator_sets())
+    """A mat2_generator_sets draw, or the generators of BT, BO or BI,
+    conjugated by P = [[1, a], [b, 1 + ab]] for random rationals a and b,
+    which mostly takes it off the exponent form."""
+    gens = draw(st.one_of(mat2_generator_sets(), st.sampled_from([BT, BO, BI])))
     a, b = draw(st.sampled_from(RATIONALS)), draw(st.sampled_from(RATIONALS))
     p = Mat2.of(1, a, b, 1 + a * b)
     return [p @ g @ p.inverse() for g in gens]
 
 
-@settings(max_examples=30)
+@settings(max_examples=30, deadline=None)
 @given(conjugated_mat2_sets(), st.data())
 def test_cycnum_path_matches_products_reference(gens, data):
+    cap = 120  # |BI|
     conductor = math.lcm(*(g.conductor() for g in gens))
     try:
-        group = close_group(gens, cap=CAP)
+        group = close_group(gens, cap=cap)
     except GroupTooLarge:
         with pytest.raises(GroupTooLarge):
-            _close_by_products(gens, conductor, CAP)
+            _close_by_products(gens, conductor, cap)
         return
-    assume(group.exp_form is None)
-    ref = _close_by_products(gens, conductor, CAP)
+    assume(isinstance(group.form, MatForm))
+    ref = _close_by_products(gens, conductor, cap)
     assert _keys(group, conductor) == _keys(ref, conductor)
 
-    table, orders = group.table, [g.order(cap=CAP) for g in ref]
+    table, orders = group.table, [_order_by_products(g, conductor, cap) for g in ref]
     assert table.orders == tuple(orders)
     for i, (g, order) in enumerate(zip(ref, orders)):
         assert table.shapes[i] == g.shape()
@@ -567,20 +584,21 @@ def test_cycnum_path_matches_products_reference(gens, data):
 
     indices = data.draw(st.lists(st.integers(0, len(group) - 1), min_size=1, max_size=3))
     sub = generated_subgroup(group, indices)
-    expected = _close_by_products([ref[i] for i in indices], conductor, CAP)
+    expected = _close_by_products([ref[i] for i in indices], conductor, cap)
     assert _keys(sub, conductor) == _keys(expected, conductor)
-    assert sub.table.orders == tuple(g.order(cap=CAP) for g in expected)
+    assert sub.table.orders == tuple(orders[ref.index(g)] for g in expected)
 
     ctx = AlgebraCtx.down_up(0, 1)
     flags = [is_bireflection(ctx, g) for g in ref]
-    expected = (_close_by_products([g for g, ok in zip(ref, flags) if ok], conductor, CAP)
+    expected = (_close_by_products([g for g, ok in zip(ref, flags) if ok], conductor, cap,
+                                   size=len(ref))
                 if any(flags) else (Mat2.identity(),))
     assert _keys(bireflection_subgroup(ctx, group), conductor) == _keys(expected, conductor)
 
 
 def test_binary_icosahedral_report():
     report = theorem03_report(0, 1, BI)
-    assert len(report.group) == 120 and report.group.exp_form is None
+    assert len(report.group) == 120 and isinstance(report.group.form, MatForm)
     assert report.label.family == "BI"
     assert report.bireflection_count == 119
     assert report.generated_by_bireflections
@@ -638,8 +656,8 @@ def test_sl2z_pair_exceeds_the_cap(monkeypatch):
     # after at most _order_bound(1) products per generator to check its order.
     assert [_group_order_bound(n) for n in (1, 4, 8)] == [120, 240, 900]
     calls = []
-    matmul = Mat2.__matmul__
-    monkeypatch.setattr(Mat2, "__matmul__", lambda x, y: calls.append(1) or matmul(x, y))
+    mul = MatForm.mul
+    monkeypatch.setattr(MatForm, "mul", lambda *a: calls.append(1) or mul(*a))
     with pytest.raises(GroupTooLarge, match="exceeded 120 elements"):
         close_group(gens)
     assert len(calls) <= 2 * 120 + 2 * _order_bound(1)
@@ -647,11 +665,12 @@ def test_sl2z_pair_exceeds_the_cap(monkeypatch):
 
 @pytest.mark.parametrize("gens,alpha,beta", [(BT, 0, 1), (BO, 2, -1)])
 def test_report_matrix_product_budget(gens, alpha, beta, monkeypatch):
-    """A report multiplies CycNum matrices only to close the group and check
-    its generators' orders: at most 2 |G| |gens| products."""
+    """A report multiplies no CycNum matrices: the closure, the generators'
+    orders and the element orders are all MatForm products."""
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     calls = []
     matmul = Mat2.__matmul__
     monkeypatch.setattr(Mat2, "__matmul__", lambda x, y: calls.append(1) or matmul(x, y))
     report = theorem03_report(alpha, beta, gens)
-    assert len(calls) <= 2 * len(report.group) * len(gens)
+    assert len(report.group) == {"BT": 24, "BO": 48}[report.label.family]
+    assert calls == []

@@ -7,6 +7,7 @@ classes keep the contract of frozen records, the command line runs as
 input with its documented exit code and no traceback.
 """
 import ast
+import copy
 import json
 import os
 import pathlib
@@ -21,6 +22,7 @@ from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
                    MatGroup, MonomialMat, RatFunc, close_group, downup_trace,
                    hdet_from_trace, is_cyclotomic_product, theorem03_report,
                    zeta)
+from duinv.matgroup import generated_subgroup
 from duinv._record import Record
 from duinv.paperlab import CheckResult
 
@@ -150,17 +152,42 @@ def test_records_share_one_frozen_contract(name):
     with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
         delattr(x, field)
     assert x == y and repr(x) == text
+    # Copies and pickles rebuild the value, and recompute any cached hash.
+    for twin in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+        assert type(twin) is cls and twin is not x and twin == x
+        assert (repr(twin), hash(twin)) == (text, pinned)
 
 
 def test_mat_group_equality_ignores_its_caches():
     group = close_group([Mat2.of(0, 1, 1, 0)])
     bare = MatGroup(group.elements, group.generators, group.conductor)
     theorem03_report(0, 1, group.generators)  # fills the facts of `group`
-    assert group._facts and not bare._facts and group.exp_form is not None
+    assert group._facts and not bare._facts and "form" not in vars(bare)
     assert group == bare and hash(group) == hash(bare)
     assert repr(bare) == repr(group) == (
         f"MatGroup(elements={group.elements!r}, "
         f"generators={group.generators!r}, conductor=1)")
+
+
+def test_closures_subgroups_and_reports_round_trip():
+    """A closure comes back as a group with the same elements, generators
+    and conductor, a subgroup with a copy of its closure, and a report on
+    the binary icosahedral group with every field equal."""
+    eps = zeta(5)
+    root5 = eps + eps ** 4 - eps ** 2 - eps ** 3
+    bi = [Mat2.diag(-eps ** 3, -eps ** 2),
+          Mat2.of(-(eps - eps ** 4) / root5, (eps ** 2 - eps ** 3) / root5,
+                  (eps ** 2 - eps ** 3) / root5, (eps - eps ** 4) / root5)]
+    report = theorem03_report(0, 1, bi)
+    group = report.group
+    sub = generated_subgroup(group, [1, 2])
+    for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
+        assert twin == report and twin.group.generators == group.generators
+        assert twin.group.conductor == group.conductor and twin.label.family == "BI"
+    for twin in (copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
+        assert twin == sub and twin._root == group and twin._root is not group
+        assert twin.table == sub.table
+    assert copy.copy(sub)._root is group
 
 
 ANALYZE = ["analyze", "--alpha", "1", "--beta", "1", "--gen"]
