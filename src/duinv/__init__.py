@@ -4,11 +4,10 @@ cyclotomic arithmetic, Molien averages, homological determinants,
 bireflection structure and cyclotomic-Gorenstein reports.
 """
 
-from .cycnum import (CycNum, render_cyc, root_of_unity_order,
-                     root_power_exponent, zeta)
+from .cycnum import CycNum, render_cyc, root_exponent, zeta
 from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
                      DivisionByZero, DuinvError, GroupTooLarge,
-                     InfiniteOrderSuspected,
+                     InfiniteOrderSuspected, NotAGroup,
                      NonMonomialMatrix, NonNormalizableDenominator,
                      NonRationalCollapse, NotAnAutomorphism, ParseError,
                      PromotionOverflow, SingularGenerator,

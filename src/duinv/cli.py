@@ -26,8 +26,7 @@ from .errors import (DuinvError, GroupTooLarge, InfiniteOrderSuspected,
                      NotAnAutomorphism, PromotionOverflow, SingularGenerator)
 from .matgroup import _render_label, classify, close_group
 from .invariants import AlgebraCtx, Theorem03Report, theorem03_report
-# parse_cyc and render_cyc are not used here; they stay importable from the CLI.
-from .notation import parse_cyc, parse_matrix, render_cyc, render_matrix  # noqa: F401
+from .notation import parse_matrix, render_matrix
 from . import paperlab
 
 
@@ -50,7 +49,7 @@ def _report_json(report: Theorem03Report) -> dict:
         },
         "group": {
             "order": len(report.group),
-            "label": _label_str(report.label),
+            "label": _render_label(report.label.family, report.label.n),
             "all_matches": list(report.label.all_matches),
             "generators": [render_matrix(g) for g in report.group.generators],
         },
@@ -75,10 +74,6 @@ def _report_json(report: Theorem03Report) -> dict:
             "consistent": report.consistent,
         },
     }
-
-
-def _label_str(label) -> str:
-    return _render_label(label.family, label.n)
 
 
 def _report_markdown(report: Theorem03Report) -> str:
@@ -177,7 +172,7 @@ def cmd_classify(args) -> int:
         return _fail(exc)
     print(json.dumps({
         "order": len(group),
-        "label": _label_str(label),
+        "label": _render_label(label.family, label.n),
         "family": label.family,
         "n": label.n,
         "all_matches": list(label.all_matches),

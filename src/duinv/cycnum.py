@@ -325,18 +325,3 @@ def _power_at(m: int, k: int, n: int) -> CycNum:
     j = k * (2 * n // m)
     # zeta_2n^j = -zeta_2n^(j+n) = -zeta_n^((j+n)/2) for odd j and odd n.
     return zeta(n, j // 2) if j % 2 == 0 else -zeta(n, (j + n) // 2)
-
-
-def root_of_unity_order(x: CycNum):
-    """The multiplicative order of x if it is a root of unity, else None."""
-    root = root_exponent(x)
-    return root and root[0]
-
-
-def root_power_exponent(x: CycNum, m: int) -> int:
-    """The discrete logarithm e with x == zeta_m^e, for x a root of unity
-    whose order divides m."""
-    root = root_exponent(x)
-    if root is None or m % root[0]:
-        raise ValueError(f"value is not an m-th root of unity for m={m}")
-    return root[1] * (m // root[0])

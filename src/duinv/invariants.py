@@ -104,10 +104,6 @@ class AlgebraCtx(Record):
             return AutShape.U
         return AutShape.O
 
-    def check_automorphism(self, g: Mat2) -> None:
-        """Raise NotAnAutomorphism unless g acts on this algebra."""
-        self.check_shapes([g.shape()])
-
     def check_shapes(self, shapes) -> None:
         """Raise NotAnAutomorphism unless matrices of every given shape (see
         Mat2.shape) act on this algebra."""
@@ -160,7 +156,7 @@ def downup_trace(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
     """Trace series of g acting on a down-up algebra."""
     if ctx.kind != "down_up":
         raise ValueError("downup_trace requires a down-up context")
-    ctx.check_automorphism(g)
+    ctx.check_shapes([g.shape()])
     lam, mu = eigenvalues(g)
     return TraceForm(((1, lam), (1, mu), (2, lam * mu)))
 
@@ -317,27 +313,16 @@ def trace_form(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
 def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
     """
     Pole order gkdim - 2 or gkdim - 1 at t = 1, so reflections qualify too.
-    The identity never qualifies.
-    On a down-up algebra the answer is cross-checked against the matrix
-    criterion (BireflectionMismatch if they disagree).
+    The identity never qualifies.  On a down-up algebra the answer is
+    checked against the matrix criterion, det 1 (non-identity) or an
+    eigenvalue 1 among the trace factors (BireflectionMismatch otherwise).
     """
-    def matrix_side():  # det 1 (non-identity) or an eigenvalue 1
-        return g != Mat2.identity() and (g.det() == 1 or 1 in eigenvalues(g))
-
-    return _bireflection_rule(ctx, trace_form(ctx, g).pole_order_at_one(),
-                              matrix_side, lambda: g)
-
-
-def _bireflection_rule(ctx: AlgebraCtx, poles: int, matrix_side, element) -> bool:
-    """
-    The answer from the pole order at t = 1.  On a down-up algebra it must
-    agree with matrix_side(), the matrix criterion (BireflectionMismatch
-    otherwise, naming the matrix element()).
-    """
-    ok = poles in (ctx.gkdim - 2, ctx.gkdim - 1)
-    if ctx.kind == "down_up" and ok != matrix_side():
-        raise BireflectionMismatch(
-            f"trace and matrix bireflection tests disagree on {element()}")
+    trace = trace_form(ctx, g)
+    ok = trace.pole_order_at_one() in (ctx.gkdim - 2, ctx.gkdim - 1)
+    if ctx.kind == "down_up":
+        (_, lam), (_, mu), _ = trace.den_factors
+        if ok != (g != Mat2.identity() and (g.det() == 1 or 1 in (lam, mu))):
+            raise BireflectionMismatch(f"trace and matrix bireflection tests disagree on {g}")
     return ok
 
 
@@ -345,10 +330,12 @@ def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
     """is_bireflection for every element, read off the element table."""
     _, _, traces = _trace_exponents(ctx, group)
     table = group.table
-    return [_bireflection_rule(ctx, trace.count(0),
-                               lambda: eig != (0, 0) and (det == 0 or 0 in eig),
-                               lambda: group.elements[i])
-            for i, (trace, det, eig) in enumerate(zip(traces, table.dets, table.eigenvalues))]
+    flags = [trace.count(0) in (ctx.gkdim - 2, ctx.gkdim - 1) for trace in traces]
+    for i, (ok, det, eig) in enumerate(zip(flags, table.dets, table.eigenvalues)):
+        if ctx.kind == "down_up" and ok != (eig != (0, 0) and (det == 0 or 0 in eig)):
+            raise BireflectionMismatch(
+                f"trace and matrix bireflection tests disagree on {group.elements[i]}")
+    return flags
 
 
 def bireflection_subgroup(ctx: AlgebraCtx, group: MatGroup) -> MatGroup:
@@ -456,6 +443,8 @@ class MonomialMat(Record):
     @staticmethod
     def from_rows(rows) -> "MonomialMat":
         n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise NonMonomialMatrix("a monomial matrix must be square")
         perm = []
         scalars = []
         for j in range(n):
@@ -494,6 +483,8 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     if not gens:
         raise ValueError("need at least one generator")
     n = len(gens[0].perm)
+    if any(len(g.perm) != n for g in gens):
+        raise ValueError("the generators must all be n x n for one n")
     if n > 4:
         raise UnsupportedAutomorphism("polynomial-ring averages support up to 4 variables")
     weights = (1,) * n if weights is None else tuple(weights)

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import monomial
 from ._record import Record
 from .cycnum import CycNum, _reduce, root_exponent, zeta
-from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
+from .errors import GroupTooLarge, InfiniteOrderSuspected, NotAGroup, SingularGenerator
 from .intpoly import totient, totients_at_most
 
 DEFAULT_CAP = 10_000
@@ -120,12 +120,11 @@ class Mat2(Record):
         return Mat2(x, zero, zero, y) if perm == (0, 1) else Mat2(zero, y, x, zero)
 
     def order(self, cap: int = DEFAULT_CAP) -> int:
-        """Multiplicative order, the size of the cyclic closure in MatForm;
-        InfiniteOrderSuspected beyond the cap."""
-        try:
-            return len(MatForm.of(self.conductor(), [self]).closure(cap).elements)
-        except GroupTooLarge:
-            raise InfiniteOrderSuspected(f"no power up to {cap} equals the identity") from None
+        """The multiplicative order (see _finite_order); InfiniteOrderSuspected beyond the cap."""
+        m = _finite_order(self)
+        if m > cap:
+            raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
+        return m
 
 
 class MatForm:
@@ -241,7 +240,7 @@ def mat_c_minus(eps: CycNum) -> Mat2:
     return Mat2.diag(-eps, eps.inv())
 
 
-def standard_group(family: int, n: int, cap: int = DEFAULT_CAP) -> "MatGroup":
+def standard_group(family: int, n: int) -> "MatGroup":
     """
     The families Q1..Q8 of finite subgroups of diagonal/antidiagonal
     matrices, by their standard generators:
@@ -275,7 +274,7 @@ def standard_group(family: int, n: int, cap: int = DEFAULT_CAP) -> "MatGroup":
         gens = [mat_s(), mat_c_minus(zeta(4 * n))]
     else:
         raise ValueError(f"unknown family Q{family}")
-    return close_group(gens, cap=cap)
+    return close_group(gens)
 
 
 class ElementTable(typing.NamedTuple):
@@ -312,9 +311,10 @@ class MatGroup(Record):
     close_group) stores its elements in one integer form, `form`: the
     exponent form of duinv.monomial for diagonal and antidiagonal
     generators, else MatForm.  A group built from its elements gets its form
-    on first read: the exponent form when every element is monomial, else
-    MatForm.  A subgroup (see generated_subgroup) stores the indices of its
-    elements and generators among those of its closure, `_root`.
+    on first read, the exponent form when every element is monomial, else
+    MatForm, if its generators close to exactly them.  A subgroup (see
+    generated_subgroup) stores the indices of its elements and generators
+    among those of its closure, `_root`.
     `elements`, and a subgroup's `generators`, are built on first read;
     len() and `table` never build one.  Equality, hash and repr use the
     elements, the generators and the conductor only.  A copy or a pickle
@@ -329,7 +329,6 @@ class MatGroup(Record):
     _root: "MatGroup"
     _indices: typing.Sequence[int]
     _generator_indices: tuple[int, ...]
-    _subgroups: dict  # a closure's generated_subgroup results; see remember
     # The fields of invariants.theorem03_report that depend on the group alone.
     _facts: dict
 
@@ -338,8 +337,7 @@ class MatGroup(Record):
         # A closure, with `elements` None when `form` holds them.  The
         # instance dict, where cached_property also stores its values,
         # because __setattr__ refuses.
-        vars(self).update(generators=generators, conductor=conductor, _root=self,
-                          _subgroups={}, _facts={},
+        vars(self).update(generators=generators, conductor=conductor, _root=self, _facts={},
                           _indices=range(len(elements or form.elements)))
         if elements is not None:
             vars(self)["elements"] = elements
@@ -370,9 +368,19 @@ class MatGroup(Record):
 
     @functools.cached_property
     def form(self) -> "monomial.ExpForm | MatForm":
-        """The integer form of a group built from its elements."""
-        return (monomial.exponent_form([g.monomial() for g in self.elements])
+        """The integer form of a group built from its elements; NotAGroup unless
+        the generators close to exactly them, in |G| |generators| products."""
+        form = (monomial.exponent_form([g.monomial() for g in self.elements])
                 or MatForm.of(self.conductor, self.elements))
+        index = {e.key(self.conductor): x for e, x in zip(self.elements, form.elements)}
+        try:
+            gens = [index[g.key(self.conductor)] for g in self.generators]
+            closed = monomial.closure(form.identity, gens, form.mul, len(index))
+        except (KeyError, GroupTooLarge):
+            closed = ()
+        if len(closed) != len(self.elements) or set(closed) != set(form.elements):
+            raise NotAGroup(f"the generators do not close to the {len(self.elements)} elements")
+        return form
 
     @functools.cached_property
     def elements(self) -> tuple[Mat2, ...]:
@@ -427,17 +435,16 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     Breadth-first multiplicative closure of the generators and the identity.
     Raises SingularGenerator for non-invertible input, GroupTooLarge when
     the closure exceeds `cap` elements, and InfiniteOrderSuspected before
-    any closure runs when the group cannot be finite: diagonal and
+    the closure runs when the group cannot be finite: diagonal and
     antidiagonal generators that no diagonal change of basis turns into
-    roots of unity (see monomial.exponent_form), or a non-monomial
-    generator whose determinant is not a root of unity, whose eigenvalue
-    is repeated, or whose powers up to the bound of _order_bound are not
-    the identity.  Non-monomial generators are closed up to the smaller of
-    `cap` and _group_order_bound; GroupTooLarge at that bound names it, and
-    means the group is infinite.  Closures are memoized by each generator
-    entry's own conductor and coefficients: equal keys mean equal matrices,
-    so a hit returns the same group and runs none of these checks, and the
-    same value written at another conductor only misses and is closed anew.
+    roots of unity (see monomial.exponent_form), or, among generators not
+    all monomial, one that _finite_order refuses, named by its position.
+    Non-monomial generators are closed up to the smaller of `cap` and
+    _group_order_bound; GroupTooLarge at that bound names it, and means the
+    group is infinite.  Closures are memoized by each generator entry's own
+    conductor and coefficients: equal keys mean equal matrices, so a hit
+    returns the same group and runs none of these checks, and the same value
+    written at another conductor only misses and is closed anew.
     """
     gens = list(generators) or [Mat2.identity()]
     cache_key = (tuple([_exact_key(e) for g in gens for e in g.entries()]), cap)
@@ -450,18 +457,12 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
             raise SingularGenerator("group generator has zero determinant")
     form, limit = monomial.exponent_form([g.monomial() for g in gens]), cap
     if form is None:
-        form = MatForm.of(conductor, gens)
-        for i, (g, x) in enumerate(zip(gens, form.elements)):
-            _check_finite_order(g)
-            bound = _order_bound(g.conductor())
+        for i, g in enumerate(gens):
             try:
-                MatForm(conductor, (x,)).closure(bound)
-            except GroupTooLarge:
-                from .notation import render_matrix  # notation imports this module
-                raise InfiniteOrderSuspected(
-                    f"generator {i + 1} of {len(gens)}, {render_matrix(g)}, has no power "
-                    f"up to R = {bound} equal to the identity, so it has infinite order") from None
-        limit = min(cap, _group_order_bound(conductor))
+                _finite_order(g)
+            except InfiniteOrderSuspected as exc:
+                raise InfiniteOrderSuspected(f"generator {i + 1} of {len(gens)}, {exc}") from None
+        form, limit = MatForm.of(conductor, gens), min(cap, _group_order_bound(conductor))
     try:
         group = MatGroup(None, tuple(gens), conductor, form.closure(limit))
     except GroupTooLarge:
@@ -523,14 +524,10 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
     """
     root = group._root
     gens = tuple(group._indices[i] for i in indices)
-    sub = root._subgroups.get(gens)
-    if sub is None:
-        identity = root._index[root.form.identity]
-        sub = MatGroup.__new__(MatGroup)
-        vars(sub).update(conductor=root.conductor, _root=root, _generator_indices=gens,
-                         _indices=tuple(monomial.subgroup(identity, gens, root._product,
-                                                          DEFAULT_CAP)))
-        remember(root._subgroups, gens, sub)
+    sub = MatGroup.__new__(MatGroup)
+    vars(sub).update(conductor=root.conductor, _root=root, _generator_indices=gens,
+                     _indices=tuple(monomial.subgroup(root._index[root.form.identity], gens,
+                                                      root._product, DEFAULT_CAP)))
     return sub
 
 
@@ -539,7 +536,7 @@ def sl2_part(group: MatGroup) -> MatGroup:
     return generated_subgroup(group, [i for i, det in enumerate(group.table.dets) if det == 0])
 
 
-def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
+def eigenvalues(g: Mat2) -> tuple[CycNum, CycNum]:
     """
     The eigenvalue pair of a finite-order matrix, each an m-th root of unity
     for m the order of g, sorted by exponent as a power of zeta_m: read off
@@ -547,27 +544,35 @@ def eigenvalues(g: Mat2, cap: int = DEFAULT_CAP) -> tuple[CycNum, CycNum]:
     """
     form = monomial.exponent_form([g.monomial()])
     if form is None:
-        _check_finite_order(g)
-        m = g.order(cap=min(cap, _order_bound(g.conductor())))
+        m = _finite_order(g)
         exps = _eigen_exponents(m, g.det(), g.trace())[1:]
     else:
         table = ElementTable.of_form(form)
         m = table.orders[0]
-        if m > cap:
-            raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
         exps = [k // (table.modulus // m) for k in table.eigenvalues[0]]
     return tuple(zeta(m, k) for k in exps)
 
 
-def _check_finite_order(g: Mat2) -> None:
-    """InfiniteOrderSuspected when g cannot have finite order: its determinant
-    is not a root of unity, or it is not scalar and has a repeated eigenvalue
-    (trace^2 = 4 det), so in characteristic 0 it is not diagonalizable."""
-    det, tr = g.det(), g.trace()
+def _finite_order(g: Mat2) -> int:
+    """The order of g, the size of its cyclic closure in MatForm, at most
+    R = _order_bound(conductor).  SingularGenerator for a zero determinant,
+    and InfiniteOrderSuspected when the determinant is not a root of unity,
+    when g is not scalar and has a repeated eigenvalue (trace^2 = 4 det, so
+    it is not diagonalizable), or when no power up to R is the identity."""
+    from .notation import render_matrix  # notation imports this module
+    det, tr, n = g.det(), g.trace(), g.conductor()
+    if det.is_zero():
+        raise SingularGenerator(f"{render_matrix(g)}, has zero determinant")
     if root_exponent(det) is None:
-        raise InfiniteOrderSuspected("determinant is not a root of unity")
-    if not (g.is_diagonal() and g.a == g.d) and tr * tr == 4 * det:
-        raise InfiniteOrderSuspected("non-scalar matrix with a repeated eigenvalue")
+        problem = "has a determinant that is not a root of unity"
+    elif not (g.is_diagonal() and g.a == g.d) and tr * tr == 4 * det:
+        problem = "is not scalar and has a repeated eigenvalue"
+    else:
+        try:
+            return len(MatForm.of(n, [g]).closure(_order_bound(n)).elements)
+        except GroupTooLarge:
+            problem = f"has no power up to R = {_order_bound(n)} equal to the identity"
+    raise InfiniteOrderSuspected(f"{render_matrix(g)}, {problem}, so it has infinite order")
 
 
 def _eigen_exponents(m: int, det: CycNum, tr: CycNum) -> tuple[int, int, int]:

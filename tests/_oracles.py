@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from duinv import monomial
-from duinv.cycnum import CycNum, root_of_unity_order, root_power_exponent, zeta
+from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, NonRationalCollapse
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient, totients_at_most
@@ -383,11 +383,11 @@ def _monomial_eigenvalues(m: MonomialMat) -> tuple[CycNum, ...]:
         product = CycNum.one()
         for j in cycle:
             product = product * m.scalars[j]
-        o = root_of_unity_order(product)
-        if o is None:
+        root = root_exponent(product)
+        if root is None:
             raise InfiniteOrderSuspected("cycle product is not a root of unity")
-        ell = len(cycle)
-        mu = zeta(ell * o, root_power_exponent(product, o))
+        ell, (o, e) = len(cycle), root
+        mu = zeta(ell * o, e)
         out.extend(mu * zeta(ell, r) for r in range(ell))
     return tuple(out)
 

@@ -4,10 +4,10 @@ import json
 import pytest
 
 from duinv import paperlab
-from duinv.cli import (build_parser, main, parse_cyc, parse_matrix, render_cyc,
-                       render_matrix)
+from duinv.cli import build_parser, main, parse_matrix, render_matrix
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import ParseError
+from duinv.notation import parse_cyc, render_cyc
 from duinv.matgroup import (Mat2, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1,
                             mat_s2)
 from fractions import Fraction

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duinv.cycnum import (CycNum, root_of_unity_order, root_power_exponent,
-                          zeta)
+from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import DivisionByZero, PromotionOverflow, ZeroConductor
 from duinv.notation import parse_cyc
 
@@ -64,20 +63,23 @@ def test_conductor_errors():
 
 
 def test_root_of_unity_order():
-    assert root_of_unity_order(CycNum.one()) == 1
-    assert root_of_unity_order(CycNum.from_rat(-1)) == 2
-    assert root_of_unity_order(zeta(12, 8)) == 3
-    assert root_of_unity_order(-zeta(9)) == 18
-    assert root_of_unity_order(CycNum.from_rat(2)) is None
-    assert root_of_unity_order(zeta(5) + 1) is None
+    # the order is the first entry of root_exponent
+    assert root_exponent(CycNum.one()) == (1, 0)
+    assert root_exponent(CycNum.from_rat(-1)) == (2, 1)
+    assert root_exponent(zeta(12, 8)) == (3, 2)
+    assert root_exponent(-zeta(9)) == (18, 11)
+    assert root_exponent(CycNum.from_rat(2)) is None
+    assert root_exponent(zeta(5) + 1) is None
 
 
 def test_root_power_exponent():
+    # x == zeta_o^e == zeta_m^(e m / o) for every m that o divides
     for m in (1, 2, 3, 8, 12, 30):
         for e in range(m):
-            assert root_power_exponent(zeta(m, e), m) == e
-    # order divides m strictly
-    assert root_power_exponent(zeta(3), 12) == 4
+            order, k = root_exponent(zeta(m, e))
+            assert m % order == 0 and k * (m // order) == e
+    order, k = root_exponent(zeta(3))  # the order divides m = 12 strictly
+    assert k * (12 // order) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +103,7 @@ small_roots = st.builds(zeta,
 @settings(max_examples=60, deadline=None)
 @given(small_roots, small_roots)
 def test_product_of_roots_is_root(x, y):
-    o = root_of_unity_order(x * y)
-    assert o is not None
+    o, _ = root_exponent(x * y)
     assert (x * y) ** o == 1
 
 
@@ -117,7 +118,7 @@ def test_promotion_round_trip(x, k):
 def test_zeta_has_exact_order(n):
     x = zeta(n)
     assert x ** n == 1
-    assert root_of_unity_order(x) == n
+    assert root_exponent(x)[0] == n
 
 
 def test_cyc_make_reduces():

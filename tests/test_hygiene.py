@@ -4,7 +4,8 @@ statements (which python -O strips), importing the package and its
 command-line front end loads neither numpy nor dataclasses, the value
 classes keep the contract of frozen records, the command line runs as
 `python -m duinv` and `python -m duinv.cli` alike, and it answers malformed
-input with its documented exit code and no traceback.
+input with its documented exit code and no traceback.  Every function the
+benchmark's tracer wraps is still there to wrap.
 """
 import ast
 import copy
@@ -22,11 +23,12 @@ from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
                    MatGroup, MonomialMat, RatFunc, close_group, downup_trace,
                    hdet_from_trace, is_cyclotomic_product, theorem03_report,
                    zeta)
-from duinv.matgroup import generated_subgroup
+from duinv.matgroup import classify, generated_subgroup
 from duinv._record import Record
 from duinv.paperlab import CheckResult
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 
 def test_library_has_no_assert_statements():
@@ -35,6 +37,18 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function perfbench/tracing.py wraps is still bound by identity
+    in its module: a renamed or rebound target would leave its per-layer
+    metric without a value."""
+    code = ("import sys; sys.path[:0] = ['src', 'perfbench']\n"
+            "import duinv, duinv.cli, tracing\n"
+            "print(tracing.install(tracing.Tracer()))")
+    out = subprocess.run([sys.executable, "-c", code], cwd=ROOT, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_import_does_not_load_numpy():
@@ -184,6 +198,8 @@ def test_closures_subgroups_and_reports_round_trip():
     for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert twin == report and twin.group.generators == group.generators
         assert twin.group.conductor == group.conductor and twin.label.family == "BI"
+        # a pickle or deep copy is a bare group, checked to be a closure on first read
+        assert classify(twin.group).family == "BI"
     for twin in (copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
         assert twin == sub and twin._root == group and twin._root is not group
         assert twin.table == sub.table

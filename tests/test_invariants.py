@@ -71,14 +71,16 @@ def test_beta_zero_raises_on_every_call(monkeypatch):
 
 def test_check_automorphism():
     o_ctx = AlgebraCtx.down_up(1, 1)
-    o_ctx.check_automorphism(mat_c(zeta(5)))
+    o_ctx.check_shapes([mat_c(zeta(5)).shape()])
     with pytest.raises(NotAnAutomorphism):
-        o_ctx.check_automorphism(mat_s())
+        o_ctx.check_shapes([mat_s().shape()])
     u_ctx = AlgebraCtx.down_up(3, -1)
-    u_ctx.check_automorphism(mat_s())
+    u_ctx.check_shapes([mat_s().shape()])
     with pytest.raises(NotAnAutomorphism):
-        u_ctx.check_automorphism(Mat2.of(1, 1, 0, 1))
-    AlgebraCtx.down_up(0, 1).check_automorphism(Mat2.of(1, 1, 0, 1))
+        u_ctx.check_shapes([Mat2.of(1, 1, 0, 1).shape()])
+    AlgebraCtx.down_up(0, 1).check_shapes([Mat2.of(1, 1, 0, 1).shape()])
+    with pytest.raises(NotAnAutomorphism):  # downup_trace checks the one matrix
+        downup_trace(o_ctx, mat_s())
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +254,7 @@ def test_failed_report_keeps_no_facts(monkeypatch):
         raise BireflectionMismatch("forced")
 
     with monkeypatch.context() as patch:
-        patch.setattr(invariants, "_bireflection_rule", mismatch)
+        patch.setattr(invariants, "_bireflection_flags", mismatch)
         for _ in range(2):  # the second call must not find facts of the first
             with pytest.raises(BireflectionMismatch):
                 theorem03_report(1, 1, gens)
@@ -334,17 +336,6 @@ def test_cold_report_builds_no_matrix(family, monkeypatch):
     assert not calls, calls
 
 
-def test_subgroup_cache_is_bounded(monkeypatch):
-    monkeypatch.setattr(matgroup, "_closure_cache", {})
-    group = close_group([mat_c(zeta(64))])
-    first = matgroup.generated_subgroup(group, [1])
-    for k in range(matgroup._CACHE_SIZE + 10):  # one entry per index pair
-        matgroup.generated_subgroup(group, [k % 64, k // 64])
-    assert len(group._subgroups) == matgroup._CACHE_SIZE
-    again = matgroup.generated_subgroup(group, [1])  # evicted, so closed anew
-    assert again is not first and again == first
-
-
 @pytest.mark.parametrize("family,alpha,beta", [(7, 3, -1), (8, 0, 1)])
 def test_bireflection_subgroup_product_budget(family, alpha, beta, monkeypatch):
     """Q7(8) and Q8(8) have 49 and 47 bireflections.  The subgroup they
@@ -419,6 +410,24 @@ def test_polyring_molien_rejects_bad_weights(weights, monkeypatch):
                         lambda *args: closures.append(args))
     with pytest.raises(ValueError, match="weights must be 3 positive integers"):
         polyring_molien([MonomialMat.diag([zeta(3), 1, 1])], weights=weights)
+    assert closures == []
+
+
+TWO, THREE = MonomialMat.diag([-1, 1]), MonomialMat.diag([-1, 1, 1])
+
+
+@pytest.mark.parametrize("gens,error", [
+    ([TWO, THREE], ValueError),
+    ([THREE, TWO], ValueError),
+    ([[[0, 1], [1]]], NonMonomialMatrix),
+    ([[[1, 0], [0, 1], [0, 0]]], NonMonomialMatrix),
+], ids=["2-then-3", "3-then-2", "short-row", "three-rows-of-two"])
+def test_polyring_molien_rejects_ragged_generators(gens, error, monkeypatch):
+    closures = []
+    monkeypatch.setattr(invariants, "_close_monomials",
+                        lambda *args: closures.append(args))
+    with pytest.raises(error):
+        polyring_molien(gens)
     assert closures == []
 
 

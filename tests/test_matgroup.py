@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from duinv import matgroup
 from duinv.cycnum import CycNum, zeta
-from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
+from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, NotAGroup, SingularGenerator
 from duinv.intpoly import totient
-from duinv.matgroup import (Mat2, classify, close_group, eigenvalues, mat_c,
+from duinv.matgroup import (Mat2, MatForm, MatGroup, classify, close_group, eigenvalues, mat_c,
                             mat_c_minus, mat_d1, mat_d2, mat_s, mat_s1,
                             sl2_part, standard_group)
 from duinv.monomial import ExpForm
@@ -185,6 +185,46 @@ def test_non_monomial_infinite_order_generator_fails_fast():
         eigenvalues(Mat2.of(zeta(60), 1, 1, 0))
     # a non-monomial generator of finite order still closes
     assert len(close_group([Mat2.of(0, -1, 1, -1)])) == 3
+
+
+@pytest.mark.parametrize("g,error", [
+    (Mat2.of(1, 1, 1, 1), SingularGenerator),
+    (Mat2.of(2, 1, 1, 1), InfiniteOrderSuspected),  # det 1, eigenvalues (3 +- sqrt 5)/2
+    (Mat2.diag(2, 1), InfiniteOrderSuspected),      # det 2
+    (Mat2.of(1, 1, 0, 1), InfiniteOrderSuspected),  # repeated eigenvalue, not scalar
+], ids=["singular", "hyperbolic", "det-2", "jordan"])
+def test_order_fails_fast(g, error, monkeypatch):
+    # At most R = 6 products over Q, not a walk to the cap of 10 000.
+    calls = []
+    mul = MatForm.mul
+    monkeypatch.setattr(MatForm, "mul", lambda *a: calls.append(1) or mul(*a))
+    with pytest.raises(error):
+        g.order()
+    assert len(calls) <= matgroup._order_bound(1) == 6
+
+
+def test_only_mat2_order_has_a_cap():
+    # eigenvalues takes no cap, so an order above 10 000 is no error there
+    assert eigenvalues(Mat2.diag(zeta(20000), 1)) == (CycNum.one(), zeta(20000))
+    g = Mat2.diag(zeta(7), 1)
+    assert g.order(cap=7) == 7
+    with pytest.raises(InfiniteOrderSuspected, match="order 7 exceeds the cap 6"):
+        g.order(cap=6)
+
+
+def test_bare_groups_must_be_closures():
+    identity = Mat2.identity()
+    order4 = Mat2.of(0, 1, -1, 0)   # antidiagonal, in exponent form
+    order3 = Mat2.of(0, -1, 1, -1)  # non-monomial, in MatForm
+    for g in (order4, order3):
+        with pytest.raises(NotAGroup):
+            classify(MatGroup((identity, g), (g,), 1))
+    with pytest.raises(NotAGroup):  # the identity is missing
+        classify(MatGroup((mat_s(),), (mat_s(),), 1))
+    with pytest.raises(NotAGroup):  # a generator that is not an element
+        classify(MatGroup((identity,), (mat_s(),), 1))
+    group = close_group([order3])
+    assert classify(MatGroup(group.elements, group.generators, 1)) == classify(group)
 
 
 def test_antidiagonal_with_irrational_entries_closes_by_products():
