@@ -112,8 +112,6 @@ class CycNum(Record):
 
     def _pair(self, other: "CycNum"):
         m = math.lcm(self.conductor, other.conductor)
-        if m > CONDUCTOR_CAP:
-            raise PromotionOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
         return self.promoted(m), other.promoted(m)
 
     @staticmethod
@@ -195,7 +193,10 @@ class CycNum(Record):
         return self * other.inv()
 
     def __rtruediv__(self, other):
-        return self._coerce(other) * self.inv()
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return other * self.inv()
 
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:

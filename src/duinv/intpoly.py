@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import typing
 from fractions import Fraction
 
@@ -23,7 +24,8 @@ from .errors import ZeroPolynomial
 class IntPoly(Record):
     """
     Dense integer polynomial, lowest coefficient first.  Immutable; equal
-    polynomials hash equal.
+    polynomials hash equal.  A coefficient that is not an int (no __index__),
+    such as a Fraction or a float, even an integral one, raises TypeError.
 
     >>> IntPoly((1, 0, 1)) * IntPoly((1, 1))
     IntPoly('t^3 + t^2 + t + 1')
@@ -33,7 +35,7 @@ class IntPoly(Record):
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(operator.index, coeffs))
         end = len(coeffs)
         while end and coeffs[end - 1] == 0:
             end -= 1

@@ -27,8 +27,9 @@ from fractions import Fraction
 
 from . import monomial
 from ._record import Record
-from .cycnum import CycNum, _reduce, root_exponent, zeta
-from .errors import GroupTooLarge, InfiniteOrderSuspected, NotAGroup, SingularGenerator
+from .cycnum import CONDUCTOR_CAP, CycNum, _reduce, root_exponent, zeta
+from .errors import (GroupTooLarge, InfiniteOrderSuspected, NotAGroup, PromotionOverflow,
+                     SingularGenerator)
 from .intpoly import totient, totients_at_most
 
 DEFAULT_CAP = 10_000
@@ -355,7 +356,9 @@ class MatGroup(Record):
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, m: Mat2) -> bool:
+    def __contains__(self, m) -> bool:
+        if not isinstance(m, Mat2):
+            return False
         if self.conductor % m.conductor():
             lcm = math.lcm(self.conductor, m.conductor())
             return m.key(lcm) in {e.key(lcm) for e in self.elements}
@@ -433,12 +436,14 @@ _closure_cache: dict = {}
 def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     """
     Breadth-first multiplicative closure of the generators and the identity.
-    Raises SingularGenerator for non-invertible input, GroupTooLarge when
-    the closure exceeds `cap` elements, and InfiniteOrderSuspected before
-    the closure runs when the group cannot be finite: diagonal and
-    antidiagonal generators that no diagonal change of basis turns into
-    roots of unity (see monomial.exponent_form), or, among generators not
-    all monomial, one that _finite_order refuses, named by its position.
+    Raises PromotionOverflow first, when the entries' conductors have an lcm
+    above CONDUCTOR_CAP.  Raises SingularGenerator for non-invertible input,
+    GroupTooLarge when the closure exceeds `cap` elements, and
+    InfiniteOrderSuspected before the closure runs when the group cannot be
+    finite: diagonal and antidiagonal generators that no diagonal change of
+    basis turns into roots of unity (see monomial.exponent_form), or, among
+    generators not all monomial, one that _finite_order refuses, named by
+    its position.
     Non-monomial generators are closed up to the smaller of `cap` and
     _group_order_bound; GroupTooLarge at that bound names it, and means the
     group is infinite.  Closures are memoized by each generator entry's own
@@ -447,14 +452,14 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     written at another conductor only misses and is closed anew.
     """
     gens = list(generators) or [Mat2.identity()]
-    cache_key = (tuple([_exact_key(e) for g in gens for e in g.entries()]), cap)
+    # Each entry's conductor and canonical coefficients: equal exactly when the entries are.
+    cache_key = (tuple([(e.conductor, e.coeffs) for g in gens for e in g.entries()]), cap)
     cached = _closure_cache.get(cache_key)
     if cached is not None:
         return cached
     conductor = math.lcm(*(g.conductor() for g in gens))
-    for g in gens:
-        if g.det().is_zero():
-            raise SingularGenerator("group generator has zero determinant")
+    if conductor > CONDUCTOR_CAP:
+        raise PromotionOverflow(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
     form, limit = monomial.exponent_form([g.monomial() for g in gens]), cap
     if form is None:
         for i, g in enumerate(gens):
@@ -471,14 +476,6 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
         raise GroupTooLarge(f"closure exceeded {limit} elements, the most a finite "
                             f"subgroup of GL_2(Q(zeta_{conductor})) has") from None
     return remember(_closure_cache, cache_key, group)
-
-
-def _exact_key(x: CycNum) -> tuple:
-    """x's conductor and coefficient tuple as they stand.  The coefficients
-    are in canonical form (an int when integral, else a Fraction; see
-    duinv.cycnum), so two keys are equal exactly when the conductors and the
-    coefficients are, and integral values hash as int tuples."""
-    return x.conductor, x.coeffs
 
 
 def remember(cache: dict, key, value):
@@ -537,28 +534,20 @@ def sl2_part(group: MatGroup) -> MatGroup:
 
 
 def eigenvalues(g: Mat2) -> tuple[CycNum, CycNum]:
-    """
-    The eigenvalue pair of a finite-order matrix, each an m-th root of unity
-    for m the order of g, sorted by exponent as a power of zeta_m: read off
-    the exponent form when g has one.
-    """
-    form = monomial.exponent_form([g.monomial()])
-    if form is None:
-        m = _finite_order(g)
-        exps = _eigen_exponents(m, g.det(), g.trace())[1:]
-    else:
-        table = ElementTable.of_form(form)
-        m = table.orders[0]
-        exps = [k // (table.modulus // m) for k in table.eigenvalues[0]]
-    return tuple(zeta(m, k) for k in exps)
+    """The eigenvalue pair of a finite-order matrix g of order m (see
+    _finite_order), m-th roots of unity sorted by exponent (_eigen_exponents)."""
+    m = _finite_order(g)
+    return tuple(zeta(m, k) for k in _eigen_exponents(m, g.det(), g.trace())[1:])
 
 
 def _finite_order(g: Mat2) -> int:
-    """The order of g, the size of its cyclic closure in MatForm, at most
-    R = _order_bound(conductor).  SingularGenerator for a zero determinant,
-    and InfiniteOrderSuspected when the determinant is not a root of unity,
-    when g is not scalar and has a repeated eigenvalue (trace^2 = 4 det, so
-    it is not diagonalizable), or when no power up to R is the identity."""
+    """The order of g, at most R = _order_bound(conductor): for a monomial g,
+    the order of the eigenvalues of its exponent form, else the size of its
+    cyclic closure in MatForm.  SingularGenerator for a zero determinant, and
+    InfiniteOrderSuspected when the determinant is not a root of unity, when
+    g is not scalar and has a repeated eigenvalue (trace^2 = 4 det, so it is
+    not diagonalizable), when a power of a monomial g scales a basis vector
+    by a non-root of unity, or when no power of another g up to R is the identity."""
     from .notation import render_matrix  # notation imports this module
     det, tr, n = g.det(), g.trace(), g.conductor()
     if det.is_zero():
@@ -569,7 +558,12 @@ def _finite_order(g: Mat2) -> int:
         problem = "is not scalar and has a repeated eigenvalue"
     else:
         try:
+            form = monomial.exponent_form([g.monomial()])
+            if form is not None:
+                return ElementTable.of_form(form).orders[0]
             return len(MatForm.of(n, [g]).closure(_order_bound(n)).elements)
+        except InfiniteOrderSuspected:
+            problem = "has a power that scales a basis vector by a non-root of unity"
         except GroupTooLarge:
             problem = f"has no power up to R = {_order_bound(n)} equal to the identity"
     raise InfiniteOrderSuspected(f"{render_matrix(g)}, {problem}, so it has infinite order")

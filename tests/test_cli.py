@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from duinv import paperlab
+from duinv import monomial, paperlab
 from duinv.cli import build_parser, main, parse_matrix, render_matrix
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import ParseError
@@ -182,9 +182,14 @@ def test_analyze_zero_conductor_is_an_input_error(capsys):
     assert "input error" in capsys.readouterr().err
 
 
-def test_analyze_conductor_overflow_exit_code(capsys):
+def test_analyze_conductor_overflow_exit_code(capsys, monkeypatch):
     assert main(["analyze", "--alpha", "1", "--beta", "1",
                  "--gen", "[[zeta(1000),0],[0,zeta(1001)]]"]) == 1
+    # the same roots in two generators: refused before any closure runs
+    monkeypatch.setattr(monomial, "closure", lambda *a, **k: pytest.fail("a closure ran"))
+    assert main(["analyze", "--alpha", "1", "--beta", "1",
+                 "--gen", "[[zeta(1000),0],[0,1]]", "--gen", "[[zeta(1001),0],[0,1]]"]) == 1
+    assert capsys.readouterr().err.count("input error:") == 2
 
 
 def test_analyze_beta_zero_is_an_input_error(capsys):

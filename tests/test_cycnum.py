@@ -55,11 +55,28 @@ def test_division_and_pow():
     assert (x / x) == 1
 
 
+def test_foreign_operands_are_not_implemented():
+    # __rtruediv__ refuses what _coerce refuses, before any inverse, as
+    # __add__ and __mul__ do
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /: 'str'"):
+        "x" / zeta(3)
+    for op in ("__rtruediv__", "__add__", "__mul__"):
+        assert getattr(zeta(3), op)("x") is NotImplemented
+    assert 2 / zeta(4) == CycNum(4, [0, -2])
+
+
 def test_conductor_errors():
     with pytest.raises(ZeroConductor):
         CycNum(0, ())
     with pytest.raises(PromotionOverflow):
         zeta(10 ** 6 - 1).promoted((10 ** 6 - 1) * 2)
+
+
+def test_binary_operations_over_the_cap_overflow():
+    # the promotion to the common conductor refuses before it allocates
+    for op in (lambda x, y: x * y, lambda x, y: x + y, lambda x, y: x == y):
+        with pytest.raises(PromotionOverflow, match="conductor 1001000 exceeds cap"):
+            op(zeta(1000), zeta(1001))
 
 
 def test_root_of_unity_order():

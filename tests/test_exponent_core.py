@@ -82,7 +82,7 @@ def test_mat2_groups_match_cycnum_reference(gens):
 
     table = fast.table
     big = table.modulus
-    orders = [g.order(cap=CAP + 1) for g in ref]
+    orders = [_order_by_products(g, fast.conductor, CAP + 1) for g in ref]
     assert table.orders == tuple(orders)
     pairs = []
     for i, (g, order) in enumerate(zip(ref, orders)):
@@ -503,6 +503,38 @@ def test_cayley_subgroup_matches_products_reference(name, data):
                                   group.conductor, DEFAULT_CAP)
     assert _keys(generated_subgroup(sub, inner), group.conductor) == \
         _keys(expected, group.conductor)
+
+
+@st.composite
+def finite_order_matrices(draw):
+    """A diagonal or antidiagonal matrix with entries +-zeta_n^k, an
+    antidiagonal [[0, q], [1/q, 0]] for rational q, or an element of BT, BO
+    or BI conjugated by P = [[1, a], [b, 1 + ab]]."""
+    kind = draw(st.sampled_from(["diagonal", "antidiagonal", "rational", "polyhedral"]))
+    if kind == "rational":
+        q = draw(st.fractions(-4, 4, max_denominator=5).filter(bool))
+        return Mat2.of(0, q, 1 / q, 0)
+    if kind == "polyhedral":
+        group = close_group(draw(st.sampled_from([BT, BO, BI])))
+        g = draw(st.sampled_from(group.elements))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        p = Mat2.of(1, a, b, 1 + a * b)
+        return p @ g @ p.inverse()
+    n = draw(st.integers(1, 24))
+    x, y = draw(roots(n)), draw(roots(n))
+    return Mat2.diag(x, y) if kind == "diagonal" else Mat2.of(0, y, x, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_order_matrices())
+def test_order_and_eigenvalues_match_products_reference(g):
+    # Mat2.order reads a monomial matrix's exponent form and eigenvalues
+    # proposes each eigenvalue from a float; the references walk CycNum
+    # products and search the m-th roots of unity
+    n = g.conductor()
+    m = _order_by_products(g, n, _order_bound(n))
+    assert g.order() == m
+    assert eigenvalues(g) == tuple(zeta(m, k) for k in _eigen_exponents_by_search(g, m))
 
 
 @pytest.mark.parametrize("gens,sl2_label", [(BT + [Mat2.diag(I, I)], "BT"), (BO, "BO"),

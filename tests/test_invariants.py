@@ -14,7 +14,7 @@ from duinv.invariants import (AlgebraCtx, AutShape, MonomialMat,
                               hdet_from_trace, hdet_matrix, hypersurface_trace,
                               is_bireflection, molien, normal_sequence_trace,
                               plane_trace, polyring_molien, theorem03_report,
-                              trace_form)
+                              TraceForm, trace_form)
 from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
                             mat_s1, standard_group)
 from duinv.ratfunc import RatFunc
@@ -279,10 +279,10 @@ def test_report_on_a_cached_group_does_no_group_work(monkeypatch):
              "stanley_gorenstein_test", "generated_subgroup")
     for name in names:
         count(invariants, name)
-    count(Mat2, "det")
+    count(Mat2, "conductor")  # read only by a cold closure, for its conductor check
     q7 = [mat_d1(), mat_s(), mat_c(zeta(16))]
     theorem03_report(3, -1, q7)
-    assert set(calls) == {*names, "det"}  # the counters see the first report
+    assert set(calls) == {*names, "conductor"}  # the counters see the first report
     calls.clear()
     theorem03_report(2, -1, q7)
     theorem03_report(0, 1, q7)
@@ -304,11 +304,14 @@ def test_report_on_a_cached_group_promotes_nothing(monkeypatch):
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     cold, warm = ([mat_d1(), mat_s(), mat_c(zeta(16))] for _ in range(2))
     calls = []
-    promoted = CycNum.promoted
+    promoted, conductor = CycNum.promoted, Mat2.conductor
     monkeypatch.setattr(CycNum, "promoted",
                         lambda self, m: calls.append(m) or promoted(self, m))
+    # read only by a cold closure, for its conductor check
+    monkeypatch.setattr(Mat2, "conductor",
+                        lambda self: calls.append("conductor") or conductor(self))
     theorem03_report(3, -1, cold)
-    assert calls  # the counter sees the first report
+    assert "conductor" in calls  # the counters see the first report
     calls.clear()
     theorem03_report(2, -1, warm)
     theorem03_report(0, 1, warm)
@@ -446,12 +449,13 @@ def test_polyring_molien_symmetric_group_s3():
 
 
 def test_bireflection_mismatch_is_a_typed_error(monkeypatch):
-    # diag(-1, zeta_3) is not a bireflection; claim its determinant is 1 so
-    # the matrix-side criterion says it is one.
+    # diag(-1, zeta_3) is not a bireflection; claim its trace series has a
+    # pole of order gkdim - 1 = 2 at t = 1 so the trace-side criterion says
+    # it is one, while its determinant and eigenvalues say it is not.
     g = Mat2.diag(-1, zeta(3))
     ctx = AlgebraCtx.down_up(1, 1)
     assert not is_bireflection(ctx, g)
-    monkeypatch.setattr(Mat2, "det", lambda self: CycNum.one())
+    monkeypatch.setattr(TraceForm, "pole_order_at_one", lambda self: ctx.gkdim - 1)
     with pytest.raises(BireflectionMismatch):
         is_bireflection(ctx, g)
 

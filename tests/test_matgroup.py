@@ -1,6 +1,7 @@
 """Matrix closures, eigenvalues and recognition of the standard families."""
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +62,12 @@ def test_membership_and_dets():
     assert mat_s() not in g
     dets = {e.det() for e in g}
     assert len(dets) == 2
+
+
+def test_only_a_matrix_can_be_an_element():
+    g = standard_group(1, 2)
+    for other in (1, "x", None, CycNum.one()):
+        assert other not in g
 
 
 def test_eigenvalues_diagonal_and_antidiagonal():
@@ -201,6 +208,16 @@ def test_order_fails_fast(g, error, monkeypatch):
     with pytest.raises(error):
         g.order()
     assert len(calls) <= matgroup._order_bound(1) == 6
+
+
+def test_monomial_order_walks_no_power(monkeypatch):
+    # the order of a monomial matrix is read off its exponent form
+    calls = []
+    mul = MatForm.mul
+    monkeypatch.setattr(MatForm, "mul", lambda *a: calls.append(1) or mul(*a))
+    assert Mat2.diag(zeta(20000), 1).order(cap=20000) == 20000
+    assert Mat2.of(0, zeta(2000), 1, 0).order() == 4000
+    assert calls == []
 
 
 def test_only_mat2_order_has_a_cap():
@@ -357,17 +374,35 @@ def _cycnum_pairs(draw):
     return x, _conjugate(x, k)
 
 
+class _KeyRead(Exception):
+    """Carries the key that close_group looks up in its cache."""
+
+
+class _KeySpy(dict):
+    def get(self, key):
+        raise _KeyRead(key)
+
+
+def _closure_key(g: Mat2) -> tuple:
+    """The closure-cache key of close_group([g]), read before any closure work."""
+    with mock.patch.object(matgroup, "_closure_cache", _KeySpy()), \
+            pytest.raises(_KeyRead) as read:
+        close_group([g])
+    return read.value.args[0]
+
+
 @settings(max_examples=300)
 @given(_cycnum_pairs())
 def test_exact_key_equal_exactly_when_conductor_and_coefficients_are(pair):
     x, y = pair
-    kx, ky = matgroup._exact_key(x), matgroup._exact_key(y)
-    # The key is the stored form itself: an int for each integral
-    # coefficient, a Fraction only for the others, however x was written.
-    assert kx == (x.conductor, x.coeffs) and ky == (y.conductor, y.coeffs)
+    kx, ky = _closure_key(Mat2.diag(x, 1)), _closure_key(Mat2.diag(y, 1))
+    # The key holds each entry's stored form itself, (x.conductor, x.coeffs):
+    # an int for each integral coefficient, a Fraction only for the others,
+    # however x was written.
+    zero, one = (1, (0,)), (1, (1,))
+    assert kx == (((x.conductor, x.coeffs), zero, zero, one), matgroup.DEFAULT_CAP)
     for c in x.coeffs + y.coeffs:
         assert type(c) is int or (type(c) is Fraction and c.denominator > 1)
     assert (kx == ky) == (x.conductor == y.conductor and x.coeffs == y.coeffs)
     if kx == ky:
-        assert hash(kx) == hash(ky)
-
+        assert x == y and hash(kx) == hash(ky)

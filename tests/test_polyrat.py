@@ -35,6 +35,13 @@ def test_construction_trims():
     assert IntPoly((0,)).deg() == -1
 
 
+@pytest.mark.parametrize("coeffs", [(Fraction(1, 2), 3), (1.9, 2), (Fraction(2, 1),), (2.0,)])
+def test_construction_refuses_non_integer_coefficients(coeffs):
+    # no truncation to 3t or 2t + 1; integral Fractions and floats are refused too
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        IntPoly(coeffs)
+
+
 def test_arithmetic():
     p = IntPoly((1, 1))
     assert p * p == IntPoly((1, 2, 1))
