@@ -16,9 +16,8 @@ from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
 from .intpoly import (CycFactorization, IntPoly, cyclotomic_poly, divisors,
                       factorize, is_cyclotomic_product, one_minus_t_pow,
                       poly_gcd_q, totient, x_pow)
-from .invariants import (AlgebraCtx, AutShape, HdetResult, MonomialMat,
-                         Theorem03Report, TraceForm, bireflection_subgroup,
-                         downup_trace,
+from .invariants import (AlgebraCtx, AutShape, HdetResult, Theorem03Report,
+                         TraceForm, bireflection_subgroup, downup_trace,
                          generated_by_bireflections, hdet_from_trace,
                          hdet_matrix, hypersurface_trace, is_bireflection,
                          molien, normal_sequence_trace, plane_trace,

@@ -14,11 +14,14 @@ Exit codes (analyze and classify; paperlab exits 1 when a check fails):
   3  group closure failed: singular generator, group too large, or infinite
      order suspected
   4  any other library error (a DuinvError) during the analysis
+  141  any command: stdout was closed before the output was written
+       (128 + SIGPIPE)
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -218,7 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing reads stdout: keep the interpreter's exit flush quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
+    return code
 
 
 if __name__ == "__main__":

@@ -426,74 +426,36 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
 # monomial matrices on weighted polynomial rings (auxiliary checks)
 # ---------------------------------------------------------------------------
 
-class MonomialMat(Record):
-    """
-    An n x n monomial matrix: column j maps basis vector e_j to
-    scalars[j] * e_perm[j].  Immutable; equal matrices hash equal.
-    """
-
-    __slots__ = _fields = ("perm", "scalars")
-    perm: tuple[int, ...]
-    scalars: tuple[CycNum, ...]
-
-    def __init__(self, perm: tuple[int, ...], scalars: tuple[CycNum, ...]):
-        object.__setattr__(self, "perm", perm)
-        object.__setattr__(self, "scalars", scalars)
-
-    @staticmethod
-    def from_rows(rows) -> "MonomialMat":
-        n = len(rows)
-        if any(len(row) != n for row in rows):
-            raise NonMonomialMatrix("a monomial matrix must be square")
-        perm = []
-        scalars = []
-        for j in range(n):
-            hits = [i for i in range(n) if not _cyc(rows[i][j]).is_zero()]
-            if len(hits) != 1:
-                raise NonMonomialMatrix("each column must have exactly one nonzero entry")
-            perm.append(hits[0])
-            scalars.append(_cyc(rows[hits[0]][j]))
-        return MonomialMat(tuple(perm), tuple(scalars))
-
-    @staticmethod
-    def diag(entries) -> "MonomialMat":
-        entries = tuple(_cyc(e) for e in entries)
-        return MonomialMat(tuple(range(len(entries))), entries)
-
-
-def _close_monomials(gens, cap: int) -> monomial.ExpForm:
-    """
-    The closure of monomial generators in exponent form.  Overflowing the
-    cap raises InfiniteOrderSuspected, as this closure always has.
-    """
-    try:
-        return monomial.exponent_form([(g.perm, g.scalars) for g in gens]).closure(cap)
-    except GroupTooLarge as exc:
-        raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
-
-
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
     """
     Hilbert series of the invariants of a finite monomial matrix group acting
     on a polynomial ring whose variables have the given weights: one positive
-    int per variable, all 1 by default.  Supported up to 4 variables.
+    int per variable, all 1 by default.  Each generator is n x n, n <= 4, as
+    rows of CycNum, Fraction or int entries; NonMonomialMatrix unless it has
+    exactly one nonzero entry in every row and column (see monomial.from_rows).
+    InfiniteOrderSuspected when the group cannot be finite or overflows the cap.
     """
-    gens = [g if isinstance(g, MonomialMat) else MonomialMat.from_rows(g)
-            for g in generators]
+    gens = [monomial.from_rows([[_cyc(x) for x in row] for row in rows]) for rows in generators]
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0].perm)
-    if any(len(g.perm) != n for g in gens):
+    if None in gens:
+        raise NonMonomialMatrix(f"generator {gens.index(None) + 1} of {len(gens)} is not square "
+                                "with exactly one nonzero entry in every row and column")
+    n = len(gens[0][0])
+    if any(len(perm) != n for perm, _ in gens):
         raise ValueError("the generators must all be n x n for one n")
     if n > 4:
         raise UnsupportedAutomorphism("polynomial-ring averages support up to 4 variables")
     weights = (1,) * n if weights is None else tuple(weights)
     if len(weights) != n or not all(isinstance(w, int) and w > 0 for w in weights):
         raise ValueError(f"weights must be {n} positive integers, got {weights}")
-    if len(set(weights)) > 1 and any(g.perm != tuple(range(n)) for g in gens):
+    if len(set(weights)) > 1 and any(perm != tuple(range(n)) for perm, _ in gens):
         # A permutation mixing variables of unequal weight does not act
         # on the weighted ring degree-wise; the group permutes variables
         # exactly when a generator does.
         raise NotAnAutomorphism("permutation mixes variables of different weights")
-    group = _close_monomials(gens, cap)
+    try:
+        group = monomial.exponent_form(gens).closure(cap)
+    except GroupTooLarge as exc:
+        raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
     return _average_inverse_products(weights, group.eigen_modulus, group.eigenvalues)

@@ -4,14 +4,14 @@ recognition of the standard families of finite subgroups of GL_2.
 
 A group stores one integer form of its elements; no CycNum matrix is stored
 eagerly.  A closure is breadth-first from the identity, so element order is
-deterministic for a given generator list.  Diagonal and antidiagonal
-generators (every Q1..Q8, C_n and BD_4n group, and any diagonal conjugate of
-one) close in the exponent form of `duinv.monomial`; all others (the binary
-polyhedral groups, a group in a conjugated basis) in MatForm, integer
-coefficient vectors over one denominator.  In both forms an element is its
-own exact key and a product is integer arithmetic, so every closure has one
-index product, and a subgroup is the list of its element indices in its
-closure.  Classification and the invariants read every group through its
+deterministic for a given generator list.  Invertible diagonal and
+antidiagonal generators (every Q1..Q8, C_n and BD_4n group, and any diagonal
+conjugate of one) close in the exponent form of `duinv.monomial`; all others
+(the binary polyhedral groups, a group in a conjugated basis) in MatForm,
+integer coefficient vectors over one denominator.  In both forms an element
+is its own exact key and a product is integer arithmetic, so every closure
+has one index product, and a subgroup is the list of its element indices in
+its closure.  Classification and the invariants read every group through its
 ElementTable: the shape, determinant, eigenvalues and order of each element
 as integers.  CycNum stays at the edges: the generators, one exactly checked
 eigenvalue per element of a MatForm closure, and `MatGroup.elements`, built
@@ -107,12 +107,9 @@ class Mat2(Record):
         return "antidiagonal" if self.is_antidiagonal() else "other"
 
     def monomial(self):
-        """(perm, scalars) as in duinv.monomial if diagonal or antidiagonal."""
-        if self.is_diagonal():
-            return (0, 1), (self.a, self.d)
-        if self.is_antidiagonal():
-            return (1, 0), (self.c, self.b)
-        return None
+        """(perm, scalars) as in duinv.monomial for an invertible diagonal or
+        antidiagonal matrix, else None (see monomial.from_rows)."""
+        return monomial.from_rows(((self.a, self.b), (self.c, self.d)))
 
     @staticmethod
     def from_monomial(perm, scalars, zero: CycNum) -> "Mat2":

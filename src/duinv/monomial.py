@@ -2,11 +2,11 @@
 Finite groups of monomial matrices in exponent form.
 
 An n x n monomial matrix is given as (perm, scalars): column j sends e_j to
-scalars[j] e_perm[j].  A finite group of such matrices is diagonally
-conjugate to one whose scalars are all roots of unity (see
-`exponent_form`).  There the whole group lives over one modulus M with
-s_j = zeta_M^k_j, so an element is the pair (perm, k) of integer tuples and
-all group work is integer arithmetic:
+scalars[j] e_perm[j], as `from_rows` reads it off a matrix's rows.  A
+finite group of such matrices is diagonally conjugate to one whose scalars
+are all roots of unity (see `exponent_form`).  There the whole group lives
+over one modulus M with s_j = zeta_M^k_j, so an element is the pair (perm, k)
+of integer tuples and all group work is integer arithmetic:
 
 - the matrix product (p, k) @ (q, l) is (p o q, l_j + k_q[j] mod M);
 - on a cycle of length l whose exponents sum to s, the element acts with the
@@ -91,6 +91,27 @@ def cycles(perm: tuple[int, ...]) -> list[list[int]]:
     return out
 
 
+def from_rows(rows) -> "tuple[tuple[int, ...], tuple] | None":
+    """(perm, scalars) of a square matrix, given as rows of CycNum entries,
+    with exactly one nonzero entry in every row and every column; None for
+    any other matrix, singular or not square."""
+    n = len(rows)
+    perm, scalars = [None] * n, [None] * n
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            return None
+        j = None  # the column of the row's one nonzero entry
+        for k, x in enumerate(row):
+            if not x.is_zero():
+                if j is not None:
+                    return None
+                j = k
+        if j is None or perm[j] is not None:
+            return None
+        perm[j], scalars[j] = i, row[j]
+    return tuple(perm), tuple(scalars)
+
+
 def exponent_form(generators) -> "ExpForm | None":
     """
     Generators (perm, scalars) with CycNum scalars in exponent form, over one
@@ -122,6 +143,7 @@ def _rebased(generators):
     roots = [[root_exponent(s) for s in scalars] for _, scalars in generators]
     if all(None not in r for r in roots):
         return None, roots
+    # from_rows reads no zero scalar; pairs passed to exponent_form directly can hold one.
     if any(s.is_zero() for _, scalars in generators for s in scalars):
         raise SingularGenerator("monomial generator has a zero scalar")
     d = [None] * len(roots[0])

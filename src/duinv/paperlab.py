@@ -16,7 +16,7 @@ from fractions import Fraction
 from .cycnum import CycNum, render_cyc, zeta
 from .intpoly import IntPoly, is_cyclotomic_product, x_pow
 from .intpoly import one_minus_t_pow as _omt
-from .invariants import (AlgebraCtx, MonomialMat, bireflection_subgroup,
+from .invariants import (AlgebraCtx, bireflection_subgroup,
                          hdet_from_trace, molien, normal_sequence_trace,
                          hypersurface_trace, polyring_molien, theorem03_report)
 from .matgroup import Mat2, close_group, mat_c, standard_group
@@ -176,8 +176,8 @@ def check_three_variable_numerator(n: int) -> list[CheckResult]:
     """
     if n % 2 == 0 or n < 3:
         raise ValueError("this family needs odd n >= 3")
-    gens = [MonomialMat.diag([zeta(n), zeta(n, n - 1), 1]),
-            MonomialMat.diag([-CycNum.one(), CycNum.one(), -CycNum.one()])]
+    gens = [[[zeta(n), 0, 0], [0, zeta(n, n - 1), 0], [0, 0, 1]],
+            [[-1, 0, 0], [0, 1, 0], [0, 0, -1]]]
     computed = polyring_molien(gens)
     four_term = IntPoly((1,)) + x_pow(n) + x_pow(n + 2) + x_pow(2 * n)
     correction = IntPoly((0, 1)) * _omt(1) * (IntPoly((1,)) + x_pow(2 * n))

@@ -13,6 +13,7 @@ import cmath
 import functools
 import math
 import random
+import typing
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, NonRationalCollapse
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient, totients_at_most
-from duinv.invariants import MonomialMat, TraceForm, _close_monomials
+from duinv.invariants import TraceForm
 from duinv.matgroup import DEFAULT_CAP, Mat2
 from duinv.ratfunc import RatFunc
 
@@ -358,21 +359,53 @@ def _subgroup_by_all_generators(form, indices, cap: int) -> tuple:
 # monomial matrices by CycNum products
 # ---------------------------------------------------------------------------
 
-def _monomial_product(x: MonomialMat, y: MonomialMat) -> MonomialMat:
+def _cyc(x) -> CycNum:
+    return x if isinstance(x, CycNum) else CycNum.from_rat(x)
+
+
+class Monomial(typing.NamedTuple):
+    """An n x n monomial matrix as duinv.monomial writes it: column j sends
+    e_j to scalars[j] e_perm[j]."""
+
+    perm: tuple[int, ...]
+    scalars: tuple[CycNum, ...]
+
+    @staticmethod
+    def diag(entries) -> "Monomial":
+        return Monomial(tuple(range(len(entries))), tuple(_cyc(x) for x in entries))
+
+    @staticmethod
+    def of_rows(rows) -> "Monomial":
+        """The matrix with these rows, read column by column; each column must
+        hold exactly one nonzero entry."""
+        cols = list(zip(*rows))
+        perm = tuple(next(i for i, x in enumerate(col) if x != 0) for col in cols)
+        return Monomial(perm, tuple(_cyc(col[i]) for col, i in zip(cols, perm)))
+
+    def rows(self) -> list[list[CycNum]]:
+        """The matrix as rows, the form polyring_molien takes."""
+        n = len(self.perm)
+        out = [[CycNum.zero()] * n for _ in range(n)]
+        for j, (i, s) in enumerate(zip(self.perm, self.scalars)):
+            out[i][j] = s
+        return out
+
+
+def _monomial_product(x: Monomial, y: Monomial) -> Monomial:
     """The matrix product x @ y, scalar by scalar."""
     perm = tuple(x.perm[p] for p in y.perm)
     scalars = tuple(y.scalars[j] * x.scalars[y.perm[j]] for j in range(len(x.perm)))
-    return MonomialMat(perm, scalars)
+    return Monomial(perm, scalars)
 
 
-def _monomial_key(m: MonomialMat) -> tuple:
+def _monomial_key(m: Monomial) -> tuple:
     """The permutation and every scalar's coefficients at the lcm of their
     conductors: equal exactly for equal matrices."""
     lcm = math.lcm(*(s.conductor for s in m.scalars))
     return (m.perm, tuple(s.promoted(lcm).coeffs for s in m.scalars), lcm)
 
 
-def _monomial_eigenvalues(m: MonomialMat) -> tuple[CycNum, ...]:
+def _monomial_eigenvalues(m: Monomial) -> tuple[CycNum, ...]:
     """
     The eigenvalues cycle by cycle, by exact CycNum search: the l-th roots of
     the product of the scalars along each cycle of length l.  The reference
@@ -479,11 +512,16 @@ def trace_to_ratfunc(tr: TraceForm) -> RatFunc:
     return RatFunc.from_frac_polys(*([c.rational_part() for c in p] for p in products))
 
 
-def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[MonomialMat, ...]:
-    """The closure of monomial generators in exponent form, as MonomialMats
-    with every scalar at the lcm of the generators' conductors."""
+def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[Monomial, ...]:
+    """The closure of Monomial generators in exponent form, as Monomials with
+    every scalar at the lcm of the generators' conductors.  Overflowing the
+    cap raises InfiniteOrderSuspected, as polyring_molien does."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
     conductor = math.lcm(*(s.conductor for g in gens for s in g.scalars))
-    return tuple(MonomialMat(*m) for m in _close_monomials(gens, cap).monomials(conductor))
+    try:
+        form = monomial.exponent_form(gens).closure(cap)
+    except GroupTooLarge as exc:
+        raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
+    return tuple(Monomial(*m) for m in form.monomials(conductor))

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 from duinv import matgroup, monomial
 from duinv.cycnum import CycNum, root_exponent, zeta
-from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NotAnAutomorphism,
-                          SingularGenerator)
-from duinv.invariants import (AlgebraCtx, MonomialMat, _average_inverse_products,
+from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NonMonomialMatrix,
+                          NotAnAutomorphism, SingularGenerator)
+from duinv.invariants import (AlgebraCtx, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
                               hdet_matrix,
                               is_bireflection, molien, normal_sequence_trace,
@@ -30,7 +30,7 @@ from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatForm, MatGroup,
                             mat_c, mat_d1, mat_s, mat_s1, sl2_part, standard_group)
 from duinv.ratfunc import RatFunc
 
-from _oracles import (_close_by_products, _eigen_exponents_by_search,
+from _oracles import (Monomial, _close_by_products, _eigen_exponents_by_search,
                       _lattice_molien_coeffs, _monomial_eigenvalues, _monomial_key,
                       _monomial_product, _order_by_products, _subgroup_by_all_generators,
                       close_monomial_group, trace_to_ratfunc)
@@ -123,7 +123,7 @@ def monomial_generator_sets(draw):
     gens = []
     for _ in range(draw(st.integers(1, 2))):
         perm = tuple(draw(st.permutations(range(size))))
-        gens.append(MonomialMat(perm, tuple(draw(roots(n)) for _ in range(size))))
+        gens.append(Monomial(perm, tuple(draw(roots(n)) for _ in range(size))))
     return gens
 
 
@@ -131,9 +131,9 @@ def _monomial_reference(gens):
     """The closure by CycNum products, with every scalar at one conductor."""
     size = len(gens[0].perm)
     lcm = math.lcm(*(s.conductor for g in gens for s in g.scalars))
-    gens = [MonomialMat(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
+    gens = [Monomial(g.perm, tuple(s.promoted(lcm) for s in g.scalars))
             for g in gens]
-    ident = MonomialMat(tuple(range(size)), (CycNum.one().promoted(lcm),) * size)
+    ident = Monomial(tuple(range(size)), (CycNum.one().promoted(lcm),) * size)
     return monomial.closure(ident, gens, _monomial_product, CAP)
 
 
@@ -151,7 +151,7 @@ def test_monomial_groups_match_cycnum_reference(gens):
     shape = (1,) * len(gens[0].perm)
     reference = _average_inverse_products(
         shape, *_root_exponents([_monomial_eigenvalues(m) for m in ref]))
-    assert polyring_molien(gens, cap=CAP) == reference
+    assert polyring_molien([g.rows() for g in gens], cap=CAP) == reference
 
 
 @st.composite
@@ -183,7 +183,7 @@ TWO_CYCLE_PERMS = {2: [(1, 0)], 3: [(1, 0, 2), (0, 2, 1), (2, 1, 0)]}
 @st.composite
 def irrational_monomial_sets(draw, n_max):
     """
-    2x2 and 3x3 MonomialMat sets whose 2-cycles carry r*zeta^k and
+    2x2 and 3x3 Monomial sets whose 2-cycles carry r*zeta^k and
     zeta^k'/r with rational r != +-1, and whose fixed points carry roots of
     unity: every generator has finite order, and the exponent form needs a
     diagonal change of basis, which exists exactly when the group is finite.
@@ -198,7 +198,7 @@ def irrational_monomial_sets(draw, n_max):
         j = next(j for j in range(size) if perm[j] != j)
         scalars[j] = scalars[j] * r
         scalars[perm[j]] = scalars[perm[j]] / r
-        gens.append(MonomialMat(perm, tuple(scalars)))
+        gens.append(Monomial(perm, tuple(scalars)))
     return gens
 
 
@@ -211,7 +211,7 @@ def _closed_on_both_paths(gens):
         with pytest.raises(InfiniteOrderSuspected):
             close_monomial_group(gens, cap=CAP)
         with pytest.raises(InfiniteOrderSuspected):
-            polyring_molien(gens, cap=CAP)
+            polyring_molien([g.rows() for g in gens], cap=CAP)
         return None
     assert ([_monomial_key(m) for m in close_monomial_group(gens, cap=CAP)]
             == [_monomial_key(m) for m in ref])
@@ -226,7 +226,7 @@ def test_irrational_monomial_groups_match_cycnum_reference(gens):
         shape = (1,) * len(gens[0].perm)
         reference = _average_inverse_products(
             shape, *_root_exponents([_monomial_eigenvalues(m) for m in ref]))
-        assert polyring_molien(gens, cap=CAP) == reference
+        assert polyring_molien([g.rows() for g in gens], cap=CAP) == reference
 
 
 @settings(max_examples=20)
@@ -240,7 +240,8 @@ def test_irrational_monomial_molien_matches_trace_average(gens):
         for m in ref:
             trace = normal_sequence_trace([(1, lam) for lam in _monomial_eigenvalues(m)])
             total = total + trace_to_ratfunc(trace)
-        assert polyring_molien(gens, cap=CAP) == total.scale(Fraction(1, len(ref)))
+        expected = total.scale(Fraction(1, len(ref)))
+        assert polyring_molien([g.rows() for g in gens], cap=CAP) == expected
 
 
 # Entries of the conjugating diagonals; 1 + zeta_3 = -zeta_3^2 is a root of
@@ -251,14 +252,14 @@ BASIS_ENTRIES = [CycNum.one(), CycNum.from_rat(2), CycNum.from_rat(Fraction(-1, 
 
 def _conjugated(g, d):
     """diag(d)^-1 g diag(d): column j scales by s_j d_j / d_perm[j]."""
-    return MonomialMat(g.perm, tuple(s * d[j] / d[p]
-                                     for j, (p, s) in enumerate(zip(g.perm, g.scalars))))
+    return Monomial(g.perm, tuple(s * d[j] / d[p]
+                                  for j, (p, s) in enumerate(zip(g.perm, g.scalars))))
 
 
 @st.composite
 def conjugated_monomial_sets(draw):
     """
-    (original, conjugated, twisted): a root-of-unity MonomialMat set of size
+    (original, conjugated, twisted): a root-of-unity Monomial set of size
     2-4, the set conjugated by a random diagonal, and whether its last
     generator was conjugated by a second diagonal instead, which mostly
     makes the group infinite.
@@ -268,7 +269,7 @@ def conjugated_monomial_sets(draw):
     gens = []
     for _ in range(draw(st.integers(1, 3))):
         perm = tuple(draw(st.permutations(range(size))))
-        gens.append(MonomialMat(perm, tuple(draw(roots(n)) for _ in range(size))))
+        gens.append(Monomial(perm, tuple(draw(roots(n)) for _ in range(size))))
     bases = [[draw(st.sampled_from(BASIS_ENTRIES)) for _ in range(size)]]
     twisted = len(gens) > 1 and draw(st.booleans())
     if twisted:
@@ -290,8 +291,8 @@ def test_conjugated_monomial_groups_match_cycnum_reference(case):
         expected = _average_inverse_products(
             shape, *_root_exponents([_monomial_eigenvalues(m) for m in ref]))
     else:
-        expected = polyring_molien(gens, cap=CAP)
-    assert polyring_molien(conjugated, cap=CAP) == expected
+        expected = polyring_molien([g.rows() for g in gens], cap=CAP)
+    assert polyring_molien([g.rows() for g in conjugated], cap=CAP) == expected
     if len(gens[0].perm) == 2:  # the same group as Mat2s
         mats = [Mat2.from_monomial(g.perm, g.scalars, CycNum.zero()) for g in conjugated]
         group = close_group(mats, cap=CAP)
@@ -373,25 +374,72 @@ def test_infinite_monomial_groups_fail_fast():
     anti = Mat2.of(0, 2, Fraction(1, 2), 0)
     _raises_before_closing(lambda: close_group([anti, mat_s()], cap=2))
     rows = [[[0, 2], [Fraction(1, 2), 0]], [[0, 1], [1, 0]]]
-    mono = [MonomialMat.from_rows(r) for r in rows]
+    mono = [Monomial.of_rows(r) for r in rows]
     _raises_before_closing(lambda: close_monomial_group(mono, cap=2))
-    _raises_before_closing(lambda: polyring_molien(mono, cap=2))
+    _raises_before_closing(lambda: polyring_molien(rows, cap=2))
     # 3x3: two 3-cycles with cycle product 1 whose quotient is diagonal with
     # entries 1, 1/2 and 2.
     cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     scaled = [[0, 0, 1], [Fraction(1, 2), 0, 0], [0, 2, 0]]
-    mono3 = [MonomialMat.from_rows(cycle), MonomialMat.from_rows(scaled)]
+    mono3 = [Monomial.of_rows(cycle), Monomial.of_rows(scaled)]
     with pytest.raises(GroupTooLarge):
         _monomial_reference(mono3)
     _raises_before_closing(lambda: close_monomial_group(mono3, cap=2))
-    _raises_before_closing(lambda: polyring_molien(mono3, cap=2))
+    _raises_before_closing(lambda: polyring_molien([cycle, scaled], cap=2))
 
 
 def test_zero_scalar_is_singular():
-    zero, one = CycNum.zero(), CycNum.one()
-    for gens in ([MonomialMat((1, 0), (zero, one))], [MonomialMat.diag([0, 1])]):
-        with pytest.raises(SingularGenerator):
-            close_monomial_group(gens)
+    # A zero "scalar" leaves a row without a nonzero entry: the matrix is
+    # not monomial, and as a 2x2 generator it is singular.
+    for rows in ([[0, 1], [0, 0]], [[0, 0], [0, 1]]):
+        with pytest.raises(NonMonomialMatrix):
+            polyring_molien([rows])
+    for g in (Mat2.diag(0, 1), Mat2.of(1, 0, 0, 0)):
+        with pytest.raises(SingularGenerator, match="has zero determinant"):
+            close_group([g])
+
+
+@st.composite
+def column_placements(draw):
+    """(positions, scalars, rows): an n x n matrix, n <= 4, with one nonzero
+    scalar per column j, in row positions[j]."""
+    n = draw(st.integers(1, 4))
+    positions = tuple(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    scalars = tuple(draw(st.one_of(roots(draw(st.integers(1, 12))),
+                                   st.sampled_from([2, Fraction(-1, 3)]).map(CycNum.from_rat)))
+                    for _ in range(n))
+    rows = [[CycNum.zero()] * n for _ in range(n)]
+    for j, (i, s) in enumerate(zip(positions, scalars)):
+        rows[i][j] = s
+    return positions, scalars, rows
+
+
+@settings(max_examples=60)
+@given(column_placements())
+def test_from_rows_reads_exactly_the_permutations(case):
+    positions, scalars, rows = case
+    if sorted(positions) == list(range(len(positions))):
+        assert monomial.from_rows(rows) == (positions, scalars)
+    else:  # some row holds two of the entries and another none
+        assert monomial.from_rows(rows) is None
+        with pytest.raises(NonMonomialMatrix):
+            polyring_molien([rows])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(roots(n), roots(n))),
+       st.sampled_from([1, 2, Fraction(-1, 3)]), st.booleans())
+def test_mat2_monomial_reads_diagonal_and_antidiagonal(pair, r, anti):
+    x, y = pair[0] * r, pair[1] / r
+    if anti:
+        g = Mat2.of(0, y, x, 0)
+        assert g.monomial() == ((1, 0), (g.c, g.b))
+    else:
+        g = Mat2.diag(x, y)
+        assert g.monomial() == ((0, 1), (g.a, g.d))
+    assert Mat2.from_monomial(*g.monomial(), CycNum.zero()) == g
+    for singular in (Mat2.of(g.a, g.b, 0, 0), Mat2.of(0, g.b, 0, g.d), Mat2.of(x, y, x, y)):
+        assert singular.monomial() is None
 
 
 I = zeta(4)

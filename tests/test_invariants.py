@@ -9,7 +9,7 @@ from duinv.cycnum import CycNum, zeta
 from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
                           NotAnAutomorphism, UnsupportedAutomorphism)
 from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
-from duinv.invariants import (AlgebraCtx, AutShape, MonomialMat,
+from duinv.invariants import (AlgebraCtx, AutShape,
                               bireflection_subgroup, downup_trace, generated_by_bireflections,
                               hdet_from_trace, hdet_matrix, hypersurface_trace,
                               is_bireflection, molien, normal_sequence_trace,
@@ -19,7 +19,7 @@ from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
                             mat_s1, standard_group)
 from duinv.ratfunc import RatFunc
 
-from _oracles import _monomial_eigenvalues, close_monomial_group, trace_to_ratfunc
+from _oracles import Monomial, _monomial_eigenvalues, close_monomial_group, trace_to_ratfunc
 
 
 def _omt(k):
@@ -359,41 +359,60 @@ def test_bireflection_subgroup_product_budget(family, alpha, beta, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_monomial_from_rows():
-    m = MonomialMat.from_rows([[0, 1], [1, 0]])
-    assert m.perm == (1, 0)
+    one, zero = CycNum.one(), CycNum.zero()
+    assert monomial.from_rows([[zero, one], [one, zero]]) == ((1, 0), (one, one))
+    assert monomial.from_rows([[one, one], [zero, one]]) is None
+    assert polyring_molien([[[0, 1], [1, 0]]]) == RatFunc.make(IntPoly((1,)), _omt(1) * _omt(2))
     with pytest.raises(NonMonomialMatrix):
-        MonomialMat.from_rows([[1, 1], [0, 1]])
+        polyring_molien([[[1, 1], [0, 1]]])
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 0], [1, 1]],
+    [[0, 0], [-1, 1]],
+    [[1, 1, 0], [0, 0, 1], [0, 0, 0]],
+], ids=["2x2", "2x2-signed", "3x3"])
+def test_polyring_molien_refuses_singular_rows(rows):
+    # One nonzero entry in every column, but two of them in one row: the
+    # matrix is singular, not monomial.
+    with pytest.raises(NonMonomialMatrix):
+        polyring_molien([rows])
 
 
 def test_monomial_eigenvalues_swap():
-    m = MonomialMat.from_rows([[0, 1], [1, 0]])
+    m = Monomial.of_rows([[0, 1], [1, 0]])
     vals = set(_monomial_eigenvalues(m))
     assert vals == {CycNum.one(), CycNum.from_rat(-1)}
 
 
 def test_monomial_closure_dedups_conductors():
-    gens = [MonomialMat.diag([zeta(3), zeta(3, 2), 1]),
-            MonomialMat.diag([-CycNum.one(), CycNum.one(), -CycNum.one()])]
+    gens = [Monomial.diag([zeta(3), zeta(3, 2), 1]),
+            Monomial.diag([-CycNum.one(), CycNum.one(), -CycNum.one()])]
     assert len(close_monomial_group(gens)) == 6
 
 
 def test_polyring_molien_cyclic():
     # C_2 acting by sign on 2 variables
-    g = MonomialMat.diag([-CycNum.one(), -CycNum.one()])
-    series = polyring_molien([g])
+    series = polyring_molien([[[-1, 0], [0, -1]]])
     assert series == RatFunc.make(IntPoly((1, 0, 1)), _omt(2) ** 2)
     assert series.series_coeffs(5) == [Fraction(x) for x in (1, 0, 3, 0, 5)]
 
 
-def test_polyring_molien_weighted_guard(monkeypatch):
+def _count_closures(monkeypatch) -> list:
+    """A list that records every later call of ExpForm.closure, which then
+    closes nothing."""
     closures = []
-    monkeypatch.setattr(invariants, "_close_monomials",
-                        lambda *args: closures.append(args))
-    swap = MonomialMat.from_rows([[0, 1], [1, 0]])
+    monkeypatch.setattr(monomial.ExpForm, "closure", lambda *args: closures.append(args))
+    return closures
+
+
+def test_polyring_molien_weighted_guard(monkeypatch):
+    closures = _count_closures(monkeypatch)
+    swap = [[0, 1], [1, 0]]
     # With diag(zeta_200, 1) the swap generates a finite group of order
     # 80 000, beyond the cap: the weights are checked before any closure.
-    for gens in ([swap], [swap, MonomialMat.diag([zeta(200), 1])],
-                 [swap, MonomialMat.diag([zeta(3), 1])]):
+    for gens in ([swap], [swap, [[zeta(200), 0], [0, 1]]],
+                 [swap, [[zeta(3), 0], [0, 1]]]):
         with pytest.raises(NotAnAutomorphism):
             polyring_molien(gens, weights=(1, 2))
     assert closures == []
@@ -408,15 +427,13 @@ def test_trace_factor_degrees_must_be_positive(degree):
 @pytest.mark.parametrize("weights", [(1, 2), (1, 1, 1, 1), (0, 1, 1), (-1, 1, 1),
                                      (1.5, 1, 1)])
 def test_polyring_molien_rejects_bad_weights(weights, monkeypatch):
-    closures = []
-    monkeypatch.setattr(invariants, "_close_monomials",
-                        lambda *args: closures.append(args))
+    closures = _count_closures(monkeypatch)
     with pytest.raises(ValueError, match="weights must be 3 positive integers"):
-        polyring_molien([MonomialMat.diag([zeta(3), 1, 1])], weights=weights)
+        polyring_molien([[[zeta(3), 0, 0], [0, 1, 0], [0, 0, 1]]], weights=weights)
     assert closures == []
 
 
-TWO, THREE = MonomialMat.diag([-1, 1]), MonomialMat.diag([-1, 1, 1])
+TWO, THREE = [[-1, 0], [0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 @pytest.mark.parametrize("gens,error", [
@@ -426,9 +443,7 @@ TWO, THREE = MonomialMat.diag([-1, 1]), MonomialMat.diag([-1, 1, 1])
     ([[[1, 0], [0, 1], [0, 0]]], NonMonomialMatrix),
 ], ids=["2-then-3", "3-then-2", "short-row", "three-rows-of-two"])
 def test_polyring_molien_rejects_ragged_generators(gens, error, monkeypatch):
-    closures = []
-    monkeypatch.setattr(invariants, "_close_monomials",
-                        lambda *args: closures.append(args))
+    closures = _count_closures(monkeypatch)
     with pytest.raises(error):
         polyring_molien(gens)
     assert closures == []
@@ -441,8 +456,8 @@ def test_monomial_groups_need_a_generator(fn):
 
 
 def test_polyring_molien_symmetric_group_s3():
-    gens = [MonomialMat.from_rows([[0, 1, 0], [1, 0, 0], [0, 0, 1]]),
-            MonomialMat.from_rows([[0, 0, 1], [1, 0, 0], [0, 1, 0]])]
+    gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+            [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
     series = polyring_molien(gens)
     expected = RatFunc.make(IntPoly((1,)), _omt(1) * _omt(2) * _omt(3))
     assert series == expected  # elementary symmetric polynomial degrees
