@@ -70,10 +70,14 @@ class IntPoly(Record):
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return IntPoly(a + b for a, b in
                        itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
     def __sub__(self, other: "IntPoly") -> "IntPoly":
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         return IntPoly(a - b for a, b in
                        itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0))
 
@@ -83,6 +87,8 @@ class IntPoly(Record):
     def __mul__(self, other):
         if isinstance(other, int):
             return IntPoly(c * other for c in self.coeffs)
+        if not isinstance(other, IntPoly):
+            return NotImplemented
         out = [0] * (len(self.coeffs) + len(other.coeffs))
         for i, c in enumerate(self.coeffs):
             if c:
@@ -165,11 +171,16 @@ ZERO = IntPoly()
 
 
 def x_pow(k: int) -> IntPoly:
+    """The polynomial t^k for k >= 0 (ValueError otherwise)."""
+    if k < 0:
+        raise ValueError(f"x_pow needs k >= 0, got {k}")
     return IntPoly((0,) * k + (1,))
 
 
 def one_minus_t_pow(k: int) -> IntPoly:
-    """The polynomial 1 - t^k."""
+    """The polynomial 1 - t^k for k >= 1 (ValueError otherwise)."""
+    if k < 1:
+        raise ValueError(f"one_minus_t_pow needs k >= 1, got {k}")
     return IntPoly((1,) + (0,) * (k - 1) + (-1,))
 
 

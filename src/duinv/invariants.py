@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import operator
 import typing
 from collections import Counter
 from fractions import Fraction
@@ -33,8 +34,8 @@ from ._record import Record
 from .cycnum import CycNum
 from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
-                     NonRationalCollapse, NotAnAutomorphism,
-                     UnsupportedAutomorphism, ZeroFunction)
+                     NonNormalizableDenominator, NonRationalCollapse,
+                     NotAnAutomorphism, UnsupportedAutomorphism, ZeroFunction)
 from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pow
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
                        eigenvalues, generated_subgroup, remember)
@@ -179,20 +180,28 @@ def normal_sequence_trace(steps) -> TraceForm:
     """
     Trace of an automorphism acting by scalar lam_i on the i-th member of a
     regular normal sequence of degrees d_i: 1 / prod (1 - lam_i t^(d_i)).
-    `steps` is a sequence of (degree, scalar) pairs.
+    `steps` is a sequence of (degree, scalar) pairs; a degree must be an int
+    (TypeError otherwise, as for a float) and at least 1 (ValueError).
     """
-    return TraceForm(tuple((int(d), _cyc(lam)) for d, lam in steps))
+    return TraceForm(tuple(_factor(d, lam) for d, lam in steps))
 
 
 def hypersurface_trace(steps, relation) -> TraceForm:
     """
     Trace on a graded hypersurface: generators as in normal_sequence_trace,
     with one relation of degree d scaled by lam, contributing the numerator
-    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair.
+    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair, its degree
+    checked as those of the steps.
     """
-    d, lam = relation
-    return TraceForm(tuple((int(dd), _cyc(ll)) for dd, ll in steps),
-                     ((int(d), _cyc(lam)),))
+    return TraceForm(tuple(_factor(d, lam) for d, lam in steps),
+                     (_factor(*relation),))
+
+
+def _factor(d, lam) -> tuple[int, CycNum]:
+    d = operator.index(d)
+    if d < 1:
+        raise ValueError(f"factor degrees must be positive, got {d}")
+    return d, _cyc(lam)
 
 
 def _cyc(x) -> CycNum:
@@ -263,17 +272,22 @@ def _average_inverse_products(shape: tuple[int, ...], modulus: int,
                 grown[d * j: d * j + cur.shape[0]] += np.roll(cur, (e * j) % big_m, axis=1)
             cur = grown
         total[: cur.shape[0]] += mult * cur
-    num_coeffs = []
+    # The average times the denominator is an integer series, so the group
+    # order divides every rational coefficient of a group's sum.
+    num = []
     for k in range(num_deg + 1):
         value = CycNum(big_m, [int(v) for v in total[k]])
         if not value.is_rational():
             raise NonRationalCollapse(f"Molien coefficient of t^{k} is irrational")
-        num_coeffs.append(value.rational_part() / count)
+        coeff, rest = divmod(value.coeffs[0], count)
+        if rest:
+            raise NonNormalizableDenominator(
+                f"Molien coefficient of t^{k} is not divisible by the element count {count}")
+        num.append(coeff)
     den = IntPoly((1,))
     for d in shape:
         den = den * one_minus_t_pow(d * big_m)
-    return remember(_molien_cache, key, RatFunc.from_frac_polys(
-        num_coeffs, [Fraction(c) for c in den.coeffs]))
+    return remember(_molien_cache, key, RatFunc.make(IntPoly(num), den))
 
 
 def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):

@@ -65,9 +65,7 @@ def check_reflection_extended_series(n: int) -> list[CheckResult]:
     # S1 is 2n times the plane Molien average over the cyclic diagonal part.
     plane = AlgebraCtx.skew_plane(CycNum.from_rat(1))
     s1 = molien(plane, close_group([mat_c(zeta(2 * n))])).scale(2 * n)
-    s1_expected = RatFunc.from_frac_polys(
-        [2 * n * Fraction(c) for c in _omt(4 * n).coeffs],
-        (_omt(2 * n) ** 2 * _omt(2)).coeffs)
+    s1_expected = RatFunc.make(_omt(4 * n) * (2 * n), _omt(2 * n) ** 2 * _omt(2))
     out.append(CheckResult.compare("diagonal-partial-sum", {"n": n},
                                    s1_expected, s1))
     return out

@@ -4,7 +4,7 @@ integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
 unique, so equality of the stored pair is true equality of rational
-functions.
+functions.  RatFunc.make is the one constructor; every operation ends in it.
 """
 from __future__ import annotations
 
@@ -40,10 +40,12 @@ class RatFunc(Record):
             raise DenominatorVanishesAtZero("denominator has no constant term")
         if num.is_zero():
             return RatFunc(IntPoly(), IntPoly((1,)))
-        num, den = _cancel(num, den)
+        # Common content first: a cyclotomic den then takes that branch of
+        # _cancel, and by Gauss's lemma no common content is left after it.
         c = math.gcd(num.content(), den.content())
         num = IntPoly(x // c for x in num.coeffs)
         den = IntPoly(x // c for x in den.coeffs)
+        num, den = _cancel(num, den)
         if den[0] < 0:
             num, den = -num, -den
         if den[0] != 1:
@@ -51,37 +53,19 @@ class RatFunc(Record):
                 f"reduced denominator has constant term {den[0]}")
         return RatFunc(num, den)
 
-    @staticmethod
-    def from_frac_polys(num, den) -> "RatFunc":
-        """Build from two sequences of Fractions, clearing denominators."""
-        num = [Fraction(c) for c in num]
-        den = [Fraction(c) for c in den]
-        scale = math.lcm(*(c.denominator for c in num + den))
-        return RatFunc.make(IntPoly(int(c * scale) for c in num),
-                            IntPoly(int(c * scale) for c in den))
-
-    @staticmethod
-    def constant(value) -> "RatFunc":
-        value = Fraction(value)
-        return RatFunc.from_frac_polys([value], [Fraction(1)])
-
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if not isinstance(other, RatFunc):
+            return NotImplemented
         return RatFunc.make(self.num * other.den + other.num * self.den,
                             self.den * other.den)
 
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.den - other.num * self.den,
-                            self.den * other.den)
-
-    def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
     def scale(self, factor) -> "RatFunc":
-        factor = Fraction(factor)
-        return RatFunc.from_frac_polys(
-            [c * factor for c in self.num.coeffs], self.den.coeffs)
+        """factor * self for a rational factor; NonNormalizableDenominator
+        when the product has no canonical form."""
+        f = Fraction(factor)
+        return RatFunc.make(self.num * f.numerator, self.den * f.denominator)
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -99,26 +83,8 @@ class RatFunc(Record):
             out.append(c)
         return out
 
-    def pole_order_at_one(self) -> int:
-        """Order of the pole at t = 1 (negative for a zero there)."""
-        return _vanishing_order_at_one(self.den) - _vanishing_order_at_one(self.num)
-
-    def laurent_leading_at_infinity(self) -> tuple[int, Fraction]:
-        """Exponent and coefficient of the leading term as t -> infinity."""
-        if self.num.is_zero():
-            raise ZeroFunction("zero function has no leading term at infinity")
-        return (self.num.deg() - self.den.deg(),
-                Fraction(self.num.lead(), self.den.lead()))
-
     def __str__(self):
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def _vanishing_order_at_one(p: IntPoly) -> int:
-    order, coeffs = 0, list(p.coeffs)
-    while coeffs and (coeffs := cyclotomic_times(coeffs, 1, -1)) is not None:
-        order += 1
-    return order
 
 
 def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
@@ -149,15 +115,18 @@ def stanley_gorenstein_test(f: RatFunc):
     """
     Check the functional equation f(1/t) = sigma * t^l * f(t) with
     sigma in {+1, -1}; return (sigma, l) if it holds, None otherwise.
+
+    f must be in canonical form, as make returns it: then the equation
+    holds exactly when num.reverse() = s1 * num and den.reverse() = s2 * den
+    with s1, s2 in {+1, -1}, and sigma = s1 * s2, l = deg den - deg num.
     """
     if f.is_zero():
         raise ZeroFunction("the zero series cannot satisfy the functional equation")
-    l = f.den.deg() - f.num.deg()
-    lhs = f.num.reverse() * f.den
-    rhs = f.num * f.den.reverse()
-    if lhs == rhs:
-        return (1, l)
-    if lhs == -rhs:
-        return (-1, l)
-    return None
-
+    sigma = 1
+    for p in (f.num, f.den):
+        rev = p.reverse()
+        if rev != p:
+            if rev != -p:
+                return None
+            sigma = -sigma
+    return (sigma, f.den.deg() - f.num.deg())

@@ -3,7 +3,8 @@ suite.
 
 Each suite cross-checks an exact routine against a computation that shares no
 code with it: complex root finding, Graeffe root squaring and trial division
-by Phi_d for the cyclotomic tester, the gcd over Q for cancellation,
+by Phi_d for the cyclotomic tester, the gcd over Q for cancellation, the
+polynomial-product form of the functional equation for the Stanley test,
 truncated geometric-series convolution for power-series coefficients, the
 complex embedding for cyclotomic arithmetic, CycNum matrix products for
 group closures and eigenvalues, and lattice counts for the Molien series of
@@ -211,6 +212,20 @@ def cancel_by_gcd(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     positive leading coefficient: the reference for ratfunc._cancel."""
     g = poly_gcd_q(num, den)
     return num.divmod_exact(g)[0], den.divmod_exact(g)[0]
+
+
+def stanley_by_products(f: RatFunc):
+    """The functional equation f(1/t) = sigma t^l f(t) checked by comparing
+    num.reverse() * den with sigma * num * den.reverse(), for any f with
+    den(0) != 0: the reference for ratfunc.stanley_gorenstein_test."""
+    l = f.den.deg() - f.num.deg()
+    lhs = f.num.reverse() * f.den
+    rhs = f.num * f.den.reverse()
+    if lhs == rhs:
+        return (1, l)
+    if lhs == -rhs:
+        return (-1, l)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +524,9 @@ def trace_to_ratfunc(tr: TraceForm) -> RatFunc:
         for i, c in enumerate(coeffs):
             if not c.is_rational():
                 raise NonRationalCollapse(f"coefficient of t^{i} is irrational: {c!r}")
-    return RatFunc.from_frac_polys(*([c.rational_part() for c in p] for p in products))
+    rationals = [[c.rational_part() for c in p] for p in products]
+    scale = math.lcm(*(c.denominator for p in rationals for c in p))
+    return RatFunc.make(*(IntPoly(int(c * scale) for c in p) for p in rationals))
 
 
 def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[Monomial, ...]:

@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from duinv import invariants, matgroup, paperlab
+from duinv import invariants, matgroup, paperlab, ratfunc
 from duinv.cli import main
 from duinv.cycnum import zeta
 from duinv.intpoly import IntPoly, cyclotomic_poly
@@ -194,6 +194,28 @@ def test_09_reports_on_a_cached_group_match_fresh_ones(monkeypatch):
                 assert fields(theorem03_report(*ab, gens)) == fresh[ab], (name, first, ab)
         pairs += len(algebras)
     assert pairs == 274
+
+
+def test_09_series_cancel_without_a_gcd_over_q(monkeypatch):
+    """Every series of the paperlab suites up to n = 16 and of one report
+    per sweep group reaches make with an integer numerator over a product
+    of cyclotomics, so cancellation never needs poly_gcd_q.  The caches
+    start empty, so that every series is built here."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    monkeypatch.setattr(invariants, "_molien_cache", {})
+    calls = []
+    gcd = ratfunc.poly_gcd_q
+    monkeypatch.setattr(ratfunc, "poly_gcd_q", lambda p, q: calls.append(1) or gcd(p, q))
+    _assert_all_pass(paperlab.run_suite("all", 16))
+    done = set()
+    for alpha, beta in PARAMS:
+        diagonal_only = AlgebraCtx.down_up(alpha, beta).aut_shape.name == "O"
+        for name, diagonal, gens in _family_generators():
+            if name not in done and (diagonal or not diagonal_only):
+                theorem03_report(alpha, beta, gens)
+                done.add(name)
+    assert len(done) == len(_family_generators())
+    assert not calls
 
 
 def test_10_no_quasi_reflections(sweep_reports):

@@ -7,9 +7,10 @@ import pytest
 from duinv import invariants, matgroup, monomial
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
+                          NonNormalizableDenominator, NonRationalCollapse,
                           NotAnAutomorphism, UnsupportedAutomorphism)
 from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
-from duinv.invariants import (AlgebraCtx, AutShape,
+from duinv.invariants import (AlgebraCtx, AutShape, _average_inverse_products,
                               bireflection_subgroup, downup_trace, generated_by_bireflections,
                               hdet_from_trace, hdet_matrix, hypersurface_trace,
                               is_bireflection, molien, normal_sequence_trace,
@@ -122,6 +123,28 @@ def test_trace_laurent_and_pole():
     hyp = hypersurface_trace([(2, 1), (2, 1), (2, -1)], (4, 1))
     assert hyp.pole_order_at_one() == 2 - 1 + 0  # two unit poles, one unit zero...
     assert hyp.pole_order_at_one() == 1
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: normal_sequence_trace([(2.5, 1)]), TypeError),
+    (lambda: hypersurface_trace([(1, 1)], (2.7, 1)), TypeError),
+    (lambda: normal_sequence_trace([(0, 1)]), ValueError),
+    (lambda: normal_sequence_trace([(1, 1), (-1, 1)]), ValueError),
+    (lambda: hypersurface_trace([(1, 1)], (0, 1)), ValueError),
+])
+def test_trace_degrees_are_positive_ints(build, error):
+    # an int() reading made degree 2 of 2.5 and 2.7, and accepted 0
+    with pytest.raises(error):
+        build()
+
+
+def test_molien_of_a_non_group_raises_typed_errors():
+    # one element zeta_3: 1 + zeta_3 t + zeta_3^2 t^2 times 1/(1 - t^3)
+    with pytest.raises(NonRationalCollapse, match=r"^Molien coefficient of t\^1 is irrational$"):
+        _average_inverse_products((1,), 3, [(1,)])
+    # {1, 1, -1}: (3 + t) / 3 over 1 - t^2 has no integer numerator
+    with pytest.raises(NonNormalizableDenominator):
+        _average_inverse_products((1,), 2, [(0,), (0,), (1,)])
 
 
 # ---------------------------------------------------------------------------

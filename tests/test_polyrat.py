@@ -4,10 +4,11 @@ The cyclotomic tester is cross-checked against the numerical oracles in
 _oracles.py; the series expansion against its convolution oracle in
 test_acceptance.py (check 11).
 """
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from duinv.errors import NonRationalCollapse, ZeroDenominator, ZeroPolynomial
@@ -22,7 +23,8 @@ from duinv.ratfunc import RatFunc, _cancel, stanley_gorenstein_test
 from duinv.cycnum import zeta
 
 from _oracles import (cancel_by_gcd, cyclotomic_by_division,
-                      cyclotomic_product_by_trial_division, trace_to_ratfunc)
+                      cyclotomic_product_by_trial_division, stanley_by_products,
+                      trace_to_ratfunc)
 
 
 # ---------------------------------------------------------------------------
@@ -238,11 +240,11 @@ def test_canonical_form():
 
 
 def test_arithmetic_and_scale():
-    one = RatFunc.constant(1)
-    assert RatFunc.constant(2) + RatFunc.constant(3) == RatFunc.constant(5)
-    assert one - one == RatFunc.make(IntPoly(), IntPoly((1,)))
+    def const(c):
+        return RatFunc.make(IntPoly((c,)), IntPoly((1,)))
+    assert const(2) + const(3) == const(5)
     geo = RatFunc.make(IntPoly((1,)), IntPoly((1, -1)))
-    assert geo * geo == RatFunc.make(IntPoly((1,)), IntPoly((1, -2, 1)))
+    assert geo + geo.scale(-1) == RatFunc.make(IntPoly(), IntPoly((1,)))
     doubled = RatFunc.make(IntPoly((2, 2)), IntPoly((1, -1)))
     assert doubled.scale(Fraction(1, 2)) == RatFunc.make(IntPoly((1, 1)), IntPoly((1, -1)))
     # series with a non-integer coefficient cannot take the canonical
@@ -252,16 +254,26 @@ def test_arithmetic_and_scale():
         geo.scale(Fraction(3, 2))
 
 
-def test_pole_order_at_one():
-    f = RatFunc.make(one_minus_t_pow(2), one_minus_t_pow(1) ** 3 * IntPoly((1, 1)))
-    assert f.pole_order_at_one() == 2
-    g = RatFunc.make(one_minus_t_pow(3), IntPoly((1, 1)))
-    assert g.pole_order_at_one() == -1
+def test_foreign_operands_raise_type_error():
+    geo = RatFunc.make(IntPoly((1,)), IntPoly((1, -1)))
+    with pytest.raises(TypeError):
+        IntPoly((1,)) + 1
+    with pytest.raises(TypeError):
+        IntPoly((1,)) - 1
+    with pytest.raises(TypeError):
+        IntPoly((1,)) * Fraction(1, 2)
+    with pytest.raises(TypeError):
+        geo + 1
+    assert IntPoly((1, 1)) * 3 == 3 * IntPoly((1, 1)) == IntPoly((3, 3))
 
 
-def test_laurent_leading():
-    f = RatFunc.make(IntPoly((0, 0, 3)), IntPoly((1, 0, 0, -2)))
-    assert f.laurent_leading_at_infinity() == (-1, Fraction(3, -2))
+def test_degree_arguments_are_checked():
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            one_minus_t_pow(bad)
+    with pytest.raises(ValueError):
+        x_pow(-1)
+    assert one_minus_t_pow(1) == IntPoly((1, -1)) and x_pow(0) == IntPoly((1,))
 
 
 def test_stanley_gorenstein():
@@ -273,6 +285,33 @@ def test_stanley_gorenstein():
     # odd symmetry: (1+t^2)/(1-t)^3 satisfies f(1/t) = -t f(t)
     h = RatFunc.make(IntPoly((1, 0, 1)), one_minus_t_pow(1) ** 3)
     assert stanley_gorenstein_test(h) == (-1, 1)
+
+
+def _symmetric(half, sign):
+    """A palindrome (sign 1) or antipalindrome (sign -1) from its low half."""
+    return IntPoly(list(half) + [sign * c for c in reversed(half)])
+
+
+_cyclotomic_den = st.lists(st.tuples(st.booleans(), st.integers(1, 12)),
+                           min_size=1, max_size=4).map(
+    lambda fs: math.prod((cyclotomic_poly(d) if cyc else one_minus_t_pow(d)
+                          for cyc, d in fs), start=IntPoly((1,))))
+_random_den = st.lists(st.integers(-3, 3), max_size=5).map(lambda cs: IntPoly([1] + cs))
+_numerator = st.one_of(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=7).map(IntPoly),
+    st.builds(_symmetric, st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+              st.sampled_from([1, -1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_numerator, st.one_of(_cyclotomic_den, _random_den))
+def test_stanley_palindromes_match_products(num, den):
+    # Canonical rational functions, through make, with cyclotomic and
+    # arbitrary denominators: the palindrome test gives the answer of the
+    # product form, (+1, l), (-1, l) or None.
+    assume(not num.is_zero())
+    f = RatFunc.make(num, den)
+    assert stanley_gorenstein_test(f) == stanley_by_products(f)
 
 
 @settings(max_examples=40, deadline=None)
