@@ -31,12 +31,9 @@ CONDUCTOR_CAP = 10 ** 6
 _RatLike = (int, Fraction)
 
 
-def _reduce(coeffs, n: int) -> tuple:
-    """Reduce a rational polynomial in zeta_n modulo the n-th cyclotomic.
-
-    The arithmetic runs on the values as given; the result is in canonical
-    form: an int for each integral coefficient, a Fraction for every other.
-    """
+def _reduce(coeffs, n: int) -> list:
+    """Reduce a rational polynomial in zeta_n modulo the n-th cyclotomic, on
+    the values as given; CycNum.__init__ puts the result in canonical form."""
     phi = totient(n)
     work = list(coeffs)
     while work and work[-1] == 0:
@@ -50,7 +47,7 @@ def _reduce(coeffs, n: int) -> tuple:
                     work[i - phi + j] -= top * c
             work.pop()
     work += [0] * (phi - len(work))
-    return tuple(c if type(c) is int else _canon(c) for c in work)
+    return work
 
 
 def _canon(c):
@@ -71,10 +68,8 @@ class CycNum(Record):
             raise ZeroConductor(f"conductor must be >= 1, got {conductor}")
         if conductor > CONDUCTOR_CAP:
             raise PromotionOverflow(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
-        if _reduced:
-            vec = tuple(c if type(c) is int else _canon(c) for c in coeffs)
-        else:
-            vec = _reduce(coeffs, conductor)
+        vec = tuple(c if type(c) is int else _canon(c)
+                    for c in (coeffs if _reduced else _reduce(coeffs, conductor)))
         object.__setattr__(self, "conductor", conductor)
         object.__setattr__(self, "coeffs", vec)
         object.__setattr__(self, "_hash", None)
@@ -231,8 +226,8 @@ class CycNum(Record):
 
     def __hash__(self):
         # Weak but conductor-independent: hash the normalized field trace
-        # Tr(x)/phi(n), which is preserved by promotion.  Memoized, since
-        # matrices of CycNums are used as dictionary keys in hot paths.
+        # Tr(x)/phi(n), which is preserved by promotion.  Memoized; closures
+        # are keyed on integer forms, so no hot path hashes a CycNum.
         if self._hash is None:
             object.__setattr__(self, "_hash", hash(self._normalized_trace()))
         return self._hash

@@ -89,10 +89,6 @@ class Mat2(Record):
     def is_diagonal(self) -> bool:
         return self.b.is_zero() and self.c.is_zero()
 
-    def is_antidiagonal(self) -> bool:
-        return (self.a.is_zero() and self.d.is_zero()
-                and not self.b.is_zero() and not self.c.is_zero())
-
     def conductor(self) -> int:
         return math.lcm(*(e.conductor for e in self.entries()))
 
@@ -101,10 +97,8 @@ class Mat2(Record):
         return tuple(e.promoted(conductor).coeffs for e in self.entries())
 
     def shape(self) -> str:
-        """"diagonal", "antidiagonal" or "other"."""
-        if self.is_diagonal():
-            return "diagonal"
-        return "antidiagonal" if self.is_antidiagonal() else "other"
+        """"diagonal", "antidiagonal" or "other" (see _shape)."""
+        return _shape(*(not e.is_zero() for e in self.entries()))
 
     def monomial(self):
         """(perm, scalars) as in duinv.monomial for an invertible diagonal or
@@ -137,7 +131,7 @@ class MatForm:
 
     def __init__(self, conductor: int, elements: tuple):
         self.conductor, self.elements = conductor, elements
-        one, zero = _reduce([1], conductor), _reduce([], conductor)
+        one, zero = tuple(_reduce([1], conductor)), tuple(_reduce([], conductor))
         self.identity = (1, one, zero, zero, one)
 
     @staticmethod
@@ -162,8 +156,8 @@ class MatForm:
     def mul(self, x, y):
         """The matrix product x @ y."""
         (dx, a, b, c, d), (dy, e, f, g, h), n = x, y, self.conductor
-        out = [_reduce(_convolve(*v), n) for v in ((a, e, b, g), (a, f, b, h),
-                                                   (c, e, d, g), (c, f, d, h))]
+        out = [tuple(_reduce(_convolve(*v), n)) for v in ((a, e, b, g), (a, f, b, h),
+                                                          (c, e, d, g), (c, f, d, h))]
         den = dx * dy
         k = math.gcd(den, *(v for vec in out for v in vec)) if den > 1 else 1
         return (den // k, *(tuple(v // k for v in vec) for vec in out)) if k > 1 else (den, *out)
@@ -174,24 +168,24 @@ class MatForm:
                        tuple(monomial.closure(self.identity, self.elements, self.mul, cap)))
 
     def table(self) -> "ElementTable":
-        """The ElementTable of elements that form a group.  The cyclic closure
-        of x, of size m, lists each x^j, of order m / gcd(m, j); each
-        element's determinant and eigenvalues are read at its order."""
-        index, orders = {x: i for i, x in enumerate(self.elements)}, [0] * len(self.elements)
-        for i, x in enumerate(self.elements):
-            if not orders[i]:
-                powers = MatForm(self.conductor, (x,)).closure(len(index)).elements
-                for j, power in enumerate(powers):
-                    orders[index[power]] = len(powers) // math.gcd(len(powers), j)
-        rows = []
-        for (den, a, b, c, d), m in zip(self.elements, orders):
+        """The ElementTable of elements that form a group, in one pass: every
+        order divides |G| (Lagrange), so each det and eigenvalue is a power of
+        zeta_|G|, and |G| over its gcd with all the exponents is the lcm of the orders."""
+        size, rows = len(self.elements), []
+        for den, a, b, c, d in self.elements:
             det = self._cyc(_reduce(_convolve(a, d, b, tuple(-v for v in c)), self.conductor),
                            den * den)
             tr = self._cyc(tuple(u + v for u, v in zip(a, d)), den)
-            rows.append([(m, k) for k in _eigen_exponents(m, det, tr)])
-        m, exps = monomial.lift(rows)
-        return ElementTable(m, tuple(self.mat(x).shape() for x in self.elements),
-                            tuple(det for det, *_ in exps), tuple(tuple(eig) for _, *eig in exps))
+            rows.append(_eigen_exponents(size, det, tr))
+        g = math.gcd(size, *(e for row in rows for e in row))
+        return ElementTable(size // g, tuple(_shape(*map(any, x[1:])) for x in self.elements),
+                            tuple(det // g for det, _, _ in rows),
+                            tuple((k // g, j // g) for _, k, j in rows))
+
+
+def _shape(a: bool, b: bool, c: bool, d: bool) -> str:
+    """The shape of [[a, b], [c, d]] from whether each entry is nonzero."""
+    return "diagonal" if not (b or c) else "antidiagonal" if b and c and not (a or d) else "other"
 
 
 def _convolve(p: tuple, q: tuple, r: tuple, s: tuple) -> list:
@@ -568,15 +562,17 @@ def _finite_order(g: Mat2) -> int:
 
 def _eigen_exponents(m: int, det: CycNum, tr: CycNum) -> tuple[int, int, int]:
     """The exponents of det = zeta_m^d and of the sorted eigenvalues of a
-    matrix of order m and trace tr, as powers of zeta_m.  A complex root of
-    t^2 - tr t + det, its phase rounded to a multiple of 2 pi / m, proposes
-    zeta_m^k, and zeta_m^k + zeta_m^(d - k) = tr checks it exactly."""
+    matrix with trace tr whose order divides m, as powers of zeta_m.  A complex
+    root of t^2 - tr t + det, its phase rounded to a multiple of 2 pi / m,
+    proposes zeta_m^k; zeta_m^k + zeta_m^(d - k) = tr, each root built at its
+    least conductor (zeta_m^j as zeta_(m/g)^(j/g), g = gcd(m, j)), checks it."""
     order, e = root_exponent(det)
     d, t = e * (m // order), tr.approx()
     root = (t + cmath.sqrt(t * t - 4 * det.approx())) / 2
     k = round(cmath.phase(root) * m / (2 * math.pi)) % m
-    if zeta(m, k) + zeta(m, d - k) != tr:
-        raise InfiniteOrderSuspected(f"the eigenvalues are not roots of unity of order {m}")
+    g, h = math.gcd(m, k), math.gcd(m, d - k)
+    if zeta(m // g, k // g) + zeta(m // h, (d - k) // h) != tr:
+        raise InfiniteOrderSuspected(f"the eigenvalues are not {m}-th roots of unity")
     return (d, *sorted((k, (d - k) % m)))
 
 

@@ -125,7 +125,8 @@ def exponent_form(generators) -> "ExpForm | None":
                 _rebased([g])
         return None
     basis, roots = _rebased(generators)
-    m, exps = lift(roots)
+    m = math.lcm(*(o for gen_roots in roots for o, _ in gen_roots))
+    exps = [tuple(e * (m // o) for o, e in gen_roots) for gen_roots in roots]
     return ExpForm(m, tuple((perm, k) for (perm, _), k in zip(generators, exps)), basis)
 
 
@@ -237,12 +238,3 @@ class ExpForm:
             odd = (len(perm) - len(cycles(perm))) % 2
             out.append((sum(k) * (big // m) + odd * (big // 2)) % big)
         return tuple(out)
-
-
-def lift(roots_per_generator) -> tuple[int, list[tuple[int, ...]]]:
-    """
-    One modulus M for lists of (order, exponent) roots, and every list as
-    exponents mod M.  M is the lcm of the orders.
-    """
-    m = math.lcm(*(o for roots in roots_per_generator for o, _ in roots))
-    return m, [tuple(e * (m // o) for o, e in roots) for roots in roots_per_generator]

@@ -18,11 +18,12 @@ from .matgroup import Mat2
 #
 #   expr     := term (('+' | '-') term)*
 #   term     := factor ('*' factor)*
-#   factor   := atom ('^' signed-int)?
-#   atom     := rational | 'zeta(' uint ')' | 'i' | '(' expr ')' | '-' atom
+#   factor   := '-' factor | atom ('^' signed-int)?
+#   atom     := rational | 'zeta(' uint ')' | 'i' | '(' expr ')'
 #   rational := int ('/' uint)?
 #
-# 'i' is shorthand for zeta(4); whitespace is ignored everywhere.
+# 'i' is shorthand for zeta(4); whitespace is ignored everywhere.  As in
+# Python, '^' binds tighter than a leading '-': -zeta(5)^2 is -(zeta(5)^2).
 # ---------------------------------------------------------------------------
 
 _MAX_DEPTH = 100  # nested '(' and '-'; deeper input is a ParseError, not a RecursionError
@@ -85,6 +86,10 @@ def _parse_term(sc: _Scanner, depth: int) -> CycNum:
 
 
 def _parse_factor(sc: _Scanner, depth: int) -> CycNum:
+    if depth > _MAX_DEPTH:
+        raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", sc.pos)
+    if sc.take("-"):
+        return -_parse_factor(sc, depth + 1)
     value = _parse_atom(sc, depth)
     if sc.take("^"):
         return value ** sc.signed_int()
@@ -92,10 +97,6 @@ def _parse_factor(sc: _Scanner, depth: int) -> CycNum:
 
 
 def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
-    if depth > _MAX_DEPTH:
-        raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", sc.pos)
-    if sc.take("-"):
-        return -_parse_atom(sc, depth + 1)
     if sc.take("zeta"):
         sc.expect("(")
         n = sc.uint()

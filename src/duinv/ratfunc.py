@@ -4,7 +4,8 @@ integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
 unique, so equality of the stored pair is true equality of rational
-functions.  RatFunc.make is the one constructor; every operation ends in it.
+functions.  The class call reduces any pair to it; RatFunc.make is the same
+call, and every operation ends in it.
 """
 from __future__ import annotations
 
@@ -14,43 +15,41 @@ from fractions import Fraction
 from ._record import Record
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
                      ZeroDenominator, ZeroFunction)
-from .intpoly import (IntPoly, cyclotomic_times, is_cyclotomic_product,
-                      poly_gcd_q)
+from .intpoly import (CycFactorization, IntPoly, cyclotomic_times,
+                      is_cyclotomic_product, poly_gcd_q)
 
 
 class RatFunc(Record):
-    """num / den in canonical form; build one with make.  Immutable."""
+    """num / den, reduced to canonical form on construction.  Immutable."""
 
     __slots__ = _fields = ("num", "den")
     num: IntPoly
     den: IntPoly
 
     def __init__(self, num: IntPoly, den: IntPoly):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    # -- construction --------------------------------------------------
-
-    @staticmethod
-    def make(num: IntPoly, den: IntPoly) -> "RatFunc":
-        """Reduce num/den to canonical form."""
         if den.is_zero():
             raise ZeroDenominator("denominator is the zero polynomial")
         if den[0] == 0:
             raise DenominatorVanishesAtZero("denominator has no constant term")
         if num.is_zero():
-            return RatFunc(IntPoly(), IntPoly((1,)))
-        # Common content first: a cyclotomic den then takes that branch of
-        # _cancel, and by Gauss's lemma no common content is left after it.
-        c = math.gcd(num.content(), den.content())
-        num = IntPoly(x // c for x in num.coeffs)
-        den = IntPoly(x // c for x in den.coeffs)
-        num, den = _cancel(num, den)
-        if den[0] < 0:
-            num, den = -num, -den
-        if den[0] != 1:
-            raise NonNormalizableDenominator(
-                f"reduced denominator has constant term {den[0]}")
+            num, den = IntPoly(), IntPoly((1,))
+        else:
+            # Common content first: a cyclotomic den then takes that branch of
+            # _cancel, and by Gauss's lemma no common content is left after it.
+            c = math.gcd(num.content(), den.content())
+            num, den = _cancel(IntPoly(x // c for x in num.coeffs),
+                               IntPoly(x // c for x in den.coeffs))
+            if den[0] < 0:
+                num, den = -num, -den
+            if den[0] != 1:
+                raise NonNormalizableDenominator(
+                    f"reduced denominator has constant term {den[0]}")
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @staticmethod
+    def make(num: IntPoly, den: IntPoly) -> "RatFunc":
+        """RatFunc(num, den), the name every operation builds through."""
         return RatFunc(num, den)
 
     # -- arithmetic ----------------------------------------------------
@@ -94,7 +93,7 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
         # Cancel shared cyclotomic factors without a big-gcd computation:
         # one exact division of num per shared Phi_d, and the denominator
         # rebuilt from the multiplicities left.
-        num_c, den_c = list(num.coeffs), [fact.unit]
+        num_c, left = list(num.coeffs), []
         for d, mult in fact.factors:
             while mult:
                 quo = cyclotomic_times(num_c, d, -1)
@@ -102,8 +101,8 @@ def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
                     break
                 num_c, mult = quo, mult - 1
             if mult:
-                den_c = cyclotomic_times(den_c, d, mult)
-        return IntPoly(num_c), IntPoly(den_c)
+                left.append((d, mult))
+        return IntPoly(num_c), CycFactorization(tuple(left), fact.unit).expand()
     g = poly_gcd_q(num, den)
     if g.deg() > 0:
         num, _ = num.divmod_exact(g)
@@ -116,7 +115,7 @@ def stanley_gorenstein_test(f: RatFunc):
     Check the functional equation f(1/t) = sigma * t^l * f(t) with
     sigma in {+1, -1}; return (sigma, l) if it holds, None otherwise.
 
-    f must be in canonical form, as make returns it: then the equation
+    f is in canonical form, as every RatFunc is: then the equation
     holds exactly when num.reverse() = s1 * num and den.reverse() = s2 * den
     with s1, s2 in {+1, -1}, and sigma = s1 * s2, l = deg den - deg num.
     """

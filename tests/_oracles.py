@@ -243,7 +243,7 @@ def run_series_oracle_suite(cases: int = 100, n_terms: int = 32,
         if num.is_zero():
             num = IntPoly((1,))
         den = IntPoly([1] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 5))])
-        f = RatFunc(num, den)  # possibly non-canonical; series only divides
+        f = RatFunc(num, den)  # reduced on construction; the series is the same
         got = f.series_coeffs(N)
         # oracle: inv = sum_{k} g^k truncated, with g = 1 - den
         g = [-c for c in den.coeffs]

@@ -2,6 +2,8 @@
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from duinv import monomial, paperlab
 from duinv.cli import build_parser, main, parse_matrix, render_matrix
@@ -91,6 +93,29 @@ def test_render_cyc_round_trip():
               zeta(5) + zeta(5, 3), 2 * zeta(9) - 1, -zeta(4) / 3]
     for v in values:
         assert parse_cyc(render_cyc(v)) == v
+
+
+def test_power_binds_tighter_than_a_leading_minus():
+    assert parse_cyc("-zeta(5)^2") == -zeta(5, 2)
+    assert parse_cyc("(-zeta(5))^2") == zeta(5, 2)
+    assert parse_cyc("-2^2") == -4
+    assert parse_cyc("2*-3^-1") == Fraction(-2, 3)
+
+
+@st.composite
+def cyc_values(draw):
+    """A sum of up to three terms c zeta_n^k, n <= 24, c a small int or Fraction."""
+    n = draw(st.integers(1, 24))
+    coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)])
+    terms = draw(st.lists(st.tuples(coeff, st.integers(0, n - 1)), min_size=1, max_size=3))
+    return sum((c * zeta(n, k) for c, k in terms), CycNum.zero())
+
+
+@given(cyc_values(), st.tuples(cyc_values(), cyc_values(), cyc_values(), cyc_values()))
+def test_rendered_values_parse_back_to_themselves(x, entries):
+    assert parse_cyc(render_cyc(x)) == x
+    m = Mat2(*entries)
+    assert parse_matrix(render_matrix(m)) == m
 
 
 # ---------------------------------------------------------------------------

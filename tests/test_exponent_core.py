@@ -606,6 +606,28 @@ def test_cayley_subgroup_tables_are_the_closure_rows(gens, sl2_label, monkeypatc
     assert not calls, len(calls)
 
 
+@pytest.mark.parametrize("gens,budget", [(BT, 129), (BO, 251), (BI, 613)],
+                         ids=["BT", "BO", "BI"])
+def test_cold_report_matform_budget(gens, budget, monkeypatch):
+    """A cold report on a binary polyhedral group reads its element table in
+    one pass at |G|, with no cyclic closure per element: the only closures
+    are the finite-order check of the non-monomial generator and the group's
+    own, and reading the table of a closed group takes no product."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    products, closures = [], []
+    mul, closure = MatForm.mul, MatForm.closure
+    monkeypatch.setattr(MatForm, "mul", lambda *a: products.append(1) or mul(*a))
+    monkeypatch.setattr(MatForm, "closure", lambda *a: closures.append(1) or closure(*a))
+    theorem03_report(0, 1, gens)
+    assert len(products) <= budget, len(products)
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = close_group(gens)
+    products.clear()
+    closures.clear()
+    group.table
+    assert not products and not closures
+
+
 def test_cayley_subgroup_walk_budget(monkeypatch):
     """BO on A(0, 1) has 47 bireflections.  A closure with every one of them
     as a generator takes 48 x 47 = 2256 index products; the subgroup of a

@@ -1,4 +1,5 @@
 """Matrix closures, eigenvalues and recognition of the standard families."""
+import itertools
 import math
 from fractions import Fraction
 from unittest import mock
@@ -27,6 +28,13 @@ def test_matrix_basics():
     assert m.inverse() @ m == Mat2.identity()
     with pytest.raises(SingularGenerator):
         Mat2.of(1, 1, 1, 1).inverse()
+    # every zero pattern of the four entries, singular ones included
+    for pattern in itertools.product((0, 1), repeat=4):
+        shape = ("diagonal" if pattern[1:3] == (0, 0)
+                 else "antidiagonal" if pattern == (0, 1, 1, 0) else "other")
+        assert Mat2.of(*(x * zeta(3) for x in pattern)).shape() == shape, pattern
+    assert Mat2.of(1, 0, 0, 0).shape() == "diagonal"
+    assert Mat2.of(0, 1, 0, 0).shape() == "other"
 
 
 def test_close_group_orders():

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duinv.errors import NonRationalCollapse, ZeroDenominator, ZeroPolynomial
+from duinv.errors import (NonNormalizableDenominator, NonRationalCollapse, ZeroDenominator,
+                          ZeroPolynomial)
 from duinv import intpoly
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            cyclotomic_poly, cyclotomic_times, divisors, factorize,
@@ -237,6 +238,18 @@ def test_canonical_form():
     assert f.den[0] == 1
     with pytest.raises(ZeroDenominator):
         RatFunc.make(IntPoly((1,)), IntPoly())
+
+
+def test_class_call_reduces_to_canonical_form():
+    """RatFunc(num, den) is the one constructor: make is the same call."""
+    one, t = IntPoly((1,)), IntPoly((0, 1))
+    assert RatFunc(IntPoly((2,)), IntPoly((2,))) == RatFunc.make(one, one)
+    with pytest.raises(NonNormalizableDenominator):
+        RatFunc(one, IntPoly((2,)))  # 1/2 has no den(0) = 1 form
+    p = one + t * 2
+    f = RatFunc(p, p * (one - t))
+    assert f == RatFunc(one, one - t)
+    assert stanley_gorenstein_test(f) == (-1, 1)
 
 
 def test_arithmetic_and_scale():
