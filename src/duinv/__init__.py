@@ -24,8 +24,8 @@ from .invariants import (AlgebraCtx, AutShape, HdetResult, Theorem03Report,
                          polyring_molien, theorem03_report)
 from .matgroup import (GroupLabel, Mat2, MatGroup, classify, close_group,
                        eigenvalues, mat_c, mat_c_minus, mat_d1, mat_d2, mat_s,
-                       mat_s1, mat_s2, sl2_part, standard_group)
+                       mat_s1, mat_s2, render_matrix, sl2_part, standard_group)
 from .ratfunc import RatFunc, stanley_gorenstein_test
-from .notation import parse_cyc, parse_matrix, render_matrix
+from .notation import parse_cyc, parse_matrix
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DivisionByZero, PromotionOverflow, ZeroConductor
-from .intpoly import _fdivmod, cyclotomic_poly, factorize, totient
+from .intpoly import _divmod, _euclid, _mul, _power, cyclotomic_poly, factorize, totient
 
 CONDUCTOR_CAP = 10 ** 6
 
@@ -34,20 +34,7 @@ _RatLike = (int, Fraction)
 def _reduce(coeffs, n: int) -> list:
     """Reduce a rational polynomial in zeta_n modulo the n-th cyclotomic, on
     the values as given; CycNum.__init__ puts the result in canonical form."""
-    phi = totient(n)
-    work = list(coeffs)
-    while work and work[-1] == 0:
-        work.pop()
-    if len(work) > phi:
-        mod = cyclotomic_poly(n).coeffs
-        for i in range(len(work) - 1, phi - 1, -1):
-            top = work[i]
-            if top:
-                for j, c in enumerate(mod[:-1]):
-                    work[i - phi + j] -= top * c
-            work.pop()
-    work += [0] * (phi - len(work))
-    return work
+    return _divmod(coeffs, cyclotomic_poly(n).coeffs)[1]
 
 
 def _canon(c):
@@ -147,39 +134,17 @@ class CycNum(Record):
         if other is None:
             return NotImplemented
         a, b = self._pair(other)
-        out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(b.coeffs):
-                    if y:
-                        out[i + j] += x * y
-        return CycNum(a.conductor, out)
+        return CycNum(a.conductor, _mul(a.coeffs, b.coeffs))
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm."""
+        """Multiplicative inverse via the extended Euclidean algorithm against
+        Phi_n, which is irreducible, so the gcd is 1."""
         if self.is_zero():
             raise DivisionByZero("inverse of zero")
         n = self.conductor
-        a = [Fraction(c) for c in self.coeffs]  # so x / c below stays exact
-        while a and a[-1] == 0:
-            a.pop()
-        # Extended Euclid against Phi_n, which is irreducible, so the last
-        # nonzero remainder is a constant.  Invariant: r1 = s1*self mod Phi_n.
-        r0 = [Fraction(c) for c in cyclotomic_poly(n).coeffs]
-        r1 = a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1:
-            quo, rem = _fdivmod(r0, r1)
-            s_new = list(s0) + [Fraction(0)] * max(0, len(quo) + len(s1) - 1 - len(s0))
-            for i, qc in enumerate(quo):
-                if qc:
-                    for j, sc in enumerate(s1):
-                        s_new[i + j] -= qc * sc
-            r0, s0, r1, s1 = r1, s1, rem, s_new
-        c = r1[0]
-        return CycNum(n, [x / c for x in s1])
+        return CycNum(n, _euclid(cyclotomic_poly(n).coeffs, self.coeffs)[1])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -196,14 +161,7 @@ class CycNum(Record):
     def __pow__(self, k: int) -> "CycNum":
         if k < 0:
             return self.inv() ** (-k)
-        result = CycNum.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return _power(self, k, CycNum.one())
 
     # -- predicates and views ------------------------------------------
 

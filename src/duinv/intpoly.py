@@ -89,49 +89,28 @@ class IntPoly(Record):
             return IntPoly(c * other for c in self.coeffs)
         if not isinstance(other, IntPoly):
             return NotImplemented
-        out = [0] * (len(self.coeffs) + len(other.coeffs))
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPoly(out)
+        return IntPoly(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "IntPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = IntPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _power(self, n, IntPoly((1,)))
 
     def divmod_exact(self, d: "IntPoly") -> tuple["IntPoly", "IntPoly"]:
         """
-        Quotient and remainder over the integers.  Each elimination step must
-        divide exactly (always true for divisors with leading coefficient
-        +-1, e.g. cyclotomic polynomials); otherwise ValueError is raised.
+        Quotient and remainder over the integers.  Every quotient coefficient
+        over the rationals must be an integer (always true for divisors with
+        leading coefficient +-1, e.g. cyclotomic polynomials); otherwise
+        ValueError is raised.
         """
         if d.is_zero():
             raise ZeroPolynomial("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dl = d.lead()
-        dd = d.deg()
-        quo = [0] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            top = rem[i + dd]
-            if top == 0:
-                continue
-            q, r = divmod(top, dl)
-            if r:
-                raise ValueError(f"{top} not divisible by leading coefficient {dl}")
-            quo[i] = q
-            for j, c in enumerate(d.coeffs):
-                rem[i + j] -= q * c
+        quo, rem = _divmod(self.coeffs, d.coeffs)
+        for c in reversed(quo):
+            if type(c) is Fraction:
+                raise ValueError(f"quotient coefficient {c} is not an integer")
         return IntPoly(quo), IntPoly(rem)
 
     # -- structure -----------------------------------------------------
@@ -165,9 +144,6 @@ class IntPoly(Record):
             coeff = f"{abs(c)}" if (i == 0 or abs(c) != 1) else ""
             parts.append(sign + coeff + term)
         return f"IntPoly('{''.join(parts)}')"
-
-
-ZERO = IntPoly()
 
 
 def x_pow(k: int) -> IntPoly:
@@ -325,6 +301,80 @@ def cyclotomic_times(coeffs: list[int], d: int, power: int) -> list[int] | None:
     return [-c for c in coeffs] if d == 1 and power % 2 else coeffs
 
 
+# The one product, long division, extended Euclid and repeated squaring of
+# IntPoly, CycNum and MatForm (von zur Gathen and Gerhard, Modern Computer
+# Algebra, ch. 2-4), on dense lists, lowest coefficient first, of ints or Fractions.
+
+def _trim(c: list) -> list:
+    """c without its trailing zeros, in place."""
+    while c and c[-1] == 0:
+        c.pop()
+    return c
+
+
+def _mul_into(out: list, p, q) -> list:
+    """out += p q, in place, for len(out) >= len(p) + len(q) - 1."""
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(q, i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _mul(p, q) -> list:
+    """The product p q; [] when either is empty."""
+    return _mul_into([0] * (len(p) + len(q) - 1), p, q) if p and q else []
+
+
+def _divmod(num, den) -> tuple[list, list]:
+    """(quotient, remainder) of num by den over the rationals, for den[-1] != 0,
+    the remainder len(den) - 1 long.  A lead of +-1 divides by multiplication,
+    so ints stay ints; any other gives Fraction(top) / lead, an int when integral."""
+    rem, low, lead = list(num), den[:-1], den[-1]
+    n, unit = len(low), lead in (1, -1)
+    quo = [0] * max(len(rem) - n, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        top = rem[i + n]
+        if top:
+            if unit:
+                q = top * lead
+            else:
+                q = Fraction(top) / lead
+                q = q.numerator if q.denominator == 1 else q
+            quo[i] = q
+            for j, c in enumerate(low, i):
+                rem[j] -= q * c
+    return quo, (rem + [0] * n)[:n]
+
+
+def _euclid(a, b) -> tuple[list, list]:
+    """(g, s) for b != 0: g the monic gcd of a and b over the rationals and
+    g = s b mod a, by the extended Euclidean algorithm, each remainder made monic."""
+    r0, s0, r1, s1 = a, [], _trim(list(b)), [1]
+    while True:
+        if r1[-1] != 1:
+            inv = 1 / Fraction(r1[-1])
+            r1, s1 = [c * inv for c in r1[:-1]] + [1], [c * inv for c in s1]
+        quo, rem = _divmod(r0, r1)
+        if not _trim(rem):
+            return r1, s1
+        s = s0 + [0] * (len(quo) + len(s1) - 1 - len(s0))
+        r0, s0, r1, s1 = r1, s1, rem, _mul_into(s, [-c for c in quo], s1)
+
+
+def _power(x, k: int, one):
+    """x ** k for k >= 0 by repeated squaring, `one` for k = 0."""
+    result = one
+    while k:
+        if k & 1:
+            result = result * x
+        k >>= 1
+        if k:
+            x = x * x
+    return result
+
+
 @functools.lru_cache(maxsize=_CYCLOTOMIC_CACHE_SIZE)
 def cyclotomic_poly(d: int) -> IntPoly:
     """
@@ -388,46 +438,14 @@ def is_cyclotomic_product(p: IntPoly):
     return CycFactorization(tuple(factors), residue[0])
 
 
-# ---------------------------------------------------------------------------
-# rational-coefficient helpers (used for gcds; inputs/outputs stay integral)
-# ---------------------------------------------------------------------------
-
-def _ftrim(c: list[Fraction]) -> list[Fraction]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fdivmod(num: list[Fraction], den: list[Fraction]):
-    num = list(num)
-    quo = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        q = num[i + len(den) - 1] * inv_lead
-        if q:
-            quo[i] = q
-            for j, c in enumerate(den):
-                num[i + j] -= q * c
-    return quo, _ftrim(num[: len(den) - 1])
-
-
 def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:
     """
     Greatest common divisor of p and q as polynomials over the rationals,
     returned as a primitive integer polynomial with positive leading
     coefficient (1 when the polynomials are coprime).
     """
-    a = _ftrim([Fraction(c) for c in p.coeffs])
-    b = _ftrim([Fraction(c) for c in q.coeffs])
-    while b:
-        _, r = _fdivmod(a, b)
-        # Keep the remainder monic so coefficient sizes stay tame.
-        if r:
-            inv = 1 / r[-1]
-            r = [c * inv for c in r]
-        a, b = b, r
-    if not a:
-        return ZERO
-    lcm_den = math.lcm(*(c.denominator for c in a))
-    ints = [int(c * lcm_den) for c in a]
-    return IntPoly(ints).primitive()
+    if q.is_zero():
+        return p.primitive()
+    g, _ = _euclid(p.coeffs, q.coeffs)
+    lcm_den = math.lcm(*(c.denominator for c in g))
+    return IntPoly([int(c * lcm_den) for c in g]).primitive()

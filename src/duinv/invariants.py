@@ -463,10 +463,9 @@ def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc
     weights = (1,) * n if weights is None else tuple(weights)
     if len(weights) != n or not all(isinstance(w, int) and w > 0 for w in weights):
         raise ValueError(f"weights must be {n} positive integers, got {weights}")
-    if len(set(weights)) > 1 and any(perm != tuple(range(n)) for perm, _ in gens):
-        # A permutation mixing variables of unequal weight does not act
-        # on the weighted ring degree-wise; the group permutes variables
-        # exactly when a generator does.
+    if any(weights[p] != w for perm, _ in gens for p, w in zip(perm, weights)):
+        # A generator sending a variable to one of another weight does not
+        # act on the weighted ring degree-wise; one that keeps every weight does.
         raise NotAnAutomorphism("permutation mixes variables of different weights")
     try:
         group = monomial.exponent_form(gens).closure(cap)

@@ -27,10 +27,10 @@ from fractions import Fraction
 
 from . import monomial
 from ._record import Record
-from .cycnum import CONDUCTOR_CAP, CycNum, _reduce, root_exponent, zeta
+from .cycnum import CONDUCTOR_CAP, CycNum, _reduce, render_cyc, root_exponent, zeta
 from .errors import (GroupTooLarge, InfiniteOrderSuspected, NotAGroup, PromotionOverflow,
                      SingularGenerator)
-from .intpoly import totient, totients_at_most
+from .intpoly import _mul, _mul_into, totient, totients_at_most
 
 DEFAULT_CAP = 10_000
 
@@ -119,14 +119,20 @@ class Mat2(Record):
         return m
 
 
+def render_matrix(m: Mat2) -> str:
+    """Render a Mat2 in the surface syntax "[[e11,e12],[e21,e22]]" of duinv.notation."""
+    e = [render_cyc(v) for v in m.entries()]
+    return f"[[{e[0]},{e[1]}],[{e[2]},{e[3]}]]"
+
+
 class MatForm:
     """
     2x2 matrices over Q(zeta_n), n the conductor, as integers; usually a
     finite group.  An element is (den, a, b, c, d): the entries as int
     coefficient vectors in the power basis of duinv.cycnum, over one
     positive denominator with no factor common to all of them, so it is the
-    matrix's one exact key.  The product convolves the vectors and reduces
-    them modulo Phi_n, a monic integer polynomial.
+    matrix's one exact key.  The product multiplies the vectors (duinv.intpoly's
+    kernel) and reduces them modulo Phi_n, a monic integer polynomial.
     """
 
     def __init__(self, conductor: int, elements: tuple):
@@ -156,8 +162,8 @@ class MatForm:
     def mul(self, x, y):
         """The matrix product x @ y."""
         (dx, a, b, c, d), (dy, e, f, g, h), n = x, y, self.conductor
-        out = [tuple(_reduce(_convolve(*v), n)) for v in ((a, e, b, g), (a, f, b, h),
-                                                          (c, e, d, g), (c, f, d, h))]
+        out = [tuple(_reduce(_mul_into(_mul(p, q), r, s), n))
+               for p, q, r, s in ((a, e, b, g), (a, f, b, h), (c, e, d, g), (c, f, d, h))]
         den = dx * dy
         k = math.gcd(den, *(v for vec in out for v in vec)) if den > 1 else 1
         return (den // k, *(tuple(v // k for v in vec) for vec in out)) if k > 1 else (den, *out)
@@ -173,8 +179,8 @@ class MatForm:
         zeta_|G|, and |G| over its gcd with all the exponents is the lcm of the orders."""
         size, rows = len(self.elements), []
         for den, a, b, c, d in self.elements:
-            det = self._cyc(_reduce(_convolve(a, d, b, tuple(-v for v in c)), self.conductor),
-                           den * den)
+            det = self._cyc(_reduce(_mul_into(_mul(a, d), b, [-v for v in c]), self.conductor),
+                            den * den)
             tr = self._cyc(tuple(u + v for u, v in zip(a, d)), den)
             rows.append(_eigen_exponents(size, det, tr))
         g = math.gcd(size, *(e for row in rows for e in row))
@@ -186,17 +192,6 @@ class MatForm:
 def _shape(a: bool, b: bool, c: bool, d: bool) -> str:
     """The shape of [[a, b], [c, d]] from whether each entry is nonzero."""
     return "diagonal" if not (b or c) else "antidiagonal" if b and c and not (a or d) else "other"
-
-
-def _convolve(p: tuple, q: tuple, r: tuple, s: tuple) -> list:
-    """The coefficients of p q + r s, for coefficient vectors of one length."""
-    out = [0] * (2 * len(p) - 1)
-    for u, v in ((p, q), (r, s)):
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    out[i + j] += x * y
-    return out
 
 
 # Named matrices used throughout: reflections, rotations and the diagonal
@@ -351,8 +346,11 @@ class MatGroup(Record):
         if not isinstance(m, Mat2):
             return False
         if self.conductor % m.conductor():
-            lcm = math.lcm(self.conductor, m.conductor())
-            return m.key(lcm) in {e.key(lcm) for e in self.elements}
+            root, table = root_exponent(m.det()), self.table
+            if root is None or table.modulus % root[0]:
+                return False
+            det = root[1] * (table.modulus // root[0])
+            return any(d == det and self.elements[i] == m for i, d in enumerate(table.dets))
         return m.key(self.conductor) in self._keys
 
     @functools.cached_property
@@ -539,7 +537,6 @@ def _finite_order(g: Mat2) -> int:
     g is not scalar and has a repeated eigenvalue (trace^2 = 4 det, so it is
     not diagonalizable), when a power of a monomial g scales a basis vector
     by a non-root of unity, or when no power of another g up to R is the identity."""
-    from .notation import render_matrix  # notation imports this module
     det, tr, n = g.det(), g.trace(), g.conductor()
     if det.is_zero():
         raise SingularGenerator(f"{render_matrix(g)}, has zero determinant")

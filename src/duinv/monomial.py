@@ -216,15 +216,16 @@ class ExpForm:
 
     @functools.cached_property
     def eigenvalues(self) -> tuple[tuple[int, ...], ...]:
-        """Per element, cycle by cycle in cycles() order: the l-th roots of the
-        cycle product zeta_M^s, zeta_(lM)^(s + rM) for r = 0..l-1."""
+        """Per element and variable: on a cycle c with product zeta_M^s, the l-th
+        root zeta_(lM)^(s + rM) at c[r], a variable of its cycle and weight."""
         m, big = self.modulus, self.eigen_modulus
         out = []
         for perm, k in self.elements:
-            vals = []
+            vals = [0] * len(perm)
             for c in cycles(perm):
                 s, step = sum(k[j] for j in c) % m, big // (len(c) * m)
-                vals.extend((s + r * m) * step for r in range(len(c)))
+                for r, j in enumerate(c):
+                    vals[j] = (s + r * m) * step
             out.append(tuple(vals))
         return tuple(out)
 

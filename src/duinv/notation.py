@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cycnum import CycNum, render_cyc, zeta
+from .cycnum import CycNum, render_cyc, zeta  # the renderers invert the parsers
 from .errors import ParseError
-from .matgroup import Mat2
+from .matgroup import Mat2, render_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -145,12 +145,3 @@ def parse_matrix(text: str) -> Mat2:
     if sc.pos != len(text):
         raise ParseError("unexpected trailing input", sc.pos)
     return Mat2(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
-
-
-# ---------------------------------------------------------------------------
-# rendering
-# ---------------------------------------------------------------------------
-
-def render_matrix(m: Mat2) -> str:
-    e = [render_cyc(v) for v in m.entries()]
-    return f"[[{e[0]},{e[1]}],[{e[2]},{e[3]}]]"

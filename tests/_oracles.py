@@ -42,9 +42,9 @@ def squarefree_part(p: IntPoly) -> IntPoly:
         # fall back to rational division
         fp = [Fraction(c) for c in p.coeffs]
         fg = [Fraction(c) for c in g.coeffs]
-        from duinv.intpoly import _fdivmod
-        fq, fr = _fdivmod(fp, fg)
-        assert not fr
+        from duinv.intpoly import _divmod, _trim
+        fq, fr = _divmod(fp, fg)
+        assert not _trim(fr)
         scale = 1
         for c in fq:
             scale = scale * c.denominator // math.gcd(scale, c.denominator)

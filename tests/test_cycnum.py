@@ -138,6 +138,19 @@ def test_zeta_has_exact_order(n):
     assert root_exponent(x)[0] == n
 
 
+_nonzero_values = st.builds(
+    CycNum, st.integers(min_value=1, max_value=30),
+    st.lists(st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6)),
+             min_size=1, max_size=30)).filter(lambda x: not x.is_zero())
+
+
+@settings(max_examples=100, deadline=None)
+@given(_nonzero_values, st.integers(min_value=1, max_value=4))
+def test_inverse_and_negative_powers(x, k):
+    assert x.inv() * x == 1
+    assert x ** -k == (x ** k).inv()
+
+
 def test_cyc_make_reduces():
     # zeta_4^2 = -1 supplied unreduced to the constructor
     x = CycNum(4, [0, 0, 1])

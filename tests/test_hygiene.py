@@ -39,6 +39,18 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_library_functions_have_no_relative_imports():
+    """No library function imports a package module at call time (the lazy
+    `import numpy` is absolute), so no module leans on an import cycle."""
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "duinv").glob("*.py"))
+             for fn in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn)
+             if isinstance(node, ast.ImportFrom) and node.level]
+    assert found == []
+
+
 def test_benchmark_trace_targets_resolve():
     """Every function perfbench/tracing.py wraps is still bound by identity
     in its module: a renamed or rebound target would leave its per-layer

@@ -438,7 +438,18 @@ def test_polyring_molien_weighted_guard(monkeypatch):
                  [swap, [[zeta(3), 0], [0, 1]]]):
         with pytest.raises(NotAnAutomorphism):
             polyring_molien(gens, weights=(1, 2))
+    with pytest.raises(NotAnAutomorphism):  # x <-> y, of weights 1 and 2
+        polyring_molien([[[0, 1, 0], [1, 0, 0], [0, 0, 1]]], weights=(1, 2, 2))
     assert closures == []
+
+
+@pytest.mark.parametrize("swap,weights,degrees", [
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1]], (1, 1, 2), (1, 2, 2)),  # k[x + y, xy, z]
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (2, 1, 2), (1, 2, 4)),  # k[y, x + z, xz]
+])
+def test_polyring_molien_weight_preserving_swap(swap, weights, degrees):
+    expected = RatFunc.make(IntPoly((1,)), _omt(degrees[0]) * _omt(degrees[1]) * _omt(degrees[2]))
+    assert polyring_molien([swap], weights=weights) == expected
 
 
 @pytest.mark.parametrize("degree", [0, -1])

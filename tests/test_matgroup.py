@@ -140,6 +140,23 @@ def test_sl2_part():
     assert all(e.det() == 1 for e in sl2)
 
 
+def test_membership_across_conductors(monkeypatch):
+    """A matrix over another field is compared only with the elements of its
+    determinant, and one whose determinant is not in the table is refused
+    before any element is built."""
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    group = standard_group(7, 8)
+    assert Mat2.diag(zeta(3), 1) not in group
+    assert "elements" not in vars(group)
+    q1 = standard_group(1, 3)
+    assert Mat2.diag(zeta(6, 2), zeta(6, 4)) in q1
+    assert Mat2.diag(zeta(6, 2), zeta(6, 2)) not in q1
+    sl2 = sl2_part(standard_group(2, 2))
+    for m in list(standard_group(2, 2)) + [Mat2.diag(zeta(8), zeta(8, 7))]:
+        wide = Mat2(*(e.promoted(24) for e in m.entries()))
+        assert (wide in sl2) == (m in sl2.elements)
+
+
 def test_q8_alternate_generators():
     """<s, c_minus(eps)> and <s1, c_minus(eps)> are distinct but isomorphic
     copies: same order and the same recognized family and parameter."""
@@ -216,6 +233,12 @@ def test_order_fails_fast(g, error, monkeypatch):
     with pytest.raises(error):
         g.order()
     assert len(calls) <= matgroup._order_bound(1) == 6
+
+
+def test_order_refuses_a_monomial_power_of_non_root_scale():
+    with pytest.raises(InfiniteOrderSuspected,
+                       match="scales a basis vector by a non-root of unity"):
+        Mat2.diag(2, Fraction(1, 2)).order()
 
 
 def test_monomial_order_walks_no_power(monkeypatch):

@@ -4,6 +4,7 @@ The cyclotomic tester is cross-checked against the numerical oracles in
 _oracles.py; the series expansion against its convolution oracle in
 test_acceptance.py (check 11).
 """
+import itertools
 import math
 from fractions import Fraction
 
@@ -64,6 +65,46 @@ def test_divmod_exact():
         IntPoly((1, 1)).divmod_exact(IntPoly((0, 2)))
     with pytest.raises(ZeroPolynomial):
         IntPoly((1,)).divmod_exact(IntPoly())
+
+
+# ---------------------------------------------------------------------------
+# the dense coefficient-list kernel
+# ---------------------------------------------------------------------------
+
+_coeff_lists = st.lists(st.integers(-50, 50), max_size=12)
+_divisors = st.lists(st.integers(-50, 50), min_size=1, max_size=12).filter(lambda d: d[-1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_lists, _coeff_lists)
+def test_kernel_product_is_the_double_sum(p, q):
+    naive = [sum(p[i] * q[k - i] for i in range(len(p)) if 0 <= k - i < len(q))
+             for k in range(len(p) + len(q) - 1)] if p and q else []
+    assert intpoly._mul(p, q) == naive
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_lists, _divisors)
+def test_kernel_division_with_remainder(p, d):
+    quo, rem = intpoly._divmod(p, d)
+    assert len(rem) == len(d) - 1
+    assert all(type(c) in (int, Fraction) for c in quo + rem)
+    if d[-1] in (1, -1):
+        assert all(type(c) is int for c in quo + rem)
+    back = [x + y for x, y in itertools.zip_longest(intpoly._mul(quo, d), rem, fillvalue=0)]
+    assert intpoly._trim(back) == intpoly._trim(list(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_coeff_lists, _coeff_lists.filter(any))
+def test_kernel_extended_euclid(a, b):
+    g, s = intpoly._euclid(a, b)
+    assert g[-1] == 1
+    for x in (a, b):
+        assert not any(intpoly._divmod(x, g)[1])
+    bezout = [u - v for u, v in itertools.zip_longest(intpoly._mul(s, b), g, fillvalue=0)]
+    a = intpoly._trim(list(a))
+    assert not any(intpoly._divmod(bezout, a)[1] if a else bezout)
 
 
 def test_number_theory():
