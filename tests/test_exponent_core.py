@@ -712,7 +712,8 @@ def test_binary_icosahedral_report():
 def test_repeated_membership_builds_no_element_keys(monkeypatch):
     """The group keeps its elements' keys: a test at a conductor dividing
     the group's builds only the key of the matrix under test; any other
-    conductor compares at the common one, as before."""
+    conductor reads the determinant and compares only with the elements
+    of that determinant."""
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     group = close_group(BI)
     calls = []
