@@ -7,8 +7,8 @@ bireflection structure and cyclotomic-Gorenstein reports.
 from .cycnum import CycNum, render_cyc, root_exponent, zeta
 from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
                      DivisionByZero, DuinvError, GroupTooLarge,
-                     InfiniteOrderSuspected, NotAGroup,
-                     NonMonomialMatrix, NonNormalizableDenominator,
+                     InfiniteOrderSuspected, NonMonomialMatrix,
+                     NonNormalizableDenominator,
                      NonRationalCollapse, NotAnAutomorphism, ParseError,
                      PromotionOverflow, SingularGenerator,
                      UnsupportedAutomorphism, ZeroConductor, ZeroDenominator,

@@ -59,10 +59,6 @@ class InfiniteOrderSuspected(DuinvError):
     """Repeated powers of an element never reached the identity."""
 
 
-class NotAGroup(DuinvError):
-    """A group given by its elements is not the closure of its generators."""
-
-
 # --- algebra actions ---
 
 class NotAnAutomorphism(DuinvError):

@@ -181,7 +181,8 @@ def normal_sequence_trace(steps) -> TraceForm:
     Trace of an automorphism acting by scalar lam_i on the i-th member of a
     regular normal sequence of degrees d_i: 1 / prod (1 - lam_i t^(d_i)).
     `steps` is a sequence of (degree, scalar) pairs; a degree must be an int
-    (TypeError otherwise, as for a float) and at least 1 (ValueError).
+    (TypeError otherwise, as for a float) and at least 1, and a scalar
+    nonzero (ValueError).
     """
     return TraceForm(tuple(_factor(d, lam) for d, lam in steps))
 
@@ -190,8 +191,8 @@ def hypersurface_trace(steps, relation) -> TraceForm:
     """
     Trace on a graded hypersurface: generators as in normal_sequence_trace,
     with one relation of degree d scaled by lam, contributing the numerator
-    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair, its degree
-    checked as those of the steps.
+    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair, checked as
+    the steps are.
     """
     return TraceForm(tuple(_factor(d, lam) for d, lam in steps),
                      (_factor(*relation),))
@@ -201,7 +202,10 @@ def _factor(d, lam) -> tuple[int, CycNum]:
     d = operator.index(d)
     if d < 1:
         raise ValueError(f"factor degrees must be positive, got {d}")
-    return d, _cyc(lam)
+    lam = _cyc(lam)
+    if lam.is_zero():
+        raise ValueError("factor scalars must be nonzero")
+    return d, lam
 
 
 def _cyc(x) -> CycNum:
@@ -391,7 +395,7 @@ class Theorem03Report(typing.NamedTuple):
         return self.hdet_trivial
 
 
-def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem03Report:
+def theorem03_report(alpha, beta, generators) -> Theorem03Report:
     """
     Close the generated group, verify it acts on A(alpha, beta), and compute
     the Hilbert series of the invariants together with the Gorenstein,
@@ -404,7 +408,7 @@ def theorem03_report(alpha, beta, generators, cap: int = DEFAULT_CAP) -> Theorem
     rest is computed by the first report on a group and kept on the group.
     """
     ctx = AlgebraCtx.down_up(alpha, beta)
-    group = close_group(generators, cap=cap)
+    group = close_group(generators)
     ctx.check_shapes(group.shapes)  # NotAnAutomorphism
     facts = group._facts
     if not facts:

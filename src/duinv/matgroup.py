@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import monomial
 from ._record import Record
 from .cycnum import CONDUCTOR_CAP, CycNum, _reduce, render_cyc, root_exponent, zeta
-from .errors import (GroupTooLarge, InfiniteOrderSuspected, NotAGroup, PromotionOverflow,
+from .errors import (GroupTooLarge, InfiniteOrderSuspected, PromotionOverflow,
                      SingularGenerator)
 from .intpoly import _mul, _mul_into, totient, totients_at_most
 
@@ -111,12 +111,9 @@ class Mat2(Record):
         x, y = scalars
         return Mat2(x, zero, zero, y) if perm == (0, 1) else Mat2(zero, y, x, zero)
 
-    def order(self, cap: int = DEFAULT_CAP) -> int:
-        """The multiplicative order (see _finite_order); InfiniteOrderSuspected beyond the cap."""
-        m = _finite_order(self)
-        if m > cap:
-            raise InfiniteOrderSuspected(f"order {m} exceeds the cap {cap}")
-        return m
+    def order(self) -> int:
+        """The multiplicative order (see _finite_order)."""
+        return _finite_order(self)
 
 
 def render_matrix(m: Mat2) -> str:
@@ -294,18 +291,17 @@ _PERM_SHAPES = {(0, 1): "diagonal", (1, 0): "antidiagonal"}
 
 class MatGroup(Record):
     """
-    A finite group of 2x2 matrices at a common conductor.  A closure (see
-    close_group) stores its elements in one integer form, `form`: the
-    exponent form of duinv.monomial for diagonal and antidiagonal
-    generators, else MatForm.  A group built from its elements gets its form
-    on first read, the exponent form when every element is monomial, else
-    MatForm, if its generators close to exactly them.  A subgroup (see
-    generated_subgroup) stores the indices of its elements and generators
-    among those of its closure, `_root`.
+    A finite group of 2x2 matrices at a common conductor.  A closure, built
+    by close_group only, stores its elements in one integer form, `form`:
+    the exponent form of duinv.monomial for diagonal and antidiagonal
+    generators, else MatForm.  A subgroup, built by generated_subgroup only,
+    stores the indices of its elements and generators among those of its
+    closure, `_root`, and has no form of its own.
     `elements`, and a subgroup's `generators`, are built on first read;
     len() and `table` never build one.  Equality, hash and repr use the
     elements, the generators and the conductor only.  A copy or a pickle
-    keeps those, and a subgroup also keeps its closure.
+    of a closure keeps its generators, conductor and form, and one of a
+    subgroup its closure and generator indices.
     """
 
     _fields = ("elements", "generators", "conductor")
@@ -319,21 +315,16 @@ class MatGroup(Record):
     # The fields of invariants.theorem03_report that depend on the group alone.
     _facts: dict
 
-    def __init__(self, elements: tuple[Mat2, ...] | None, generators: tuple[Mat2, ...],
-                 conductor: int, form: "monomial.ExpForm | MatForm | None" = None):
-        # A closure, with `elements` None when `form` holds them.  The
-        # instance dict, where cached_property also stores its values,
-        # because __setattr__ refuses.
-        vars(self).update(generators=generators, conductor=conductor, _root=self, _facts={},
-                          _indices=range(len(elements or form.elements)))
-        if elements is not None:
-            vars(self)["elements"] = elements
-        if form is not None:
-            vars(self)["form"] = form
+    def __init__(self, generators: tuple[Mat2, ...], conductor: int,
+                 form: "monomial.ExpForm | MatForm"):
+        # A closure.  The instance dict, where cached_property also stores
+        # its values, because __setattr__ refuses.
+        vars(self).update(generators=generators, conductor=conductor, form=form, _root=self,
+                          _facts={}, _indices=range(len(form.elements)))
 
     def __reduce__(self):
         if self._root is self:
-            return super().__reduce__()
+            return MatGroup, (self.generators, self.conductor, self.form)
         return generated_subgroup, (self._root, self._generator_indices)
 
     def __len__(self):
@@ -357,22 +348,6 @@ class MatGroup(Record):
     def _keys(self) -> frozenset:
         """The elements' exact forms at the group's conductor (see Mat2.key)."""
         return frozenset(e.key(self.conductor) for e in self.elements)
-
-    @functools.cached_property
-    def form(self) -> "monomial.ExpForm | MatForm":
-        """The integer form of a group built from its elements; NotAGroup unless
-        the generators close to exactly them, in |G| |generators| products."""
-        form = (monomial.exponent_form([g.monomial() for g in self.elements])
-                or MatForm.of(self.conductor, self.elements))
-        index = {e.key(self.conductor): x for e, x in zip(self.elements, form.elements)}
-        try:
-            gens = [index[g.key(self.conductor)] for g in self.generators]
-            closed = monomial.closure(form.identity, gens, form.mul, len(index))
-        except (KeyError, GroupTooLarge):
-            closed = ()
-        if len(closed) != len(self.elements) or set(closed) != set(form.elements):
-            raise NotAGroup(f"the generators do not close to the {len(self.elements)} elements")
-        return form
 
     @functools.cached_property
     def elements(self) -> tuple[Mat2, ...]:
@@ -458,7 +433,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
                 raise InfiniteOrderSuspected(f"generator {i + 1} of {len(gens)}, {exc}") from None
         form, limit = MatForm.of(conductor, gens), min(cap, _group_order_bound(conductor))
     try:
-        group = MatGroup(None, tuple(gens), conductor, form.closure(limit))
+        group = MatGroup(tuple(gens), conductor, form.closure(limit))
     except GroupTooLarge:
         if limit == cap:
             raise

@@ -8,7 +8,9 @@ CycNum matrix products; the elements, their orders, determinants, hdets and
 eigenvalues, the classification label, the Molien series and the
 bireflections must agree exactly.
 """
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -97,7 +99,7 @@ def test_mat2_groups_match_cycnum_reference(gens):
         assert eigenvalues(g) == pairs[-1]
 
     # the same elements through the MatForm path
-    ref_group = MatGroup(ref, tuple(gens), fast.conductor, MatForm.of(fast.conductor, ref))
+    ref_group = MatGroup(tuple(gens), fast.conductor, MatForm.of(fast.conductor, ref))
     assert ref_group.table.shapes == table.shapes
     assert ref_group.table.orders == table.orders
     assert classify(fast) == classify(ref_group)
@@ -471,15 +473,15 @@ def test_cycnum_group_table_matches_eigenvalues(gens, order):
     ([matgroup.mat_d1(), mat_s(), mat_c(zeta(8))], monomial.ExpForm),  # Q7(4)
 ], ids=["BT", "BO", "BI", "Q7(4)"])
 def test_groups_built_from_their_elements_read_like_closures(gens, form):
-    """A group built by the constructor from a closure's elements gets its
-    integer form on first read: the same table, label and SL_2 part as the
-    closure."""
+    """A copy and a pickle of a closure are built from its elements in
+    integer form, its `form`, and read like the closure: the same form
+    class, table, label and SL_2 part."""
     group = close_group(gens)
-    bare = MatGroup(group.elements, group.generators, group.conductor)
-    assert isinstance(bare.form, form) and bare == group
-    assert bare.table == group.table
-    assert classify(bare) == classify(group)
-    assert sl2_part(bare).elements == sl2_part(group).elements
+    for twin in (copy.copy(group), pickle.loads(pickle.dumps(group))):
+        assert twin is not group and twin == group and isinstance(twin.form, form)
+        assert twin.table == group.table
+        assert classify(twin) == classify(group)
+        assert sl2_part(twin).elements == sl2_part(group).elements
 
 
 @pytest.mark.parametrize("gens", [BT, BO, C6_CONJUGATED])

@@ -20,9 +20,9 @@ from fractions import Fraction
 import pytest
 
 from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
-                   MatGroup, RatFunc, close_group, downup_trace,
-                   hdet_from_trace, is_cyclotomic_product, theorem03_report,
-                   zeta)
+                   RatFunc, close_group, downup_trace,
+                   hdet_from_trace, is_cyclotomic_product, matgroup,
+                   theorem03_report, zeta)
 from duinv.matgroup import classify, generated_subgroup
 from duinv._record import Record
 from duinv.paperlab import CheckResult
@@ -124,9 +124,8 @@ def test_value_classes_keep_the_record_contract():
         Mat2.identity() + Mat2.identity()
 
 
-def _bare_group(*gens):
-    group = close_group(gens)
-    return MatGroup(group.elements, group.generators, group.conductor)
+def _closure_copy(*gens):
+    return copy.copy(close_group(gens))
 
 
 # The six classes built on Record: a builder of a value, called twice for
@@ -149,7 +148,7 @@ RECORDS = {
     "AlgebraCtx": (lambda: AlgebraCtx("down_up", Fraction(1), Fraction(1)), "kind", set(),
                    "AlgebraCtx(kind='down_up', alpha=Fraction(1, 1), beta=Fraction(1, 1), "
                    "q=None)", hash(("down_up", Fraction(1), Fraction(1), None))),
-    "MatGroup": (lambda: _bare_group(Mat2.of(-1, 0, 0, -1)), "conductor", set(),
+    "MatGroup": (lambda: _closure_copy(Mat2.of(-1, 0, 0, -1)), "conductor", set(),
                  "MatGroup(elements=(Mat2(a=CycNum(1, ['1']), b=CycNum(1, ['0']), "
                  "c=CycNum(1, ['0']), d=CycNum(1, ['1'])), Mat2(a=CycNum(1, ['-1']), "
                  "b=CycNum(1, ['0']), c=CycNum(1, ['0']), d=CycNum(1, ['-1']))), "
@@ -182,19 +181,21 @@ def test_records_share_one_frozen_contract(name):
 
 def test_mat_group_equality_ignores_its_caches():
     group = close_group([Mat2.of(0, 1, 1, 0)])
-    bare = MatGroup(group.elements, group.generators, group.conductor)
+    twin = copy.copy(group)
     theorem03_report(0, 1, group.generators)  # fills the facts of `group`
-    assert group._facts and not bare._facts and "form" not in vars(bare)
-    assert group == bare and hash(group) == hash(bare)
-    assert repr(bare) == repr(group) == (
+    assert group._facts and not twin._facts and "table" not in vars(twin)
+    assert group == twin and hash(group) == hash(twin)
+    assert repr(twin) == repr(group) == (
         f"MatGroup(elements={group.elements!r}, "
         f"generators={group.generators!r}, conductor=1)")
 
 
-def test_closures_subgroups_and_reports_round_trip():
+def test_closures_subgroups_and_reports_round_trip(monkeypatch):
     """A closure comes back as a group with the same elements, generators
     and conductor, a subgroup with a copy of its closure, and a report on
-    the binary icosahedral group with every field equal."""
+    the binary icosahedral group with every field equal.  A closure in
+    exponent form carries its form, basis included, and reads like the
+    closure with no closure cached."""
     eps = zeta(5)
     root5 = eps + eps ** 4 - eps ** 2 - eps ** 3
     bi = [Mat2.diag(-eps ** 3, -eps ** 2),
@@ -206,12 +207,23 @@ def test_closures_subgroups_and_reports_round_trip():
     for twin in (copy.copy(report), copy.deepcopy(report), pickle.loads(pickle.dumps(report))):
         assert twin == report and twin.group.generators == group.generators
         assert twin.group.conductor == group.conductor and twin.label.family == "BI"
-        # a pickle or deep copy is a bare group, checked to be a closure on first read
+        # a pickle or deep copy carries the closure's form, so classify runs no closure
         assert classify(twin.group).family == "BI"
     for twin in (copy.deepcopy(sub), pickle.loads(pickle.dumps(sub))):
         assert twin == sub and twin._root == group and twin._root is not group
         assert twin.table == sub.table
     assert copy.copy(sub)._root is group
+    closures = [close_group([Mat2.of(0, 2, Fraction(1, 2), 0)]),  # in a rebased basis
+                close_group([Mat2.diag(-1, 1), Mat2.of(0, 1, 1, 0),
+                             Mat2.diag(zeta(8), zeta(8, 7))])]  # Q7(4)
+    pickles = [pickle.dumps(c) for c in closures]
+    monkeypatch.setattr(matgroup, "_closure_cache", {})
+    for closure, dumped in zip(closures, pickles):
+        for twin in (copy.copy(closure), copy.deepcopy(closure), pickle.loads(dumped)):
+            assert twin is not closure and twin == closure and repr(twin) == repr(closure)
+            assert twin.table == closure.table and classify(twin) == classify(closure)
+            assert twin.form.basis == closure.form.basis
+    assert closures[0].form.basis is not None and matgroup._closure_cache == {}
 
 
 ANALYZE = ["analyze", "--alpha", "1", "--beta", "1", "--gen"]

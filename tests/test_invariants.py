@@ -131,6 +131,9 @@ def test_trace_laurent_and_pole():
     (lambda: normal_sequence_trace([(0, 1)]), ValueError),
     (lambda: normal_sequence_trace([(1, 1), (-1, 1)]), ValueError),
     (lambda: hypersurface_trace([(1, 1)], (0, 1)), ValueError),
+    # a zero scalar, which made hdet_from_trace divide by zero or call 1 - 0 t^2 a zero factor
+    (lambda: hdet_from_trace(normal_sequence_trace([(1, 0), (1, 1)]), 2), ValueError),
+    (lambda: hdet_from_trace(hypersurface_trace([(1, 1), (1, 1)], (2, 0)), 2), ValueError),
 ])
 def test_trace_degrees_are_positive_ints(build, error):
     # an int() reading made degree 2 of 2.5 and 2.7, and accepted 0

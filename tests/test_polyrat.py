@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from duinv.errors import (NonNormalizableDenominator, NonRationalCollapse, ZeroDenominator,
-                          ZeroPolynomial)
+from duinv.errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
+                          NonRationalCollapse, ZeroDenominator, ZeroFunction, ZeroPolynomial)
 from duinv import intpoly
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            cyclotomic_poly, cyclotomic_times, divisors, factorize,
@@ -279,6 +279,8 @@ def test_canonical_form():
     assert f.den[0] == 1
     with pytest.raises(ZeroDenominator):
         RatFunc.make(IntPoly((1,)), IntPoly())
+    with pytest.raises(DenominatorVanishesAtZero):  # 1/t has no power series
+        RatFunc(IntPoly((1,)), IntPoly((0, 1)))
 
 
 def test_class_call_reduces_to_canonical_form():
@@ -339,6 +341,8 @@ def test_stanley_gorenstein():
     # odd symmetry: (1+t^2)/(1-t)^3 satisfies f(1/t) = -t f(t)
     h = RatFunc.make(IntPoly((1, 0, 1)), one_minus_t_pow(1) ** 3)
     assert stanley_gorenstein_test(h) == (-1, 1)
+    with pytest.raises(ZeroFunction):
+        stanley_gorenstein_test(RatFunc(IntPoly(), IntPoly((1,))))
 
 
 def _symmetric(half, sign):
