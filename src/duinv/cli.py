@@ -23,13 +23,12 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .errors import (DuinvError, GroupTooLarge, InfiniteOrderSuspected,
                      NotAnAutomorphism, PromotionOverflow, SingularGenerator)
 from .matgroup import _render_label, classify, close_group
 from .invariants import AlgebraCtx, Theorem03Report, theorem03_report
-from .notation import parse_matrix, render_matrix
+from .notation import parse_matrix, parse_rational, render_matrix
 from . import paperlab
 
 
@@ -135,8 +134,8 @@ def _input_error(exc: Exception) -> int:
 
 def cmd_analyze(args) -> int:
     try:
-        alpha = Fraction(args.alpha)
-        beta = Fraction(args.beta)
+        alpha = parse_rational(args.alpha)
+        beta = parse_rational(args.beta)
         AlgebraCtx.down_up(alpha, beta)  # rejects beta = 0
         gens = [parse_matrix(g) for g in args.gen]
     except (ValueError, ZeroDivisionError, DuinvError) as exc:

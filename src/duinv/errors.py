@@ -34,7 +34,7 @@ class DenominatorVanishesAtZero(DuinvError):
 
 
 class NonNormalizableDenominator(DuinvError):
-    """The reduced denominator cannot be scaled to constant term 1 over Z."""
+    """The denominator has no canonical Hilbert-series form."""
 
 
 class NonRationalCollapse(DuinvError):

@@ -306,9 +306,11 @@ def _trace_exponents(ctx: AlgebraCtx, group: MatGroup):
         m = table.modulus
         return (1, 1, 2), m, [(x, y, (x + y) % m) for x, y in table.eigenvalues]
     if ctx.kind in ("skew_plane", "jordan_plane"):
-        for i, (shape, (x, y)) in enumerate(zip(table.shapes, table.eigenvalues)):
-            if shape != "diagonal" or (ctx.kind == "jordan_plane" and x != y):
-                plane_trace(ctx, group.elements[i])  # raises the shape error for it
+        scalar = ctx.kind == "jordan_plane"  # the Jordan plane takes scalar matrices only
+        if any(shape != "diagonal" or (scalar and x != y)
+               for shape, (x, y) in zip(table.shapes, table.eigenvalues)):
+            raise UnsupportedAutomorphism("Jordan plane traces need scalar matrices" if scalar
+                                          else "quantum plane traces need diagonal matrices")
         return (1, 1), table.modulus, list(table.eigenvalues)
     raise ValueError(f"molien does not handle context kind {ctx.kind!r}")
 

@@ -18,15 +18,20 @@ from .matgroup import Mat2, render_matrix
 #
 #   expr     := term (('+' | '-') term)*
 #   term     := factor ('*' factor)*
-#   factor   := '-' factor | atom ('^' signed-int)?
-#   atom     := rational | 'zeta(' uint ')' | 'i' | '(' expr ')'
-#   rational := int ('/' uint)?
+#   factor   := '-' factor | ('zeta(' uint ')' | 'i' | atom) ('^' signed-int)?
+#   atom     := rational | '(' expr ')'
+#   rational := uint ('/' uint)?
 #
-# 'i' is shorthand for zeta(4); whitespace is ignored everywhere.  As in
-# Python, '^' binds tighter than a leading '-': -zeta(5)^2 is -(zeta(5)^2).
+# 'i' is shorthand for zeta(4), zeta(n)^k is zeta_n^(k mod n), digits are
+# ASCII and whitespace is ignored.  As in Python, '^' binds tighter than a
+# leading '-': -zeta(5)^2 is -(zeta(5)^2).
 # ---------------------------------------------------------------------------
 
 _MAX_DEPTH = 100  # nested '(' and '-'; deeper input is a ParseError, not a RecursionError
+_MAX_DIGITS = 1000  # in one integer; int() refuses more than 4300 digits
+# Any other power is refused before it is taken when the bits of its base's largest
+# coefficient, times |k|, times the coefficients it can fill, exceed this bound:
+_MAX_POWER_BITS = 1 << 13
 
 
 class _Scanner:
@@ -56,10 +61,12 @@ class _Scanner:
     def uint(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected an unsigned integer", start)
+        if self.pos - start > _MAX_DIGITS:
+            raise ParseError(f"integer of more than {_MAX_DIGITS} digits", start)
         return int(self.text[start:self.pos])
 
     def signed_int(self) -> int:
@@ -90,58 +97,67 @@ def _parse_factor(sc: _Scanner, depth: int) -> CycNum:
         raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", sc.pos)
     if sc.take("-"):
         return -_parse_factor(sc, depth + 1)
-    value = _parse_atom(sc, depth)
-    if sc.take("^"):
-        return value ** sc.signed_int()
-    return value
-
-
-def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
-    if sc.take("zeta"):
+    n = 4 if sc.take("i") else None
+    if n is None and sc.take("zeta"):
         sc.expect("(")
         n = sc.uint()
         sc.expect(")")
-        return zeta(n)
-    if sc.take("i"):
-        return zeta(4)
+    if n is not None:
+        return zeta(n, sc.signed_int() if sc.take("^") else 1)
+    value = _parse_atom(sc, depth)
+    if not sc.take("^"):
+        return value
+    at = sc.pos
+    k = sc.signed_int()
+    bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in value.coeffs)
+    fill = min(len(value.coeffs), abs(k) * sum(1 for c in value.coeffs if c))
+    if bits * abs(k) * fill > _MAX_POWER_BITS:
+        raise ParseError(f"power to the {k} of a base with {bits}-bit coefficients "
+                         f"may exceed {_MAX_POWER_BITS} bits", at)
+    return value ** k
+
+
+def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
     if sc.take("("):
         value = _parse_expr(sc, depth + 1)
         sc.expect(")")
         return value
-    if sc.peek().isdigit():
-        p = sc.uint()
-        if sc.take("/"):
-            return CycNum.from_rat(Fraction(p, sc.uint()))
-        return CycNum.from_rat(p)
+    if "0" <= sc.peek() <= "9":
+        return CycNum.from_rat(_parse_rational(sc))
     raise ParseError("expected a rational, 'zeta(n)', 'i', '(' or '-'", sc.pos)
 
 
-def parse_cyc(text: str) -> CycNum:
-    """Parse a single cyclotomic scalar expression."""
+def _parse_rational(sc: _Scanner) -> Fraction:
+    p = sc.uint()
+    return Fraction(p, sc.uint() if sc.take("/") else 1)
+
+
+def _parse_matrix(sc: _Scanner) -> Mat2:
+    entries = [_parse_expr(sc) if token == "e" else sc.expect(token)
+               for token in "[[e,e],[e,e]]"]
+    return Mat2(*(e for e in entries if e is not None))
+
+
+def _parse_whole(text: str, read):
+    """read(scanner), which must consume all of text."""
     sc = _Scanner(text)
-    value = _parse_expr(sc)
+    value = read(sc)
     sc.skip_ws()
     if sc.pos != len(text):
         raise ParseError("unexpected trailing input", sc.pos)
     return value
 
 
+def parse_cyc(text: str) -> CycNum:
+    """Parse a single cyclotomic scalar expression."""
+    return _parse_whole(text, _parse_expr)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a literal rational "[-]p[/q]", as --alpha and --beta take it."""
+    return _parse_whole(text, lambda sc: (-1 if sc.take("-") else 1) * _parse_rational(sc))
+
+
 def parse_matrix(text: str) -> Mat2:
     """Parse "[[e11,e12],[e21,e22]]" with cyclotomic entry expressions."""
-    sc = _Scanner(text)
-    sc.expect("[")
-    rows = []
-    for r in range(2):
-        sc.expect("[")
-        row = [_parse_expr(sc)]
-        sc.expect(",")
-        row.append(_parse_expr(sc))
-        sc.expect("]")
-        rows.append(row)
-        if r == 0:
-            sc.expect(",")
-    sc.expect("]")
-    sc.skip_ws()
-    if sc.pos != len(text):
-        raise ParseError("unexpected trailing input", sc.pos)
-    return Mat2(rows[0][0], rows[0][1], rows[1][0], rows[1][1])
+    return _parse_whole(text, _parse_matrix)

@@ -4,8 +4,10 @@ integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
 unique, so equality of the stored pair is true equality of rational
-functions.  The class call reduces any pair to it; RatFunc.make is the same
-call, and every operation ends in it.
+functions.  The class call reduces to it a pair whose denominator, after the
+content it shares with the numerator, is +-(a product of cyclotomics), as in
+every Hilbert series of a finite group's invariants (Hilbert-Serre), and
+refuses any other; RatFunc.make is the same call, and every operation ends in it.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from ._record import Record
 from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
                      ZeroDenominator, ZeroFunction)
 from .intpoly import (CycFactorization, IntPoly, cyclotomic_times,
-                      is_cyclotomic_product, poly_gcd_q)
+                      is_cyclotomic_product)
 
 
 class RatFunc(Record):
@@ -31,19 +33,23 @@ class RatFunc(Record):
             raise ZeroDenominator("denominator is the zero polynomial")
         if den[0] == 0:
             raise DenominatorVanishesAtZero("denominator has no constant term")
-        if num.is_zero():
-            num, den = IntPoly(), IntPoly((1,))
-        else:
-            # Common content first: a cyclotomic den then takes that branch of
-            # _cancel, and by Gauss's lemma no common content is left after it.
-            c = math.gcd(num.content(), den.content())
-            num, den = _cancel(IntPoly(x // c for x in num.coeffs),
-                               IntPoly(x // c for x in den.coeffs))
-            if den[0] < 0:
-                num, den = -num, -den
-            if den[0] != 1:
-                raise NonNormalizableDenominator(
-                    f"reduced denominator has constant term {den[0]}")
+        c = math.gcd(num.content(), den.content())
+        fact = is_cyclotomic_product(IntPoly(x // c for x in den.coeffs))
+        if fact is None:
+            raise NonNormalizableDenominator(
+                f"the denominator, of degree {den.deg()}, is not +-(a product of "
+                "cyclotomic polynomials) after the content it shares with the numerator")
+        # One exact division of num per shared Phi_d, and den rebuilt from the
+        # multiplicities left: by Gauss's lemma no common factor is left.
+        num_c, left = [x // c for x in num.coeffs], []
+        for d, mult in fact.factors:
+            while mult and (quo := cyclotomic_times(num_c, d, -1)) is not None:
+                num_c, mult = quo, mult - 1
+            if mult:
+                left.append((d, mult))
+        num, den = IntPoly(num_c), CycFactorization(tuple(left), fact.unit).expand()
+        if den[0] < 0:  # +-1, as Phi_d(0) = 1 for d > 1 and Phi_1(0) = -1
+            num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -84,30 +90,6 @@ class RatFunc(Record):
 
     def __str__(self):
         return f"({self.num!r}) / ({self.den!r})"
-
-
-def _cancel(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
-    """Divide out the polynomial gcd of num and den over Q."""
-    fact = is_cyclotomic_product(den)
-    if fact is not None:
-        # Cancel shared cyclotomic factors without a big-gcd computation:
-        # one exact division of num per shared Phi_d, and the denominator
-        # rebuilt from the multiplicities left.
-        num_c, left = list(num.coeffs), []
-        for d, mult in fact.factors:
-            while mult:
-                quo = cyclotomic_times(num_c, d, -1)
-                if quo is None:
-                    break
-                num_c, mult = quo, mult - 1
-            if mult:
-                left.append((d, mult))
-        return IntPoly(num_c), CycFactorization(tuple(left), fact.unit).expand()
-    g = poly_gcd_q(num, den)
-    if g.deg() > 0:
-        num, _ = num.divmod_exact(g)
-        den, _ = den.divmod_exact(g)
-    return num, den
 
 
 def stanley_gorenstein_test(f: RatFunc):

@@ -21,7 +21,8 @@ import numpy as np
 
 from duinv import monomial
 from duinv.cycnum import CycNum, root_exponent, zeta
-from duinv.errors import GroupTooLarge, InfiniteOrderSuspected, NonRationalCollapse
+from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected,
+                          NonNormalizableDenominator, NonRationalCollapse)
 from duinv.intpoly import IntPoly, cyclotomic_poly, is_cyclotomic_product, \
     poly_gcd_q, totient, totients_at_most
 from duinv.invariants import TraceForm
@@ -209,7 +210,7 @@ def cyclotomic_product_by_trial_division(p: IntPoly):
 
 def cancel_by_gcd(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     """num and den divided by their gcd over Q, the primitive one with a
-    positive leading coefficient: the reference for ratfunc._cancel."""
+    positive leading coefficient: the reference for the cancellation of RatFunc."""
     g = poly_gcd_q(num, den)
     return num.divmod_exact(g)[0], den.divmod_exact(g)[0]
 
@@ -235,14 +236,30 @@ def stanley_by_products(f: RatFunc):
 def run_series_oracle_suite(cases: int = 100, n_terms: int = 32,
                             seed: int = 77) -> None:
     """1/den equals the truncated expansion sum_k (1 - den)^k by convolution,
-    in ints: den(0) = 1, so every term of the expansion is an integer."""
+    in ints: den(0) = 1, so every term of the expansion is an integer.  Each
+    den is +-(a product of cyclotomic polynomials) of degree at most 5; next
+    to it, a random den with den(0) = 1 that trial division does not factor
+    must be refused."""
     rng = random.Random(seed)
     N = n_terms
+    small = [d for d in range(1, 13) if totient(d) <= 5]
     for _ in range(cases):
         num = IntPoly([rng.randint(-3, 3) for _ in range(rng.randint(1, 6))])
         if num.is_zero():
             num = IntPoly((1,))
-        den = IntPoly([1] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 5))])
+        den, room = IntPoly((1,)), rng.randint(0, 5)
+        while fits := [d for d in small if totient(d) <= room]:
+            d = rng.choice(fits)
+            den, room = den * cyclotomic_by_division(d), room - totient(d)
+        den = den * den[0]  # den(0) was +-1, now 1
+        other = IntPoly([1] + [rng.randint(-2, 2) for _ in range(rng.randint(0, 5))])
+        if cyclotomic_product_by_trial_division(other) is None:
+            try:
+                RatFunc(num, other)
+            except NonNormalizableDenominator:
+                pass
+            else:
+                raise AssertionError(f"RatFunc accepted the denominator {other!r}")
         f = RatFunc(num, den)  # reduced on construction; the series is the same
         got = f.series_coeffs(N)
         # oracle: inv = sum_{k} g^k truncated, with g = 1 - den

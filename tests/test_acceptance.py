@@ -15,9 +15,10 @@ import sys
 
 import pytest
 
-from duinv import invariants, matgroup, paperlab, ratfunc
+from duinv import intpoly, invariants, matgroup, paperlab
 from duinv.cli import main
 from duinv.cycnum import zeta
+from duinv.errors import UnsupportedAutomorphism
 from duinv.intpoly import IntPoly, cyclotomic_poly
 from duinv.invariants import (AlgebraCtx, downup_trace, theorem03_report)
 from duinv.matgroup import Mat2, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1
@@ -140,8 +141,8 @@ def _family_generators():
     return cases
 
 
-@pytest.fixture(scope="module")
-def sweep_reports():
+def _sweep():
+    """The 274 (algebra, group) reports of the sweep, tagged (alpha, beta, name)."""
     reports = []
     for alpha, beta in PARAMS:
         diagonal_only = AlgebraCtx.down_up(alpha, beta).aut_shape.name == "O"
@@ -151,6 +152,11 @@ def sweep_reports():
             reports.append(((alpha, beta, name),
                             theorem03_report(alpha, beta, gens)))
     return reports
+
+
+@pytest.fixture(scope="module")
+def sweep_reports():
+    return _sweep()
 
 
 def test_09_consistency_sweep(sweep_reports):
@@ -196,26 +202,66 @@ def test_09_reports_on_a_cached_group_match_fresh_ones(monkeypatch):
     assert pairs == 274
 
 
-def test_09_series_cancel_without_a_gcd_over_q(monkeypatch):
-    """Every series of the paperlab suites up to n = 16 and of one report
-    per sweep group reaches make with an integer numerator over a product
-    of cyclotomics, so cancellation never needs poly_gcd_q.  The caches
-    start empty, so that every series is built here."""
+# The functions that compute one element's fact from its CycNum matrix, and
+# the gcd over Q: the tests use them as references, and no program path
+# reaches them.
+REFERENCE_LAYER = ((intpoly, "poly_gcd_q"), (matgroup, "eigenvalues"),
+                   (matgroup.Mat2, "order"), (invariants, "plane_trace"),
+                   (invariants, "downup_trace"), (invariants, "trace_form"),
+                   (invariants, "is_bireflection"), (invariants, "hdet_matrix"),
+                   (invariants, "generated_by_bireflections"),
+                   (invariants.TraceForm, "pole_order_at_one"))
+
+
+def _forbid(monkeypatch, targets) -> list:
+    """Rebind every binding of each (owner, name) target in every duinv
+    module and its classes, found by identity as perfbench/tracing.py finds
+    them, to a function that fails the test; return the names reached."""
+    originals = [(getattr(owner, name), name) for owner, name in targets]
+    reached, bound = [], set()
+
+    def fail(name):
+        def forbidden(*args, **kwargs):
+            reached.append(name)
+            pytest.fail(f"a program path called {name}")
+        return forbidden
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod is None or mod_name.split(".")[0] != "duinv":
+            continue
+        owners = [mod] + [v for v in vars(mod).values()
+                          if isinstance(v, type) and v.__module__ == mod_name]
+        for owner in owners:
+            for attr, value in list(vars(owner).items()):
+                for original, name in originals:
+                    if value is original:
+                        monkeypatch.setattr(owner, attr, fail(name))
+                        bound.add(name)
+    assert bound == {name for _, name in targets}
+    return reached
+
+
+def test_09_no_program_path_reaches_the_reference_layer(monkeypatch, capsys):
+    """The sweep from cold caches, paperlab up to n = 16, every analyze
+    request of the benchmark through the command line, and the two plane
+    refusals of molien call neither poly_gcd_q nor any function of the
+    per-element reference layer."""
+    reached = _forbid(monkeypatch, REFERENCE_LAYER)
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     monkeypatch.setattr(invariants, "_molien_cache", {})
-    calls = []
-    gcd = ratfunc.poly_gcd_q
-    monkeypatch.setattr(ratfunc, "poly_gcd_q", lambda p, q: calls.append(1) or gcd(p, q))
+    assert len(_sweep()) == 274
     _assert_all_pass(paperlab.run_suite("all", 16))
-    done = set()
-    for alpha, beta in PARAMS:
-        diagonal_only = AlgebraCtx.down_up(alpha, beta).aut_shape.name == "O"
-        for name, diagonal, gens in _family_generators():
-            if name not in done and (diagonal or not diagonal_only):
-                theorem03_report(alpha, beta, gens)
-                done.add(name)
-    assert len(done) == len(_family_generators())
-    assert not calls
+    for op in _perfbench("pools").analyze_pool():
+        assert main(op["argv"]) in op["expect_exit"], op["id"]
+    capsys.readouterr()
+    refusals = [(AlgebraCtx.skew_plane(zeta(4)), mat_s(),
+                 "quantum plane traces need diagonal matrices"),
+                (AlgebraCtx.jordan_plane(), Mat2.diag(1, -1),
+                 "Jordan plane traces need scalar matrices")]
+    for ctx, g, message in refusals:
+        with pytest.raises(UnsupportedAutomorphism, match=f"^{message}$"):
+            invariants.molien(ctx, matgroup.close_group([g]))
+    assert reached == []
 
 
 def test_10_no_quasi_reflections(sweep_reports):

@@ -9,7 +9,7 @@ from duinv import monomial, paperlab
 from duinv.cli import build_parser, main, parse_matrix, render_matrix
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import ParseError
-from duinv.notation import parse_cyc, render_cyc
+from duinv.notation import parse_cyc, parse_rational, render_cyc
 from duinv.matgroup import (Mat2, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1,
                             mat_s2)
 from fractions import Fraction
@@ -23,9 +23,19 @@ def test_parse_rationals():
     assert parse_cyc("3") == 3
     assert parse_cyc("-2/3") == CycNum.from_rat(Fraction(-2, 3))
     assert parse_cyc(" 1 / 2 ") == CycNum.from_rat(Fraction(1, 2))
+    assert parse_cyc("9" * 1000) == int("9" * 1000)
+    # --alpha and --beta: literal [-]p[/q] only
+    assert parse_rational("3/2") == Fraction(3, 2) and parse_rational("-7") == -7
+    for text in ("1.5", "1e-5000", "+1", "3/-2", "1/2/3", "\u0663"):
+        with pytest.raises(ParseError):
+            parse_rational(text)
 
 
-def test_parse_roots():
+def test_parse_roots(monkeypatch):
+    # zeta(n)^k and i^k are zeta_n^(k mod n), with no power taken
+    monkeypatch.setattr(CycNum, "__pow__", lambda x, k: pytest.fail("a power was taken"))
+    assert parse_cyc("zeta(999983)^1000") == zeta(999983, 1000)
+    assert parse_cyc("i^-100000000001") == zeta(4, 3)
     assert parse_cyc("zeta(5)") == zeta(5)
     assert parse_cyc("i") == zeta(4)
     assert parse_cyc("i^2") == -1
@@ -52,6 +62,13 @@ def test_parse_errors_have_positions():
         parse_cyc("1+*2")
     except ParseError as exc:
         assert exc.position == 2
+    # digits are ASCII, at most 1000 to an integer: the error is at the literal
+    for parse, text, position in [(parse_cyc, "zeta(\u0663)", 5),  # Arabic-Indic three
+                                  (parse_cyc, "1+(" + "9" * 5000 + ")", 3),
+                                  (parse_matrix, "[[\u00b2,0],[0,1]]", 2)]:  # superscript two
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.position == position
 
 
 DEEP_ENTRIES = ["(" * 300 + "1" + ")" * 300, "-" * 1500 + "1"]
@@ -63,6 +80,28 @@ def test_parse_deep_nesting_is_a_parse_error(text):
         parse_cyc(text)
     with pytest.raises(ParseError, match="nested"):
         parse_matrix(f"[[{text},0],[0,1]]")
+
+
+@pytest.mark.parametrize("text, taken, at", [("(1/3+zeta(7))^100000", [], 14),
+                                             ("2^100000000", [], 2),
+                                             ("((2^1000)^1000)^1000", [1000], 10)])
+def test_large_powers_are_refused_before_they_are_taken(monkeypatch, text, taken, at):
+    """A power whose value could pass the size bound is a ParseError at its
+    exponent, raised before CycNum.__pow__ runs; only the powers in `taken`
+    run."""
+    power, seen = CycNum.__pow__, []
+
+    def guarded(self, k):
+        if len(seen) == len(taken):
+            pytest.fail(f"{text}: the power to the {k} was taken")
+        seen.append(k)
+        return power(self, k)
+
+    monkeypatch.setattr(CycNum, "__pow__", guarded)
+    with pytest.raises(ParseError, match="^power to the") as exc:
+        parse_cyc(text)
+    assert exc.value.position == at
+    assert seen == taken
 
 
 def test_parse_nesting_up_to_the_limit():
@@ -222,6 +261,15 @@ def test_analyze_beta_zero_is_an_input_error(capsys):
                  "--gen", "[[-1,0],[0,1]]"]) == 1
 
 
+@pytest.mark.parametrize("alpha", ["1e-5000", "1e-10000000", "1.5"])
+def test_analyze_alpha_is_a_literal_rational(capsys, alpha):
+    """--alpha takes [-]p[/q] only: exponent notation is refused at once."""
+    assert main(["analyze", "--alpha", alpha, "--beta", "1",
+                 "--gen", "[[-1,0],[0,1]]"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("input error: unexpected trailing input")
+
+
 def test_analyze_infinite_order_exit_code(capsys):
     assert main(["analyze", "--alpha", "1", "--beta", "1",
                  "--gen", "[[2,0],[0,1/2]]"]) == 3
@@ -240,12 +288,20 @@ def test_analyze_other_library_errors_exit_4(capsys, monkeypatch):
     assert "irrational" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("text", DEEP_ENTRIES, ids=["parentheses", "negations"])
+@pytest.mark.parametrize("text, message", [
+    (DEEP_ENTRIES[0], "expression nested"), (DEEP_ENTRIES[1], "expression nested"),
+    ("\u00b2", "expected a rational"), ("9" * 5000, "integer of more than 1000 digits"),
+    ("(1/3+zeta(7))^100000", "power to the 100000"),
+    ("((2^1000)^1000)^1000", "power to the 1000 of a base with 1001-bit")],
+    ids=["parentheses", "negations", "superscript", "long-literal", "power", "nested-powers"])
 @pytest.mark.parametrize("command", [["analyze", "--alpha", "1", "--beta", "1"], ["classify"]],
                          ids=["analyze", "classify"])
-def test_deep_nesting_is_an_input_error(capsys, command, text):
+def test_deep_nesting_is_an_input_error(capsys, command, text, message):
+    """Input the notation refuses, each with its position: exit 1 with an
+    input error, no traceback."""
     assert main(command + ["--gen", f"[[{text},0],[0,1]]"]) == 1
-    assert capsys.readouterr().err.startswith("input error: expression nested")
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message}") and "(at position" in err
 
 
 def test_paperlab_unknown_suite_is_a_usage_error(capsys):

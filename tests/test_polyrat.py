@@ -21,7 +21,7 @@ from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
 from duinv.invariants import TraceForm
-from duinv.ratfunc import RatFunc, _cancel, stanley_gorenstein_test
+from duinv.ratfunc import RatFunc, stanley_gorenstein_test
 from duinv.cycnum import zeta
 
 from _oracles import (cancel_by_gcd, cyclotomic_by_division,
@@ -249,7 +249,10 @@ def test_cancel_matches_gcd_path(den, shared, rest):
     num = _expand(1, shared) * IntPoly(rest)
     if num.is_zero():
         return
-    assert _cancel(num, den) == cancel_by_gcd(num, den)
+    f = RatFunc(num, den)
+    num, den = cancel_by_gcd(num, den)
+    sign = den[0]  # +-1: den is +-(a product of cyclotomics), and so is den / gcd
+    assert (f.num, f.den) == (num * sign, den * sign)
 
 
 def test_cyclotomic_tester_against_graeffe_oracle_above_degree_400():
@@ -289,10 +292,13 @@ def test_class_call_reduces_to_canonical_form():
     assert RatFunc(IntPoly((2,)), IntPoly((2,))) == RatFunc.make(one, one)
     with pytest.raises(NonNormalizableDenominator):
         RatFunc(one, IntPoly((2,)))  # 1/2 has no den(0) = 1 form
-    p = one + t * 2
+    p = one + t + t * t  # Phi_3
     f = RatFunc(p, p * (one - t))
     assert f == RatFunc(one, one - t)
     assert stanley_gorenstein_test(f) == (-1, 1)
+    q = one + t * 2  # not cyclotomic: refused, although it cancels over Q
+    with pytest.raises(NonNormalizableDenominator):
+        RatFunc(q, q * (one - t))
 
 
 def test_arithmetic_and_scale():
@@ -361,6 +367,18 @@ _numerator = st.one_of(
               st.sampled_from([1, -1])))
 
 
+def _refused(num: IntPoly, den: IntPoly) -> bool:
+    """Whether RatFunc(num, den) refuses den, asserting that it does exactly
+    when trial division finds no cyclotomic factorization of den after the
+    content it shares with num."""
+    c = math.gcd(num.content(), den.content())
+    if cyclotomic_product_by_trial_division(IntPoly(x // c for x in den.coeffs)) is not None:
+        return False
+    with pytest.raises(NonNormalizableDenominator):
+        RatFunc(num, den)
+    return True
+
+
 @settings(max_examples=300, deadline=None)
 @given(_numerator, st.one_of(_cyclotomic_den, _random_den))
 def test_stanley_palindromes_match_products(num, den):
@@ -368,6 +386,8 @@ def test_stanley_palindromes_match_products(num, den):
     # arbitrary denominators: the palindrome test gives the answer of the
     # product form, (+1, l), (-1, l) or None.
     assume(not num.is_zero())
+    if _refused(num, den):
+        return
     f = RatFunc.make(num, den)
     assert stanley_gorenstein_test(f) == stanley_by_products(f)
 
@@ -378,6 +398,8 @@ def test_stanley_palindromes_match_products(num, den):
 def test_make_is_idempotent(nc, dc):
     num = IntPoly(nc)
     den = IntPoly([1] + dc)
+    if _refused(num, den):
+        return
     f = RatFunc.make(num, den)
     again = RatFunc.make(f.num, f.den)
     assert f == again
