@@ -155,11 +155,9 @@ def cmd_paperlab(args) -> int:
     results = paperlab.run_suite(args.suite, max_n=args.max_n)
     print(json.dumps([paperlab.result_to_json(r) for r in results], indent=2))
     failed = [r for r in results if not r.passed]
-    if failed:
-        for r in failed:
-            print(f"FAILED: {r.check_id} {dict(r.parameters)}", file=sys.stderr)
-        return 1
-    return 0
+    for r in failed:
+        print(f"FAILED: {r.check_id} {dict(r.parameters)}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 def cmd_classify(args) -> int:

@@ -31,6 +31,14 @@ CONDUCTOR_CAP = 10 ** 6
 _RatLike = (int, Fraction)
 
 
+def check_conductor(n: int) -> None:
+    """Raise ZeroConductor for n < 1 and PromotionOverflow for n > CONDUCTOR_CAP."""
+    if n < 1:
+        raise ZeroConductor(f"conductor must be >= 1, got {n}")
+    if n > CONDUCTOR_CAP:
+        raise PromotionOverflow(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
+
+
 def _reduce(coeffs, n: int) -> list:
     """Reduce a rational polynomial in zeta_n modulo the n-th cyclotomic, on
     the values as given; CycNum.__init__ puts the result in canonical form."""
@@ -51,10 +59,7 @@ class CycNum(Record):
     _fields = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs, _reduced: bool = False):
-        if conductor < 1:
-            raise ZeroConductor(f"conductor must be >= 1, got {conductor}")
-        if conductor > CONDUCTOR_CAP:
-            raise PromotionOverflow(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+        check_conductor(conductor)
         vec = tuple(c if type(c) is int else _canon(c)
                     for c in (coeffs if _reduced else _reduce(coeffs, conductor)))
         object.__setattr__(self, "conductor", conductor)
@@ -84,8 +89,7 @@ class CycNum(Record):
             return self
         if m % n:
             raise ValueError(f"{m} is not a multiple of conductor {n}")
-        if m > CONDUCTOR_CAP:
-            raise PromotionOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
+        check_conductor(m)
         k = m // n
         spread = [0] * (len(self.coeffs) * k)
         for i, c in enumerate(self.coeffs):
@@ -223,10 +227,8 @@ def _mobius(n: int) -> int:
 
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k, with zeta_n = exp(2*pi*i/n)."""
-    if n < 1:
-        raise ZeroConductor(f"conductor must be >= 1, got {n}")
-    k %= n
-    return CycNum(n, [0] * k + [1])
+    check_conductor(n)  # before k % n sizes a list
+    return CycNum(n, [0] * (k % n) + [1])
 
 
 def render_cyc(x: CycNum) -> str:
@@ -246,12 +248,10 @@ def render_cyc(x: CycNum) -> str:
                 parts.append("-" + power)
             else:
                 parts.append(f"{c}*{power}")
-    if not parts:
-        return "0"
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+    out = ""
+    for p in parts:
+        out += p if not out or p.startswith("-") else "+" + p
+    return out or "0"
 
 
 def root_exponent(x: CycNum):

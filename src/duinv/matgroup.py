@@ -27,9 +27,8 @@ from fractions import Fraction
 
 from . import monomial
 from ._record import Record
-from .cycnum import CONDUCTOR_CAP, CycNum, _reduce, render_cyc, root_exponent, zeta
-from .errors import (GroupTooLarge, InfiniteOrderSuspected, PromotionOverflow,
-                     SingularGenerator)
+from .cycnum import CycNum, _reduce, check_conductor, render_cyc, root_exponent, zeta
+from .errors import GroupTooLarge, InfiniteOrderSuspected, SingularGenerator
 from .intpoly import _mul, _mul_into, totient, totients_at_most
 
 DEFAULT_CAP = 10_000
@@ -422,8 +421,7 @@ def close_group(generators, cap: int = DEFAULT_CAP) -> MatGroup:
     if cached is not None:
         return cached
     conductor = math.lcm(*(g.conductor() for g in gens))
-    if conductor > CONDUCTOR_CAP:
-        raise PromotionOverflow(f"conductor {conductor} exceeds cap {CONDUCTOR_CAP}")
+    check_conductor(conductor)
     form, limit = monomial.exponent_form([g.monomial() for g in gens]), cap
     if form is None:
         for i, g in enumerate(gens):
@@ -632,15 +630,10 @@ def classify(group: MatGroup) -> GroupLabel:
         if order == 120 and not cyclic_index_two:
             matches.append(("BI", None))
 
-    rendered = tuple(_render_label(f, n) for f, n in matches)
-    for q in ("Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "Q8"):
-        for f, n in matches:
-            if f == q:
-                return GroupLabel(q, n, order, rendered)
-    if matches:
-        f, n = matches[0]
-        return GroupLabel(f, n, order, rendered)
-    return GroupLabel("Unrecognized", None, order, ())
+    # The label is the least of Q1..Q8 that matched, else the first match.
+    family, n = min(matches, key=lambda m: m[0] if m[0][0] == "Q" else "R",
+                    default=("Unrecognized", None))
+    return GroupLabel(family, n, order, tuple(_render_label(*m) for m in matches))
 
 
 def _render_label(family: str, n: int | None) -> str:

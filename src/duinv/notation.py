@@ -18,13 +18,13 @@ from .matgroup import Mat2, render_matrix
 #
 #   expr     := term (('+' | '-') term)*
 #   term     := factor ('*' factor)*
-#   factor   := '-' factor | ('zeta(' uint ')' | 'i' | atom) ('^' signed-int)?
-#   atom     := rational | '(' expr ')'
+#   factor   := '-' factor | atom ('^' signed-int)?
+#   atom     := rational | 'zeta(' uint ')' | 'i' | '(' expr ')'
 #   rational := uint ('/' uint)?
 #
-# 'i' is shorthand for zeta(4), zeta(n)^k is zeta_n^(k mod n), digits are
-# ASCII and whitespace is ignored.  As in Python, '^' binds tighter than a
-# leading '-': -zeta(5)^2 is -(zeta(5)^2).
+# 'i' is shorthand for zeta(4), a power of +-zeta_n^j is read in one step as
+# +-zeta_n^(jk mod n), digits are ASCII and whitespace is ignored.  As in
+# Python, '^' binds tighter than a leading '-': -zeta(5)^2 is -(zeta(5)^2).
 # ---------------------------------------------------------------------------
 
 _MAX_DEPTH = 100  # nested '(' and '-'; deeper input is a ParseError, not a RecursionError
@@ -43,10 +43,6 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
 
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
     def take(self, token: str) -> bool:
         self.skip_ws()
         if self.text.startswith(token, self.pos):
@@ -54,17 +50,18 @@ class _Scanner:
             return True
         return False
 
-    def expect(self, token: str):
-        if not self.take(token):
-            raise ParseError(f"expected {token!r}", self.pos)
+    def expect(self, *tokens: str):
+        for token in tokens:
+            if not self.take(token):
+                raise ParseError(f"expected {token!r}", self.pos)
 
-    def uint(self) -> int:
+    def uint(self, what: str = "an unsigned integer") -> int:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":
             self.pos += 1
         if self.pos == start:
-            raise ParseError("expected an unsigned integer", start)
+            raise ParseError(f"expected {what}", start)
         if self.pos - start > _MAX_DIGITS:
             raise ParseError(f"integer of more than {_MAX_DIGITS} digits", start)
         return int(self.text[start:self.pos])
@@ -97,20 +94,20 @@ def _parse_factor(sc: _Scanner, depth: int) -> CycNum:
         raise ParseError(f"expression nested more than {_MAX_DEPTH} deep", sc.pos)
     if sc.take("-"):
         return -_parse_factor(sc, depth + 1)
-    n = 4 if sc.take("i") else None
-    if n is None and sc.take("zeta"):
-        sc.expect("(")
-        n = sc.uint()
-        sc.expect(")")
-    if n is not None:
-        return zeta(n, sc.signed_int() if sc.take("^") else 1)
     value = _parse_atom(sc, depth)
     if not sc.take("^"):
         return value
     at = sc.pos
     k = sc.signed_int()
+    nonzero = [(j, c) for j, c in enumerate(value.coeffs) if c]
+    if len(nonzero) == 1 and nonzero[0][1] in (1, -1):  # +-zeta_n^j: read in one step
+        (j, c), = nonzero
+        power = zeta(value.conductor, j * k)
+        return -power if c == -1 and k % 2 else power
     bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in value.coeffs)
-    fill = min(len(value.coeffs), abs(k) * sum(1 for c in value.coeffs if c))
+    if k < 0:  # the inverse's coefficients carry the norm, a product of len(coeffs) conjugates
+        bits *= len(value.coeffs)
+    fill = min(len(value.coeffs), abs(k) * len(nonzero))
     if bits * abs(k) * fill > _MAX_POWER_BITS:
         raise ParseError(f"power to the {k} of a base with {bits}-bit coefficients "
                          f"may exceed {_MAX_POWER_BITS} bits", at)
@@ -122,20 +119,32 @@ def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
         value = _parse_expr(sc, depth + 1)
         sc.expect(")")
         return value
-    if "0" <= sc.peek() <= "9":
-        return CycNum.from_rat(_parse_rational(sc))
-    raise ParseError("expected a rational, 'zeta(n)', 'i', '(' or '-'", sc.pos)
+    if sc.take("zeta"):
+        sc.expect("(")
+        n = sc.uint()
+        sc.expect(")")
+        return zeta(n)
+    if sc.take("i"):
+        return zeta(4)
+    return CycNum.from_rat(_parse_rational(sc, "a rational, 'zeta(n)', 'i', '(' or '-'"))
 
 
-def _parse_rational(sc: _Scanner) -> Fraction:
-    p = sc.uint()
+def _parse_rational(sc: _Scanner, what: str = "an unsigned integer") -> Fraction:
+    p = sc.uint(what)
     return Fraction(p, sc.uint() if sc.take("/") else 1)
 
 
 def _parse_matrix(sc: _Scanner) -> Mat2:
-    entries = [_parse_expr(sc) if token == "e" else sc.expect(token)
-               for token in "[[e,e],[e,e]]"]
-    return Mat2(*(e for e in entries if e is not None))
+    sc.expect("[", "[")
+    e11 = _parse_expr(sc)
+    sc.expect(",")
+    e12 = _parse_expr(sc)
+    sc.expect("]", ",", "[")
+    e21 = _parse_expr(sc)
+    sc.expect(",")
+    e22 = _parse_expr(sc)
+    sc.expect("]", "]")
+    return Mat2(e11, e12, e21, e22)
 
 
 def _parse_whole(text: str, read):

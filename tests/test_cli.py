@@ -32,7 +32,8 @@ def test_parse_rationals():
 
 
 def test_parse_roots(monkeypatch):
-    # zeta(n)^k and i^k are zeta_n^(k mod n), with no power taken
+    # A power of +-zeta_n^j, as zeta(n)^k, i^k and (-zeta(n))^k, is read in
+    # one step as +-zeta_n^(jk mod n), with no power taken
     monkeypatch.setattr(CycNum, "__pow__", lambda x, k: pytest.fail("a power was taken"))
     assert parse_cyc("zeta(999983)^1000") == zeta(999983, 1000)
     assert parse_cyc("i^-100000000001") == zeta(4, 3)
@@ -41,6 +42,12 @@ def test_parse_roots(monkeypatch):
     assert parse_cyc("i^2") == -1
     assert parse_cyc("zeta(8)^-1") == zeta(8, 7)
     assert parse_cyc("-zeta(12)") == -zeta(12)
+    assert parse_cyc("(-1)^10000") == 1
+    assert parse_cyc("(-1)^10001") == -1
+    assert parse_cyc("(zeta(3))^100000") == zeta(3)
+    assert parse_cyc("(-zeta(5))^4096") == zeta(5)
+    assert parse_cyc("(-zeta(5))^-4097") == -zeta(5, -4097)
+    assert parse_cyc("(-i)^3") == zeta(4)
 
 
 def test_parse_arithmetic():
@@ -84,7 +91,8 @@ def test_parse_deep_nesting_is_a_parse_error(text):
 
 @pytest.mark.parametrize("text, taken, at", [("(1/3+zeta(7))^100000", [], 14),
                                              ("2^100000000", [], 2),
-                                             ("((2^1000)^1000)^1000", [1000], 10)])
+                                             ("((2^1000)^1000)^1000", [1000], 10),
+                                             ("(2^4000+zeta(7))^-1", [4000], 17)])
 def test_large_powers_are_refused_before_they_are_taken(monkeypatch, text, taken, at):
     """A power whose value could pass the size bound is a ParseError at its
     exponent, raised before CycNum.__pow__ runs; only the powers in `taken`
@@ -302,6 +310,19 @@ def test_deep_nesting_is_an_input_error(capsys, command, text, message):
     assert main(command + ["--gen", f"[[{text},0],[0,1]]"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {message}") and "(at position" in err
+
+
+@pytest.mark.parametrize("text, conductor", [
+    ("zeta(10000000000000000000000)^9999999999999999999999", 10 ** 22),
+    ("zeta(1000000000)^999999999", 10 ** 9)], ids=["index-overflow", "huge-list"])
+@pytest.mark.parametrize("command", [["analyze", "--alpha", "1", "--beta", "1"], ["classify"]],
+                         ids=["analyze", "classify"])
+def test_conductor_past_the_cap_is_an_input_error(capsys, command, text, conductor):
+    """A root of unity past the conductor cap is refused before its power
+    builds a vector of its conductor's length: exit 1 with an input error."""
+    assert main(command + ["--gen", f"[[{text},0],[0,1]]"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: conductor {conductor} exceeds cap 1000000\n"
 
 
 def test_paperlab_unknown_suite_is_a_usage_error(capsys):

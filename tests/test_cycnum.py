@@ -70,6 +70,10 @@ def test_conductor_errors():
         CycNum(0, ())
     with pytest.raises(PromotionOverflow):
         zeta(10 ** 6 - 1).promoted((10 ** 6 - 1) * 2)
+    # zeta checks the conductor before k mod n sizes its vector
+    for n in (10 ** 22, 10 ** 9):
+        with pytest.raises(PromotionOverflow, match=f"conductor {n} exceeds cap"):
+            zeta(n, n - 1)
 
 
 def test_binary_operations_over_the_cap_overflow():
