@@ -204,12 +204,13 @@ class CycNum(Record):
                 total += c * Fraction(_mobius(m), totient(m))
         return total
 
-    def approx(self) -> complex:
-        """Float embedding with zeta_n -> exp(2*pi*i/n).  Hint/test use only."""
+    def approx(self, shift: int = 0) -> complex:
+        """Float embedding of self / 2^shift, shift >= 0, with
+        zeta_n -> exp(2*pi*i/n).  Hint/test use only."""
         z = cmath.exp(2j * cmath.pi / self.conductor)
         acc = 0j
         for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
+            acc = acc * z + (Fraction(c.numerator, c.denominator << shift) if shift else c)
         return acc
 
     def __repr__(self):
@@ -265,7 +266,10 @@ def root_exponent(x: CycNum):
     """
     n = x.conductor
     big = n if n % 2 == 0 else 2 * n
-    guess = round(cmath.phase(x.approx()) * big / (2 * math.pi)) % big
+    # Only the phase is read: scaled to coefficients below 2, no float overflows.
+    shift = max(0, *(abs(c.numerator).bit_length() - c.denominator.bit_length()
+                     for c in x.coeffs))
+    guess = round(cmath.phase(x.approx(shift)) * big / (2 * math.pi)) % big
     if _power_at(big, guess, n).coeffs != x.coeffs:
         return None
     order = big // math.gcd(big, guess)

@@ -10,6 +10,7 @@ to use from several threads.
 """
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -164,10 +165,11 @@ def one_minus_t_pow(k: int) -> IntPoly:
 # elementary number theory
 # ---------------------------------------------------------------------------
 
-# Bounds of the number-theory caches.  A cyclotomic test of a degree-n
-# polynomial reads one totients_at_most entry, and one entry of each per-d
-# cache (factorize, totient, _binomial_form, _cyclotomic_at_two) per d with
-# phi(d) <= n: 790 for n = 404.
+# Bounds of the number-theory caches.  The first cyclotomic test of degree n
+# reads one totients_at_most entry, and one entry of each per-d cache
+# (factorize, totient, _binomial_form, _cyclotomic_at_two) per d with
+# phi(d) <= n: 790 for n = 404.  Later tests of degree <= n read the
+# candidate table of is_cyclotomic_product.
 _FACTORIZE_CACHE_SIZE = 4096
 _TOTIENTS_CACHE_SIZE = 64
 _CYCLOTOMIC_CACHE_SIZE = 512
@@ -401,29 +403,48 @@ class CycFactorization(typing.NamedTuple):
         return IntPoly(coeffs)
 
 
+def one_minus_t_pows(*ks: int, phis=()) -> CycFactorization:
+    """prod (1 - t^k) over ks times prod Phi_d over phis, factored: each
+    1 - t^k is -prod Phi_e over the e | k."""
+    mult = collections.Counter(e for k in ks for e in divisors(k))
+    mult.update(phis)
+    return CycFactorization(tuple(sorted(mult.items())), (-1) ** len(ks))
+
+
+# (n, rows): the candidates of the cyclotomic test, rows (phi(d), d, Phi_d(2))
+# sorted by phi for every d with phi(d) <= n, grown when a larger degree
+# arrives and replaced as one tuple.  A cache bounded at _FACTORIZE_CACHE_SIZE
+# rows (n = 2111): a larger degree builds its rows for the one call.
+_cyc_table: tuple[int, list[tuple[int, int, int]]] = (0, [])
+
+
 def is_cyclotomic_product(p: IntPoly):
     """
     Decide whether p equals +-(a product of cyclotomic polynomials); return
-    the CycFactorization if so, None otherwise.
+    the CycFactorization, factors sorted by d, if so, None otherwise.
 
-    Only Phi_d with phi(d) <= deg p can divide p, so the candidates are
-    totients_at_most(deg p), tried in ascending order while their degree
-    fits the residue.  Phi_d(2) (_cyclotomic_at_two, in integers) must
-    divide the residue's value at 2 before cyclotomic_times tries the exact
-    division; the value at 2 is then divided by Phi_d(2) along with the
-    residue.  A residue of positive degree left after the last candidate
+    Only Phi_d with phi(d) <= deg p can divide p, so the candidates are the
+    rows of _cyc_table, tried while their degree fits the residue.  Phi_d(2)
+    must divide the residue's value at 2 before cyclotomic_times tries the
+    exact division; the value at 2 is then divided by Phi_d(2) along with
+    the residue.  A residue of positive degree left after the last candidate
     has a factor that is not cyclotomic.
     """
+    global _cyc_table
     if p.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     if abs(p.lead()) != 1 or abs(p[0]) != 1:
         return None
+    covered, rows = _cyc_table
+    if p.deg() > covered:
+        rows = sorted(rows + [(totient(d), d, _cyclotomic_at_two(d))
+                              for d in totients_at_most(p.deg()) if totient(d) > covered])
+        if len(rows) <= _FACTORIZE_CACHE_SIZE:
+            _cyc_table = (p.deg(), rows)
     residue, val2, factors = list(p.coeffs), p(2), []
-    for d in totients_at_most(p.deg()):
-        if len(residue) <= 1:
+    for phi, d, pval in rows:
+        if phi >= len(residue):
             break
-        phi = totient(d)
-        pval = _cyclotomic_at_two(d)
         mult = 0
         while phi < len(residue) and val2 % pval == 0:
             quo = cyclotomic_times(residue, d, -1)
@@ -435,7 +456,7 @@ def is_cyclotomic_product(p: IntPoly):
             factors.append((d, mult))
     if len(residue) > 1 or residue[0] not in (1, -1):
         return None
-    return CycFactorization(tuple(factors), residue[0])
+    return CycFactorization(tuple(sorted(factors)), residue[0])
 
 
 def poly_gcd_q(p: IntPoly, q: IntPoly) -> IntPoly:

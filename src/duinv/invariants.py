@@ -36,7 +36,7 @@ from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
                      NonNormalizableDenominator, NonRationalCollapse,
                      NotAnAutomorphism, UnsupportedAutomorphism, ZeroFunction)
-from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pow
+from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pows
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
                        eigenvalues, generated_subgroup, remember)
 from .ratfunc import RatFunc, stanley_gorenstein_test
@@ -288,9 +288,7 @@ def _average_inverse_products(shape: tuple[int, ...], modulus: int,
             raise NonNormalizableDenominator(
                 f"Molien coefficient of t^{k} is not divisible by the element count {count}")
         num.append(coeff)
-    den = IntPoly((1,))
-    for d in shape:
-        den = den * one_minus_t_pow(d * big_m)
+    den = one_minus_t_pows(*(d * big_m for d in shape))
     return remember(_molien_cache, key, RatFunc.make(IntPoly(num), den))
 
 

@@ -356,6 +356,14 @@ def test_classify_exit_codes(capsys):
     assert main(["classify", "--gen", "[[2,0],[0,1]]"]) == 3
 
 
+def test_classify_entries_past_the_float_range(capsys):
+    # The anti-diagonal g with entries 2^1100 and 2^-1100 squares to I; the
+    # phase proposal for the determinant and entries scales them down first.
+    assert main(["classify", "--gen", "[[0,2^1100],[2^-1100,0]]"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["order"] == 2 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("gens", [["[[0,2],[1/2,0]]", "[[0,1],[1,0]]"],
                                   ["[[1,1],[0,1]]"], ["[[-1,1],[0,-1]]"],
                                   ["[[1,1],[1,0]]"], ["[[zeta(60),1],[1,0]]"]])

@@ -91,6 +91,9 @@ def test_root_of_unity_order():
     assert root_exponent(-zeta(9)) == (18, 11)
     assert root_exponent(CycNum.from_rat(2)) is None
     assert root_exponent(zeta(5) + 1) is None
+    # coefficients past the float range: the phase is read on scaled values
+    assert root_exponent(CycNum.from_rat(Fraction(1, 2 ** 1100))) is None
+    assert root_exponent(zeta(7) * 2 ** 1100 + Fraction(1, 3)) is None
 
 
 def test_root_power_exponent():

@@ -17,8 +17,8 @@ from duinv.errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
 from duinv import intpoly
 from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            cyclotomic_poly, cyclotomic_times, divisors, factorize,
-                           is_cyclotomic_product, one_minus_t_pow, poly_gcd_q,
-                           totient, totients_at_most, x_pow)
+                           is_cyclotomic_product, one_minus_t_pow, one_minus_t_pows,
+                           poly_gcd_q, totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
 from duinv.invariants import TraceForm
 from duinv.ratfunc import RatFunc, stanley_gorenstein_test
@@ -253,6 +253,94 @@ def test_cancel_matches_gcd_path(den, shared, rest):
     num, den = cancel_by_gcd(num, den)
     sign = den[0]  # +-1: den is +-(a product of cyclotomics), and so is den / gcd
     assert (f.num, f.den) == (num * sign, den * sign)
+
+
+def test_candidate_table_is_bounded_and_order_free(monkeypatch):
+    # With the table capped at 20 rows (every d with phi(d) <= 11), degrees
+    # past the cap are decided on rows built for the one call, and any
+    # arrival order of degrees leaves the same answers and the same table.
+    monkeypatch.setattr(intpoly, "_FACTORIZE_CACHE_SIZE", 20)
+    polys = [_expand(1, [(d, 1)]) for d in (1, 5, 7, 11, 25, 31, 33)]
+    polys += [p + x_pow(1) for p in polys[2:]]  # not cyclotomic
+    polys += [_expand(-1, [(3, 2), (13, 1)]) + IntPoly((0, 1)), _family_one_numerator(9)]
+    expected = [cyclotomic_product_by_trial_division(p) for p in polys]
+    tables = set()
+    for order in (sorted(polys, key=IntPoly.deg), sorted(polys, key=IntPoly.deg, reverse=True),
+                  polys[1::2] + polys[::2]):
+        monkeypatch.setattr(intpoly, "_cyc_table", (0, []))
+        got = {p: is_cyclotomic_product(p) for p in order}
+        assert [(got[p].factors, got[p].unit) if got[p] else None for p in polys] == expected
+        assert len(intpoly._cyc_table[1]) <= 20
+        tables.add((intpoly._cyc_table[0], tuple(intpoly._cyc_table[1])))
+    assert expected[4] is not None and polys[4].deg() == 20  # Phi_25, past the cap
+    ((deg, table),) = tables
+    assert [d for _, d, _ in sorted(table, key=lambda row: row[1])] == list(totients_at_most(deg))
+    assert all(pval == cyclotomic_poly(d)(2) and phi == totient(d) for phi, d, pval in table)
+
+
+def _by_gcd(num: IntPoly, den: IntPoly):
+    """The canonical (num, den) of num / den by the gcd oracle, or None when
+    no integral pair with den(0) = 1 represents it."""
+    num, den = cancel_by_gcd(num, den)
+    c = math.gcd(num.content(), den.content())
+    num, den = IntPoly(x // c for x in num.coeffs), IntPoly(x // c for x in den.coeffs)
+    return (num * den[0], den * den[0]) if den[0] in (1, -1) else None
+
+
+def _general(num: IntPoly, den: IntPoly):
+    """RatFunc(num, den) on the IntPoly denominator, None where it is refused."""
+    try:
+        return RatFunc(num, den)
+    except NonNormalizableDenominator:
+        return None
+
+
+_factored_den = st.builds(
+    CycFactorization,
+    st.lists(st.tuples(st.integers(1, 30), st.integers(0, 3)), max_size=4).map(tuple),
+    st.sampled_from((1, -1)))
+_shared_numerator = st.builds(
+    lambda shared, rest: _expand(1, shared) * IntPoly(rest),
+    st.lists(st.tuples(st.integers(1, 30), st.integers(1, 2)), max_size=2),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shared_numerator, _factored_den, _shared_numerator, _factored_den,
+       st.fractions(min_value=-4, max_value=4, max_denominator=6))
+def test_factored_denominators_match_the_general_reduction(num, fact, num2, fact2, q):
+    # num / fact, built on the factored denominator, on the expanded one,
+    # and by the gcd oracle; then + and scale on factored forms against
+    # the general reduction of their fraction arithmetic.  Zero numerators
+    # (rest all 0) and non-integral scales that no canonical form holds
+    # are among the draws.
+    f, g = RatFunc(num, fact), RatFunc(num2, fact2)
+    for h, (n, d) in ((f, (num, fact.expand())), (g, (num2, fact2.expand()))):
+        assert h == RatFunc(n, d) and (h.num, h.den) == _by_gcd(n, d)
+        assert h._factors.expand() == h.den
+    total = f + g
+    n, d = f.num * g.den + g.num * f.den, f.den * g.den
+    assert total == RatFunc(n, d) and (total.num, total.den) == _by_gcd(n, d)
+    n, d = f.num * q.numerator, f.den * q.denominator
+    expected = _general(n, d)
+    assert (expected is None) == (_by_gcd(n, d) is None)
+    if expected is None:
+        with pytest.raises(NonNormalizableDenominator):
+            f.scale(q)
+    else:
+        assert f.scale(q) == expected and (expected.num, expected.den) == _by_gcd(n, d)
+
+
+def test_factored_zero_and_refused_scale():
+    zero = RatFunc(IntPoly(), one_minus_t_pows(3, 4))
+    assert (zero.num, zero.den) == (IntPoly(), IntPoly((1,)))
+    assert zero.scale(Fraction(1, 2)) == zero == RatFunc(IntPoly(), IntPoly((1, -1)))
+    geo = RatFunc(IntPoly((3,)), one_minus_t_pows(2))
+    assert geo.scale(Fraction(1, 3)) == RatFunc(IntPoly((1,)), one_minus_t_pow(2))
+    with pytest.raises(NonNormalizableDenominator):
+        geo.scale(Fraction(1, 2))
+    with pytest.raises(NonNormalizableDenominator):
+        RatFunc(IntPoly((3,)), one_minus_t_pow(2)).scale(Fraction(1, 2))
 
 
 def test_cyclotomic_tester_against_graeffe_oracle_above_degree_400():
