@@ -5,13 +5,11 @@ bireflection structure and cyclotomic-Gorenstein reports.
 """
 
 from .cycnum import CycNum, render_cyc, root_exponent, zeta
-from .errors import (BireflectionMismatch, DenominatorVanishesAtZero,
-                     DivisionByZero, DuinvError, GroupTooLarge,
-                     InfiniteOrderSuspected, NonMonomialMatrix,
-                     NonNormalizableDenominator,
-                     NonRationalCollapse, NotAnAutomorphism, ParseError,
-                     PromotionOverflow, SingularGenerator,
-                     UnsupportedAutomorphism, ZeroConductor, ZeroDenominator,
+from .errors import (BireflectionMismatch, DivisionByZero, DuinvError,
+                     GroupTooLarge, InfiniteOrderSuspected, NonMonomialMatrix,
+                     NonNormalizableDenominator, NonRationalCollapse,
+                     NotAnAutomorphism, ParseError, PromotionOverflow,
+                     SingularGenerator, UnsupportedAutomorphism, ZeroConductor,
                      ZeroFunction, ZeroPolynomial)
 from .intpoly import (CycFactorization, IntPoly, cyclotomic_poly, divisors,
                       factorize, is_cyclotomic_product, one_minus_t_pow,

@@ -11,7 +11,8 @@ class Record:
     through object.__setattr__, or through vars(self) when it keeps an
     instance dict for cached_property values, and overrides a method only
     where its meaning differs.  Copies and pickles call the class on the
-    field values, so its constructor takes them first, and caches restart.
+    field values, so its constructor takes them first, and caches restart;
+    RatFunc and MatGroup, built from other values, have their own __reduce__.
     """
 
     __slots__ = ()

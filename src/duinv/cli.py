@@ -181,7 +181,7 @@ def cmd_classify(args) -> int:
 
 
 def _at_least_one(text: str) -> int:
-    if not text.strip().isdecimal() or int(text) < 1:
+    if not (text.isascii() and text.strip().isdecimal()) or int(text) < 1:  # digits 0-9 only
         raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
     return int(text)
 

@@ -25,14 +25,6 @@ class ZeroPolynomial(DuinvError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
-class ZeroDenominator(DuinvError):
-    """Rational function with zero denominator."""
-
-
-class DenominatorVanishesAtZero(DuinvError):
-    """Denominator has no constant term, so no power-series expansion exists."""
-
-
 class NonNormalizableDenominator(DuinvError):
     """The denominator has no canonical Hilbert-series form."""
 

@@ -416,7 +416,7 @@ def theorem03_report(alpha, beta, generators) -> Theorem03Report:
         table = group.table  # hdet = det^2
         hdet_trivial = all(2 * det % table.modulus == 0 for det in table.dets)
         stanley = stanley_gorenstein_test(series)
-        fact = is_cyclotomic_product(series.num) if not series.num.is_zero() else None
+        fact = is_cyclotomic_product(series.num)
         cyclotomic = fact is not None
         bireflections = bireflection_subgroup(ctx, group)
         generated = len(bireflections) == len(group)

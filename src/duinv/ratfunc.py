@@ -4,70 +4,60 @@ integer polynomials with denominator constant term 1.
 
 The canonical form (num, den coprime over Q, den(0) = 1, both integral) is
 unique, so equality of the stored pair is true equality of rational
-functions.  The class call reduces to it a pair whose denominator, after the
-content it shares with the numerator, is +-(a product of cyclotomics), as in
-every Hilbert series of a finite group's invariants (Hilbert-Serre), and
-refuses any other; RatFunc.make is the same call, and every operation ends in it.
-The denominator is an IntPoly, which the cyclotomic test factors, or a
-CycFactorization, used as given.  The Phi_d multiplicities left after
-cancellation are kept beside the pair, so + and scale factor nothing.
+functions.  The denominator comes factored, as a CycFactorization, the form
+of every Hilbert series of a finite group's invariants (Hilbert-Serre); the
+class call, also named RatFunc.make, cancels the Phi_d the numerator shares
+and keeps the multiplicities left beside the pair for + and scale to use.
 """
 from __future__ import annotations
 
 import collections
-import math
 from fractions import Fraction
 
 from ._record import Record
-from .errors import (DenominatorVanishesAtZero, NonNormalizableDenominator,
-                     ZeroDenominator, ZeroFunction)
-from .intpoly import (CycFactorization, IntPoly, _cyclotomic_at_two,
-                      cyclotomic_times, is_cyclotomic_product)
+from .errors import NonNormalizableDenominator, ZeroFunction
+from .intpoly import CycFactorization, IntPoly, _cyclotomic_at_two, cyclotomic_times
 
 
 class RatFunc(Record):
-    """num / den, reduced to canonical form on construction.  Immutable."""
+    """
+    num / den, reduced to canonical form on construction.  Immutable.
+
+    >>> from duinv.intpoly import one_minus_t_pows
+    >>> RatFunc(IntPoly((1,)), one_minus_t_pows(1, 2))  # 1/((1 - t)(1 - t^2))
+    RatFunc(num=IntPoly('1'), den=IntPoly('t^3 - t^2 - t + 1'))
+    """
 
     __slots__ = ("num", "den", "_factors")
     _fields = ("num", "den")
     num: IntPoly
     den: IntPoly
 
-    def __init__(self, num: IntPoly, den: IntPoly | CycFactorization):
-        if isinstance(den, CycFactorization):
-            fact = den
-        else:
-            if den.is_zero():
-                raise ZeroDenominator("denominator is the zero polynomial")
-            if den[0] == 0:
-                raise DenominatorVanishesAtZero("denominator has no constant term")
-            c = math.gcd(num.content(), den.content())
-            fact = is_cyclotomic_product(IntPoly(x // c for x in den.coeffs))
-            if fact is None:
-                raise NonNormalizableDenominator(
-                    f"the denominator, of degree {den.deg()}, is not +-(a product of "
-                    "cyclotomic polynomials) after the content it shares with the numerator")
-            num = IntPoly(x // c for x in num.coeffs)
+    def __init__(self, num: IntPoly, den: CycFactorization):
+        if not isinstance(den, CycFactorization):
+            raise TypeError(f"RatFunc takes den as a CycFactorization, not {type(den).__name__}")
         # One exact division of num per shared Phi_d, tried when Phi_d(2) divides num(2), and
         # den rebuilt from the multiplicities left: by Gauss's lemma no common factor is left.
         num_c, left, v2 = list(num.coeffs), collections.Counter(), num(2)
-        for d, mult in fact.factors:
+        for d, mult in den.factors:
             p2 = _cyclotomic_at_two(d)
             while mult and v2 % p2 == 0 and (quo := cyclotomic_times(num_c, d, -1)) is not None:
                 num_c, mult, v2 = quo, mult - 1, v2 // p2
             left[d] += mult
-        fact = CycFactorization(tuple(sorted((+left).items())), fact.unit)
-        num, den = IntPoly(num_c), fact.expand()
-        if den[0] < 0:  # +-1, as Phi_d(0) = 1 for d > 1 and Phi_1(0) = -1
-            num, den, fact = -num, -den, fact._replace(unit=-fact.unit)
+        sign = den.unit * (-1) ** left[1]  # den(0): Phi_d(0) = 1 for d > 1, Phi_1(0) = -1
+        fact = CycFactorization(tuple(sorted((+left).items())), den.unit * sign)
+        num, den = IntPoly(c * sign for c in num_c), fact.expand()
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_factors", fact)
 
     @staticmethod
-    def make(num: IntPoly, den: IntPoly | CycFactorization) -> "RatFunc":
+    def make(num: IntPoly, den: CycFactorization) -> "RatFunc":
         """RatFunc(num, den), the name every operation builds through."""
         return RatFunc(num, den)
+
+    def __reduce__(self):
+        return RatFunc, (self.num, self._factors)
 
     # -- arithmetic ----------------------------------------------------
 
@@ -90,8 +80,8 @@ class RatFunc(Record):
         when the product has no canonical form."""
         f = Fraction(factor)
         num = self.num * f.numerator
-        if num.content() % f.denominator:  # no canonical form: the class call refuses it
-            return RatFunc.make(num, self.den * f.denominator)
+        if num.content() % f.denominator:  # den(0) = 1 keeps every series coefficient integral
+            raise NonNormalizableDenominator(f"{f} times the series has a non-integer coefficient")
         return RatFunc.make(IntPoly(x // f.denominator for x in num.coeffs), self._factors)
 
     def is_zero(self) -> bool:
@@ -119,17 +109,15 @@ def stanley_gorenstein_test(f: RatFunc):
     Check the functional equation f(1/t) = sigma * t^l * f(t) with
     sigma in {+1, -1}; return (sigma, l) if it holds, None otherwise.
 
-    f is in canonical form, as every RatFunc is: then the equation
-    holds exactly when num.reverse() = s1 * num and den.reverse() = s2 * den
-    with s1, s2 in {+1, -1}, and sigma = s1 * s2, l = deg den - deg num.
+    f is in canonical form, as every RatFunc is: then the equation holds
+    exactly when num.reverse() = s * num with s in {+1, -1}, and then sigma =
+    s * (-1)^m1 and l = deg den - deg num, for m1 the multiplicity of Phi_1 in
+    den: Phi_d is a palindrome for d >= 2, and Phi_1 reverses to -Phi_1.
     """
     if f.is_zero():
         raise ZeroFunction("the zero series cannot satisfy the functional equation")
-    sigma = 1
-    for p in (f.num, f.den):
-        rev = p.reverse()
-        if rev != p:
-            if rev != -p:
-                return None
-            sigma = -sigma
+    rev = f.num.reverse()
+    if rev != f.num and rev != -f.num:
+        return None
+    sigma = (1 if rev == f.num else -1) * (-1) ** dict(f._factors.factors).get(1, 0)
     return (sigma, f.den.deg() - f.num.deg())

@@ -245,14 +245,10 @@ def test_09_no_program_path_reaches_the_reference_layer(monkeypatch, capsys):
     """The sweep from cold caches, paperlab up to n = 16, every analyze
     request of the benchmark through the command line, and the two plane
     refusals of molien call neither poly_gcd_q nor any function of the
-    per-element reference layer, and hand RatFunc every denominator
-    factored: its binding of the cyclotomic test is never reached."""
+    per-element reference layer.  RatFunc takes every denominator factored
+    and has no binding of the cyclotomic test to reach."""
+    assert not hasattr(ratfunc, "is_cyclotomic_product")
     reached = _forbid(monkeypatch, REFERENCE_LAYER)
-
-    def factoring(p):
-        reached.append("ratfunc.is_cyclotomic_product")
-        pytest.fail(f"a program path factored the denominator {p!r}")
-    monkeypatch.setattr(ratfunc, "is_cyclotomic_product", factoring)
     monkeypatch.setattr(matgroup, "_closure_cache", {})
     monkeypatch.setattr(invariants, "_molien_cache", {})
     assert len(_sweep()) == 274

@@ -332,7 +332,7 @@ def test_paperlab_unknown_suite_is_a_usage_error(capsys):
     assert "usage:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("max_n", ["0", "-1", "x"])
+@pytest.mark.parametrize("max_n", ["0", "-1", "x", "\u0663"])  # an Arabic-Indic 3
 def test_paperlab_max_n_below_one_is_a_usage_error(capsys, max_n):
     with pytest.raises(SystemExit) as exc:
         main(["paperlab", "--suite", "flag-table", "--max-n", max_n])

@@ -21,7 +21,7 @@ from duinv import matgroup, monomial
 from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NonMonomialMatrix,
                           NotAnAutomorphism, SingularGenerator)
-from duinv.intpoly import IntPoly
+from duinv.intpoly import CycFactorization, IntPoly
 from duinv.invariants import (AlgebraCtx, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
                               hdet_matrix,
@@ -239,7 +239,7 @@ def test_irrational_monomial_molien_matches_trace_average(gens):
     # trace series is rational on its own.
     ref = _closed_on_both_paths(gens)
     if ref is not None:
-        total = RatFunc.make(IntPoly(), IntPoly((1,)))
+        total = RatFunc.make(IntPoly(), CycFactorization((), 1))
         for m in ref:
             trace = normal_sequence_trace([(1, lam) for lam in _monomial_eigenvalues(m)])
             total = total + trace_to_ratfunc(trace)

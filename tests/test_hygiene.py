@@ -23,6 +23,7 @@ from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
                    RatFunc, close_group, downup_trace,
                    hdet_from_trace, is_cyclotomic_product, matgroup,
                    theorem03_report, zeta)
+from duinv.intpoly import one_minus_t_pows
 from duinv.matgroup import classify, generated_subgroup
 from duinv._record import Record
 from duinv.paperlab import CheckResult
@@ -85,8 +86,8 @@ def _value_pairs():
     report = theorem03_report(1, 1, [g])
     return [
         (IntPoly((1, -2, 0, 3)), IntPoly([1, -2, 0, 3, 0])),
-        (RatFunc.make(IntPoly((1, 1)), IntPoly((1, 0, -1))),
-         RatFunc.make(IntPoly((2,)), IntPoly((2, -2)))),
+        (RatFunc.make(IntPoly((1, 1)), one_minus_t_pows(2)),
+         RatFunc.make(IntPoly((-1,)), CycFactorization(((1, 1),), 1))),
         (is_cyclotomic_product(IntPoly((1, 0, 0, 0, 0, 0, -1))),  # 1 - t^6
          CycFactorization(((1, 1), (2, 1), (3, 1), (6, 1)), -1)),
         (ctx, AlgebraCtx("down_up", Fraction(1), Fraction(1))),
@@ -109,7 +110,7 @@ def test_value_classes_keep_the_record_contract():
     assert (repr(GroupLabel("Q1", 4, 4, ("Q1(n=4)", "C4")))
             == "GroupLabel(family='Q1', n=4, order=4, all_matches=('Q1(n=4)', 'C4'))")
     assert repr(IntPoly((1, -2, 0, 3))) == "IntPoly('3t^3 - 2t + 1')"
-    f = RatFunc.make(IntPoly((1,)), IntPoly((1, -1)))
+    f = RatFunc.make(IntPoly((1,)), one_minus_t_pows(1))
     assert repr(f) == "RatFunc(num=IntPoly('1'), den=IntPoly('-t + 1'))"
     assert repr(Mat2.of(0, 1, 1, 0)) == ("Mat2(a=CycNum(1, ['0']), b=CycNum(1, ['1']), "
                                          "c=CycNum(1, ['1']), d=CycNum(1, ['0']))")
@@ -140,7 +141,7 @@ RECORDS = {
                "CycNum(12, ['1/3', '-1', '0', '1'])", 1537228672809129301),
     "IntPoly": (lambda: IntPoly((1, -2, 0, 3)), "coeffs", {"__repr__"},
                 "IntPoly('3t^3 - 2t + 1')", -6510532465580222948),
-    "RatFunc": (lambda: RatFunc.make(IntPoly((1, 1)), IntPoly((1, 0, -1))), "num", set(),
+    "RatFunc": (lambda: RatFunc.make(IntPoly((1, 1)), one_minus_t_pows(2)), "num", set(),
                 "RatFunc(num=IntPoly('1'), den=IntPoly('-t + 1'))", 3991686824967421266),
     "Mat2": (lambda: Mat2.diag(zeta(4), -zeta(4)), "a", set(),
              "Mat2(a=CycNum(4, ['0', '1']), b=CycNum(1, ['0']), c=CycNum(1, ['0']), "

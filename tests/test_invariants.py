@@ -9,7 +9,7 @@ from duinv.cycnum import CycNum, zeta
 from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
                           NonNormalizableDenominator, NonRationalCollapse,
                           NotAnAutomorphism, UnsupportedAutomorphism)
-from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
+from duinv.intpoly import CycFactorization, IntPoly, one_minus_t_pow, one_minus_t_pows, x_pow
 from duinv.invariants import (AlgebraCtx, AutShape, _average_inverse_products,
                               bireflection_subgroup, downup_trace, generated_by_bireflections,
                               hdet_from_trace, hdet_matrix, hypersurface_trace,
@@ -21,10 +21,6 @@ from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
 from duinv.ratfunc import RatFunc
 
 from _oracles import Monomial, _monomial_eigenvalues, close_monomial_group, trace_to_ratfunc
-
-
-def _omt(k):
-    return one_minus_t_pow(k)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def test_check_automorphism():
 def test_identity_trace_is_hilbert_series():
     ctx = AlgebraCtx.down_up(1, 1)
     tr = downup_trace(ctx, Mat2.identity())
-    assert trace_to_ratfunc(tr) == RatFunc.make(IntPoly((1,)), _omt(1) ** 2 * _omt(2))
+    assert trace_to_ratfunc(tr) == RatFunc.make(IntPoly((1,)), one_minus_t_pows(1, 1, 2))
 
 
 def test_downup_trace_eigen_factors():
@@ -101,7 +97,7 @@ def test_downup_trace_eigen_factors():
     # a determinant-one element collapses to a rational trace
     tr = downup_trace(ctx, mat_c(zeta(3)))
     assert trace_to_ratfunc(tr) == RatFunc.make(
-        IntPoly((1,)), IntPoly((1, 1, 1)) * _omt(2))
+        IntPoly((1,)), one_minus_t_pows(2, phis=(3,)))  # Phi_3 (1 - t^2)
 
 
 def test_plane_trace_restrictions():
@@ -183,15 +179,15 @@ def test_hdet_sign_involution_on_plane():
 def test_molien_trivial_group():
     ctx = AlgebraCtx.down_up(1, 1)
     series = molien(ctx, close_group([Mat2.identity()]))
-    assert series == RatFunc.make(IntPoly((1,)), _omt(1) ** 2 * _omt(2))
+    assert series == RatFunc.make(IntPoly((1,)), one_minus_t_pows(1, 1, 2))
 
 
 def test_molien_sign_action():
     ctx = AlgebraCtx.down_up(1, 1)
     series = molien(ctx, close_group([Mat2.diag(-1, -1)]))
     # invariants of -I: even part of the algebra
-    full = RatFunc.make(IntPoly((1,)), _omt(1) ** 2 * _omt(2))
-    twisted = RatFunc.make(IntPoly((1,)), IntPoly((1, 1)) ** 2 * _omt(2))
+    full = RatFunc.make(IntPoly((1,)), one_minus_t_pows(1, 1, 2))
+    twisted = RatFunc.make(IntPoly((1,)), one_minus_t_pows(2, phis=(2, 2)))
     assert series == (full + twisted).scale(Fraction(1, 2))
 
 
@@ -199,7 +195,7 @@ def test_molien_matches_average_of_traces():
     ctx = AlgebraCtx.down_up(0, 1)
     group = close_group([mat_s1()])
     series = molien(ctx, group)
-    total = RatFunc.make(IntPoly(), IntPoly((1,)))
+    total = RatFunc.make(IntPoly(), CycFactorization((), 1))
     for g in group:
         total = total + trace_to_ratfunc(downup_trace(ctx, g))
     assert series == total.scale(Fraction(1, len(group)))
@@ -255,7 +251,7 @@ def test_report_q1():
     assert report.condition_c2 and report.condition_c3 and report.consistent
     n = 3
     assert report.hilbert_series == RatFunc.make(
-        _omt(2 * n), _omt(n) ** 2 * _omt(2) ** 2)
+        one_minus_t_pow(2 * n), one_minus_t_pows(n, n, 2, 2))
 
 
 def test_report_rejects_bad_shape():
@@ -388,7 +384,8 @@ def test_monomial_from_rows():
     one, zero = CycNum.one(), CycNum.zero()
     assert monomial.from_rows([[zero, one], [one, zero]]) == ((1, 0), (one, one))
     assert monomial.from_rows([[one, one], [zero, one]]) is None
-    assert polyring_molien([[[0, 1], [1, 0]]]) == RatFunc.make(IntPoly((1,)), _omt(1) * _omt(2))
+    expected = RatFunc.make(IntPoly((1,)), one_minus_t_pows(1, 2))
+    assert polyring_molien([[[0, 1], [1, 0]]]) == expected
     with pytest.raises(NonMonomialMatrix):
         polyring_molien([[[1, 1], [0, 1]]])
 
@@ -420,7 +417,7 @@ def test_monomial_closure_dedups_conductors():
 def test_polyring_molien_cyclic():
     # C_2 acting by sign on 2 variables
     series = polyring_molien([[[-1, 0], [0, -1]]])
-    assert series == RatFunc.make(IntPoly((1, 0, 1)), _omt(2) ** 2)
+    assert series == RatFunc.make(IntPoly((1, 0, 1)), one_minus_t_pows(2, 2))
     assert series.series_coeffs(5) == [Fraction(x) for x in (1, 0, 3, 0, 5)]
 
 
@@ -451,7 +448,7 @@ def test_polyring_molien_weighted_guard(monkeypatch):
     ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], (2, 1, 2), (1, 2, 4)),  # k[y, x + z, xz]
 ])
 def test_polyring_molien_weight_preserving_swap(swap, weights, degrees):
-    expected = RatFunc.make(IntPoly((1,)), _omt(degrees[0]) * _omt(degrees[1]) * _omt(degrees[2]))
+    expected = RatFunc.make(IntPoly((1,)), one_minus_t_pows(*degrees))
     assert polyring_molien([swap], weights=weights) == expected
 
 
@@ -496,7 +493,7 @@ def test_polyring_molien_symmetric_group_s3():
     gens = [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
             [[0, 0, 1], [1, 0, 0], [0, 1, 0]]]
     series = polyring_molien(gens)
-    expected = RatFunc.make(IntPoly((1,)), _omt(1) * _omt(2) * _omt(3))
+    expected = RatFunc.make(IntPoly((1,)), one_minus_t_pows(1, 2, 3))
     assert series == expected  # elementary symmetric polynomial degrees
 
 

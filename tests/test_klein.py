@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duinv.cycnum import zeta
-from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
+from duinv.intpoly import IntPoly, one_minus_t_pows, x_pow
 from duinv.invariants import theorem03_report
 from duinv.matgroup import Mat2, standard_group
 from duinv.notation import parse_matrix
@@ -39,8 +39,7 @@ GROUPS = {
 
 
 def _klein_series(a: int, b: int, c: int) -> RatFunc:
-    return RatFunc.make(IntPoly((1,)) + x_pow(c),
-                        one_minus_t_pow(a) * one_minus_t_pow(b) * one_minus_t_pow(2))
+    return RatFunc.make(IntPoly((1,)) + x_pow(c), one_minus_t_pows(a, b, 2))
 
 
 def _conjugator_entries(conductor: int):

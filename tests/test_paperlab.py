@@ -2,7 +2,7 @@
 import pytest
 
 from duinv import paperlab
-from duinv.intpoly import IntPoly, one_minus_t_pow, x_pow
+from duinv.intpoly import IntPoly, one_minus_t_pow, one_minus_t_pows, x_pow
 from duinv.ratfunc import RatFunc
 
 
@@ -98,8 +98,8 @@ def test_three_variable_numerator_fails_on_a_remainder(monkeypatch):
     t, one = IntPoly((0, 1)), IntPoly((1,))
     four_term = one + x_pow(n) + x_pow(n + 2) + x_pow(2 * n)
     correction = t * one_minus_t_pow(1) * (one + x_pow(2 * n))
-    den = one_minus_t_pow(1) * one_minus_t_pow(2) * IntPoly((1, 0, 1)) * one_minus_t_pow(2 * n)
-    wrong = RatFunc((four_term - correction) * (one + t) + one, den * (one + t))
+    den = one_minus_t_pows(1, 2, 2 * n, phis=(4, 2))  # times 1 + t^2 = Phi_4 and 1 + t = Phi_2
+    wrong = RatFunc((four_term - correction) * (one + t) + one, den)
     monkeypatch.setattr(paperlab, "polyring_molien", lambda gens: wrong)
     results = {r.check_id: r for r in paperlab.check_three_variable_numerator(n)}
     assert not results["three-variable-numerator"].passed
