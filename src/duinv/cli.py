@@ -138,7 +138,7 @@ def cmd_analyze(args) -> int:
         beta = parse_rational(args.beta)
         AlgebraCtx.down_up(alpha, beta)  # rejects beta = 0
         gens = [parse_matrix(g) for g in args.gen]
-    except (ValueError, ZeroDivisionError, DuinvError) as exc:
+    except (ValueError, DuinvError) as exc:
         return _input_error(exc)
     try:
         report = theorem03_report(alpha, beta, gens)
@@ -163,7 +163,7 @@ def cmd_paperlab(args) -> int:
 def cmd_classify(args) -> int:
     try:
         gens = [parse_matrix(g) for g in args.gen]
-    except (ZeroDivisionError, DuinvError) as exc:
+    except DuinvError as exc:
         return _input_error(exc)
     try:
         group = close_group(gens)

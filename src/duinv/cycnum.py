@@ -24,7 +24,8 @@ from fractions import Fraction
 
 from ._record import Record
 from .errors import DivisionByZero, PromotionOverflow, ZeroConductor
-from .intpoly import _divmod, _euclid, _mul, _power, cyclotomic_poly, factorize, totient
+from .intpoly import (_divmod, _euclid, _mul, _power, cyclotomic_poly, cyclotomic_times,
+                      factorize, totient)
 
 CONDUCTOR_CAP = 10 ** 6
 
@@ -229,7 +230,13 @@ def _mobius(n: int) -> int:
 def zeta(n: int, k: int = 1) -> CycNum:
     """The root of unity zeta_n^k, with zeta_n = exp(2*pi*i/n)."""
     check_conductor(n)  # before k % n sizes a list
-    return CycNum(n, [0] * (k % n) + [1])
+    k, phi = k % n, totient(n)
+    if k < phi:
+        return CycNum(n, [0] * k + [1])
+    # r = t^k mod Phi_n is r P Phi_n / (t^n - 1) for P = (t^n - 1) / Phi_n, and the only terms
+    # of r P to reach t^n, at t^(n - phi) and up, are those of t^k P: no long division.
+    shifted = [0] * k + cyclotomic_times([-1] + [0] * (n - 1) + [1], n, -1)  # t^k P
+    return CycNum(n, cyclotomic_times(shifted[n - phi:n], n, 1)[phi:], _reduced=True)
 
 
 def render_cyc(x: CycNum) -> str:

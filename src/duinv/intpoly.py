@@ -132,9 +132,9 @@ class IntPoly(Record):
         """Coefficients reversed with respect to the degree: t^deg * p(1/t)."""
         return IntPoly(reversed(self.coeffs))
 
-    def __repr__(self):
+    def __str__(self):
         if not self.coeffs:
-            return "IntPoly('0')"
+            return "0"
         parts = []
         for i, c in reversed(list(enumerate(self.coeffs))):
             if c == 0:
@@ -144,7 +144,10 @@ class IntPoly(Record):
             term = "" if i == 0 else "t" if i == 1 else f"t^{i}"
             coeff = f"{abs(c)}" if (i == 0 or abs(c) != 1) else ""
             parts.append(sign + coeff + term)
-        return f"IntPoly('{''.join(parts)}')"
+        return "".join(parts)
+
+    def __repr__(self):
+        return f"IntPoly('{self}')"
 
 
 def x_pow(k: int) -> IntPoly:

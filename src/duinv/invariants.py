@@ -38,7 +38,7 @@ from .errors import (BireflectionMismatch, GroupTooLarge,
                      NotAnAutomorphism, UnsupportedAutomorphism, ZeroFunction)
 from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pows
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
-                       eigenvalues, generated_subgroup, remember)
+                       generated_subgroup, remember)
 from .ratfunc import RatFunc, stanley_gorenstein_test
 
 
@@ -107,7 +107,7 @@ class AlgebraCtx(Record):
 
     def check_shapes(self, shapes) -> None:
         """Raise NotAnAutomorphism unless matrices of every given shape (see
-        Mat2.shape) act on this algebra."""
+        matgroup._shape) act on this algebra."""
         if self.kind == "down_up" and not self._allowed_shapes.issuperset(shapes):
             raise NotAnAutomorphism(
                 f"matrix shape not allowed for down-up({self.alpha}, {self.beta})")
@@ -134,12 +134,6 @@ class TraceForm(typing.NamedTuple):
     den_factors: tuple[tuple[int, CycNum], ...]
     num_factors: tuple[tuple[int, CycNum], ...] = ()
 
-    def pole_order_at_one(self) -> int:
-        """Each factor 1 - lam t^d has a simple zero at t=1 iff lam == 1."""
-        den = sum(1 for _, lam in self.den_factors if lam == 1)
-        num = sum(1 for _, lam in self.num_factors if lam == 1)
-        return den - num
-
     def laurent_leading_at_infinity(self) -> tuple[int, CycNum]:
         exponent = (sum(d for d, _ in self.num_factors)
                     - sum(d for d, _ in self.den_factors))
@@ -151,29 +145,6 @@ class TraceForm(typing.NamedTuple):
         if coeff.is_zero():
             raise ZeroFunction("trace has a zero factor")
         return exponent, coeff
-
-
-def downup_trace(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
-    """Trace series of g acting on a down-up algebra."""
-    if ctx.kind != "down_up":
-        raise ValueError("downup_trace requires a down-up context")
-    ctx.check_shapes([g.shape()])
-    lam, mu = eigenvalues(g)
-    return TraceForm(((1, lam), (1, mu), (2, lam * mu)))
-
-
-def plane_trace(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
-    """Trace series of g on a quantum plane (diagonal g) or Jordan plane
-    (scalar g)."""
-    if ctx.kind == "skew_plane":
-        if not g.is_diagonal():
-            raise UnsupportedAutomorphism("quantum plane traces need diagonal matrices")
-        return TraceForm(((1, g.a), (1, g.d)))
-    if ctx.kind == "jordan_plane":
-        if not (g.is_diagonal() and g.a == g.d):
-            raise UnsupportedAutomorphism("Jordan plane traces need scalar matrices")
-        return TraceForm(((1, g.a), (1, g.a)))
-    raise ValueError("plane_trace requires a plane context")
 
 
 def normal_sequence_trace(steps) -> TraceForm:
@@ -322,30 +293,11 @@ def molien(ctx: AlgebraCtx, group: MatGroup) -> RatFunc:
 # reflections and bireflections
 # ---------------------------------------------------------------------------
 
-def trace_form(ctx: AlgebraCtx, g: Mat2) -> TraceForm:
-    if ctx.kind == "down_up":
-        return downup_trace(ctx, g)
-    return plane_trace(ctx, g)
-
-
-def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
-    """
-    Pole order gkdim - 2 or gkdim - 1 at t = 1, so reflections qualify too.
-    The identity never qualifies.  On a down-up algebra the answer is
-    checked against the matrix criterion, det 1 (non-identity) or an
-    eigenvalue 1 among the trace factors (BireflectionMismatch otherwise).
-    """
-    trace = trace_form(ctx, g)
-    ok = trace.pole_order_at_one() in (ctx.gkdim - 2, ctx.gkdim - 1)
-    if ctx.kind == "down_up":
-        (_, lam), (_, mu), _ = trace.den_factors
-        if ok != (g != Mat2.identity() and (g.det() == 1 or 1 in (lam, mu))):
-            raise BireflectionMismatch(f"trace and matrix bireflection tests disagree on {g}")
-    return ok
-
-
 def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
-    """is_bireflection for every element, read off the element table."""
+    """Whether each element is a bireflection, read off the element table:
+    pole order gkdim - 2 or gkdim - 1 at t = 1 (a reflection is one, the
+    identity never), checked on a down-up algebra against the matrix
+    criterion, det 1 or an eigenvalue 1 (BireflectionMismatch otherwise)."""
     _, _, traces = _trace_exponents(ctx, group)
     table = group.table
     flags = [trace.count(0) in (ctx.gkdim - 2, ctx.gkdim - 1) for trace in traces]
@@ -356,14 +308,17 @@ def _bireflection_flags(ctx: AlgebraCtx, group: MatGroup) -> list[bool]:
     return flags
 
 
+def is_bireflection(ctx: AlgebraCtx, g: Mat2) -> bool:
+    """g's flag of _bireflection_flags on its cyclic group, which the closure
+    lists as I, g, g^2, ..., with the refusals of a report on that group."""
+    group = close_group([g])
+    return _bireflection_flags(ctx, group)[1 % len(group)]
+
+
 def bireflection_subgroup(ctx: AlgebraCtx, group: MatGroup) -> MatGroup:
     """The subgroup generated by the bireflections, its generators in group order."""
     flags = _bireflection_flags(ctx, group)
     return generated_subgroup(group, [i for i, ok in enumerate(flags) if ok])
-
-
-def generated_by_bireflections(ctx: AlgebraCtx, group: MatGroup) -> bool:
-    return len(bireflection_subgroup(ctx, group)) == len(group)
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,6 @@ class Mat2(Record):
     def trace(self) -> CycNum:
         return self.a + self.d
 
-    def inverse(self) -> "Mat2":
-        det = self.det()
-        if det.is_zero():
-            raise SingularGenerator("matrix is not invertible")
-        inv = det.inv()
-        return Mat2(self.d * inv, -self.b * inv, -self.c * inv, self.a * inv)
-
     def is_diagonal(self) -> bool:
         return self.b.is_zero() and self.c.is_zero()
 
@@ -94,10 +87,6 @@ class Mat2(Record):
     def key(self, conductor: int) -> tuple:
         """Hashable exact form of the matrix at the given conductor."""
         return tuple(e.promoted(conductor).coeffs for e in self.entries())
-
-    def shape(self) -> str:
-        """"diagonal", "antidiagonal" or "other" (see _shape)."""
-        return _shape(*(not e.is_zero() for e in self.entries()))
 
     def monomial(self):
         """(perm, scalars) as in duinv.monomial for an invertible diagonal or
@@ -201,16 +190,8 @@ def mat_s1() -> Mat2:
     return Mat2.of(0, 1, -1, 0)
 
 
-def mat_s2() -> Mat2:
-    return Mat2.of(0, -1, 1, 0)
-
-
 def mat_d1() -> Mat2:
     return Mat2.diag(-1, 1)
-
-
-def mat_d2() -> Mat2:
-    return Mat2.diag(1, -1)
 
 
 def mat_c(eps: CycNum) -> Mat2:
@@ -263,7 +244,7 @@ def standard_group(family: int, n: int) -> "MatGroup":
 class ElementTable(typing.NamedTuple):
     """
     The elements of a finite group of 2x2 matrices as integers, in group
-    order: the shape of each (see Mat2.shape), and its determinant and its
+    order: the shape of each (see _shape), and its determinant and its
     eigenvalues, sorted, as exponents of zeta_modulus.
     """
 
@@ -375,7 +356,7 @@ class MatGroup(Record):
 
     @functools.cached_property
     def shapes(self) -> frozenset[str]:
-        """The shapes that occur among the elements (see Mat2.shape)."""
+        """The shapes that occur among the elements (see _shape)."""
         return frozenset(self.table.shapes)
 
     def _product(self, i: int, j: int) -> int:
@@ -488,11 +469,6 @@ def generated_subgroup(group: MatGroup, indices) -> MatGroup:
                      _indices=tuple(monomial.subgroup(root._index[root.form.identity], gens,
                                                       root._product, DEFAULT_CAP)))
     return sub
-
-
-def sl2_part(group: MatGroup) -> MatGroup:
-    """The subgroup of determinant-one elements, in the order of `group`."""
-    return generated_subgroup(group, [i for i, det in enumerate(group.table.dets) if det == 0])
 
 
 def eigenvalues(g: Mat2) -> tuple[CycNum, CycNum]:

@@ -131,7 +131,10 @@ def _parse_atom(sc: _Scanner, depth: int) -> CycNum:
 
 def _parse_rational(sc: _Scanner, what: str = "an unsigned integer") -> Fraction:
     p = sc.uint(what)
-    return Fraction(p, sc.uint() if sc.take("/") else 1)
+    at, q = sc.pos, sc.uint() if sc.take("/") else 1
+    if q == 0:
+        raise ParseError("zero denominator", at)
+    return Fraction(p, q)
 
 
 def _parse_matrix(sc: _Scanner) -> Mat2:

@@ -87,22 +87,6 @@ class RatFunc(Record):
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    # -- analytic views ------------------------------------------------
-
-    def series_coeffs(self, count: int) -> list[Fraction]:
-        """First `count` Taylor coefficients at t = 0."""
-        b = self.den.coeffs
-        out: list[Fraction] = []
-        for k in range(count):
-            c = Fraction(self.num[k])
-            for j in range(1, min(k, len(b) - 1) + 1):
-                c -= b[j] * out[k - j]
-            out.append(c)
-        return out
-
-    def __str__(self):
-        return f"({self.num!r}) / ({self.den!r})"
-
 
 def stanley_gorenstein_test(f: RatFunc):
     """

@@ -9,6 +9,12 @@ truncated geometric-series convolution for power-series coefficients, the
 complex embedding for cyclotomic arithmetic, CycNum matrix products for
 group closures and eigenvalues, and lattice counts for the Molien series of
 2x2 monomial groups.
+
+It also holds the per-element reference layer the library no longer calls:
+the trace series, pole order and bireflection rule of one matrix at a time,
+the matrix inverse, the determinant-one subgroup, two named matrices and the
+Taylor coefficients of a rational function, each the reference for a table
+or integer path of the library.
 """
 import cmath
 import functools
@@ -22,11 +28,13 @@ import numpy as np
 from duinv import monomial
 from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected,
-                          NonNormalizableDenominator, NonRationalCollapse)
+                          NonNormalizableDenominator, NonRationalCollapse,
+                          SingularGenerator, UnsupportedAutomorphism)
 from duinv.intpoly import CycFactorization, IntPoly, cyclotomic_poly, \
     is_cyclotomic_product, poly_gcd_q, totient, totients_at_most
 from duinv.invariants import TraceForm
-from duinv.matgroup import DEFAULT_CAP, Mat2
+from duinv.matgroup import (DEFAULT_CAP, Mat2, MatGroup, _shape, eigenvalues,
+                            generated_subgroup)
 from duinv.ratfunc import RatFunc
 
 
@@ -263,7 +271,7 @@ def run_series_oracle_suite(cases: int = 100, n_terms: int = 32,
             den, room = den * cyclotomic_by_division(d), room - totient(d)
         den = den * den[0]  # den(0) was +-1, now 1
         f = ratfunc_by_trial_division(num, den)  # reduced; the series is the same
-        got = f.series_coeffs(N)
+        got = series_coeffs(f, N)
         # oracle: inv = sum_{k} g^k truncated, with g = 1 - den
         g = [-c for c in den.coeffs]
         g[0] += 1
@@ -561,3 +569,95 @@ def close_monomial_group(generators, cap: int = DEFAULT_CAP) -> tuple[Monomial, 
     except GroupTooLarge as exc:
         raise InfiniteOrderSuspected(f"monomial closure exceeded cap of {cap}") from exc
     return tuple(Monomial(*m) for m in form.monomials(conductor))
+
+
+# ---------------------------------------------------------------------------
+# the per-element reference layer
+# ---------------------------------------------------------------------------
+
+def pole_order_at_one(tr: TraceForm) -> int:
+    """Each factor 1 - lam t^d has a simple zero at t=1 iff lam == 1."""
+    den = sum(1 for _, lam in tr.den_factors if lam == 1)
+    num = sum(1 for _, lam in tr.num_factors if lam == 1)
+    return den - num
+
+
+def downup_trace(ctx, g: Mat2) -> TraceForm:
+    """Trace series of g acting on a down-up algebra."""
+    if ctx.kind != "down_up":
+        raise ValueError("downup_trace requires a down-up context")
+    ctx.check_shapes([mat_shape(g)])
+    lam, mu = eigenvalues(g)
+    return TraceForm(((1, lam), (1, mu), (2, lam * mu)))
+
+
+def plane_trace(ctx, g: Mat2) -> TraceForm:
+    """Trace series of g on a quantum plane (diagonal g) or Jordan plane
+    (scalar g)."""
+    if ctx.kind == "skew_plane":
+        if not g.is_diagonal():
+            raise UnsupportedAutomorphism("quantum plane traces need diagonal matrices")
+        return TraceForm(((1, g.a), (1, g.d)))
+    if ctx.kind == "jordan_plane":
+        if not (g.is_diagonal() and g.a == g.d):
+            raise UnsupportedAutomorphism("Jordan plane traces need scalar matrices")
+        return TraceForm(((1, g.a), (1, g.a)))
+    raise ValueError("plane_trace requires a plane context")
+
+
+def trace_form(ctx, g: Mat2) -> TraceForm:
+    if ctx.kind == "down_up":
+        return downup_trace(ctx, g)
+    return plane_trace(ctx, g)
+
+
+def is_bireflection_by_trace(ctx, g: Mat2) -> bool:
+    """Pole order gkdim - 2 or gkdim - 1 at t = 1 of g's own trace series.
+    The reference for invariants.is_bireflection and its table flags."""
+    return pole_order_at_one(trace_form(ctx, g)) in (ctx.gkdim - 2, ctx.gkdim - 1)
+
+
+def generated_by_bireflections(ctx, group: MatGroup) -> bool:
+    """Whether the elements is_bireflection_by_trace accepts generate the
+    group, closed by CycNum products.  The reference for the report's flag."""
+    gens = [g for g in group if is_bireflection_by_trace(ctx, g)]
+    return len(_close_by_products(gens, group.conductor, len(group), len(group))) == len(group)
+
+
+def mat_shape(g: Mat2) -> str:
+    """"diagonal", "antidiagonal" or "other" (see matgroup._shape)."""
+    return _shape(*(not e.is_zero() for e in g.entries()))
+
+
+def mat_inverse(g: Mat2) -> Mat2:
+    """The inverse by the adjugate; SingularGenerator for det 0."""
+    det = g.det()
+    if det.is_zero():
+        raise SingularGenerator("matrix is not invertible")
+    inv = det.inv()
+    return Mat2(g.d * inv, -g.b * inv, -g.c * inv, g.a * inv)
+
+
+def sl2_part(group: MatGroup) -> MatGroup:
+    """The subgroup of determinant-one elements, in the order of `group`."""
+    return generated_subgroup(group, [i for i, det in enumerate(group.table.dets) if det == 0])
+
+
+def mat_s2() -> Mat2:
+    return Mat2.of(0, -1, 1, 0)
+
+
+def mat_d2() -> Mat2:
+    return Mat2.diag(1, -1)
+
+
+def series_coeffs(f: RatFunc, count: int) -> list[Fraction]:
+    """First `count` Taylor coefficients of f at t = 0."""
+    b = f.den.coeffs
+    out: list[Fraction] = []
+    for k in range(count):
+        c = Fraction(f.num[k])
+        for j in range(1, min(k, len(b) - 1) + 1):
+            c -= b[j] * out[k - j]
+        out.append(c)
+    return out

@@ -10,9 +10,10 @@ from duinv.cli import build_parser, main, parse_matrix, render_matrix
 from duinv.cycnum import CycNum, zeta
 from duinv.errors import ParseError
 from duinv.notation import parse_cyc, parse_rational, render_cyc
-from duinv.matgroup import (Mat2, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1,
-                            mat_s2)
+from duinv.matgroup import Mat2, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1
 from fractions import Fraction
+
+from _oracles import mat_s2
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +216,9 @@ def test_analyze_markdown(capsys):
     out = capsys.readouterr().out
     assert out.startswith("| field")
     assert "Q1(n=4)" in out
+    assert "| Hilbert series numerator   | t^4 + 1 |" in out
+    assert "| Hilbert series denominator | -t^8 + 2t^6 - 2t^2 + 1 |" in out
+    assert "IntPoly(" not in out
 
 
 def test_classify_command(capsys):
@@ -267,6 +271,18 @@ def test_analyze_conductor_overflow_exit_code(capsys, monkeypatch):
 def test_analyze_beta_zero_is_an_input_error(capsys):
     assert main(["analyze", "--alpha", "1", "--beta", "0",
                  "--gen", "[[-1,0],[0,1]]"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--alpha", "1/0", "--beta", "1", "--gen", "[[-1,0],[0,1]]"],
+    ["analyze", "--alpha", "1", "--beta", "3/0", "--gen", "[[-1,0],[0,1]]"],
+    ["analyze", "--alpha", "1", "--beta", "1", "--gen", "[[1/0,0],[0,1]]"],
+    ["classify", "--gen", "[[1,0],[0,2*1/00]]"],
+], ids=["analyze-alpha", "analyze-beta", "analyze-gen", "classify-gen"])
+def test_zero_denominator_is_a_parse_error(capsys, argv):
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("input error: zero denominator (at position ")
 
 
 @pytest.mark.parametrize("alpha", ["1e-5000", "1e-10000000", "1.5"])

@@ -145,6 +145,14 @@ def test_zeta_has_exact_order(n):
     assert root_exponent(x)[0] == n
 
 
+def test_zeta_matches_long_division():
+    """Every zeta_n^k with n <= 200 equals t^k reduced modulo Phi_n by long
+    division, also for the powers k >= phi(n) that zeta reads in passes."""
+    for n in range(1, 201):
+        for k in range(n):
+            assert zeta(n, k) == CycNum(n, [0] * k + [1]), (n, k)
+
+
 _nonzero_values = st.builds(
     CycNum, st.integers(min_value=1, max_value=30),
     st.lists(st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=6)),

@@ -24,19 +24,19 @@ from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NonMonomialMatr
 from duinv.intpoly import CycFactorization, IntPoly
 from duinv.invariants import (AlgebraCtx, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
-                              hdet_matrix,
-                              is_bireflection, molien, normal_sequence_trace,
+                              hdet_matrix, molien, normal_sequence_trace,
                               polyring_molien, theorem03_report)
 from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatForm, MatGroup,
                             _group_order_bound, _order_bound, classify,
                             close_group, eigenvalues, generated_subgroup,
-                            mat_c, mat_d1, mat_s, mat_s1, sl2_part, standard_group)
+                            mat_c, mat_d1, mat_s, mat_s1, standard_group)
 from duinv.ratfunc import RatFunc
 
 from _oracles import (Monomial, _close_by_products, _eigen_exponents_by_search,
                       _lattice_molien_coeffs, _monomial_eigenvalues, _monomial_key,
                       _monomial_product, _order_by_products, _subgroup_by_all_generators,
-                      close_monomial_group, trace_to_ratfunc)
+                      close_monomial_group, is_bireflection_by_trace, mat_inverse,
+                      mat_shape, series_coeffs, sl2_part, trace_to_ratfunc)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 
@@ -89,7 +89,7 @@ def test_mat2_groups_match_cycnum_reference(gens):
     assert table.orders == tuple(orders)
     pairs = []
     for i, (g, order) in enumerate(zip(ref, orders)):
-        assert table.shapes[i] == g.shape()
+        assert table.shapes[i] == mat_shape(g)
         assert zeta(big, table.dets[i]) == g.det()
         assert zeta(big, 2 * table.dets[i]) == hdet_matrix(g)
         expected = _eigen_exponents_by_search(g, order)
@@ -111,7 +111,7 @@ def test_mat2_groups_match_cycnum_reference(gens):
 
     flags = _bireflection_flags(ctx, fast)
     assert flags == _bireflection_flags(ctx, ref_group)
-    assert flags == [is_bireflection(ctx, g) for g in ref]
+    assert flags == [is_bireflection_by_trace(ctx, g) for g in ref]
     sub = bireflection_subgroup(ctx, fast)
     expected_sub = (_close_by_products([g for g, ok in zip(ref, flags) if ok],
                                        fast.conductor, CAP)
@@ -173,7 +173,7 @@ def test_molien_matches_lattice_counts(case):
     mats = [Mat2.of(0, zeta(m, y), zeta(m, x), 0) if anti else Mat2.diag(zeta(m, x), zeta(m, y))
             for anti, x, y in gens]
     series = molien(AlgebraCtx.down_up(0, 1), close_group(mats))
-    assert series.series_coeffs(25) == _lattice_molien_coeffs(m, gens, 25)
+    assert series_coeffs(series, 25) == _lattice_molien_coeffs(m, gens, 25)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +455,7 @@ BI = [Mat2.diag(-EPS ** 3, -EPS ** 2),
       Mat2.of(-(EPS - EPS ** 4) / ROOT5, (EPS ** 2 - EPS ** 3) / ROOT5,
               (EPS ** 2 - EPS ** 3) / ROOT5, (EPS - EPS ** 4) / ROOT5)]
 P = Mat2.of(1, 1, 0, 1)
-C6_CONJUGATED = [P @ Mat2.diag(zeta(6), zeta(6, 5)) @ P.inverse()]
+C6_CONJUGATED = [P @ Mat2.diag(zeta(6), zeta(6, 5)) @ mat_inverse(P)]
 
 
 @pytest.mark.parametrize("gens,order", [(BT, 24), (BO, 48), (C6_CONJUGATED, 6)])
@@ -463,7 +463,7 @@ def test_cycnum_group_table_matches_eigenvalues(gens, order):
     group = close_group(gens)
     assert len(group) == order and isinstance(group.form, MatForm)
     m, exps = _root_exponents([(g.det(), *eigenvalues(g)) for g in group])
-    assert group.table == ElementTable(m, tuple(g.shape() for g in group),
+    assert group.table == ElementTable(m, tuple(mat_shape(g) for g in group),
                                        tuple(det for det, *_ in exps),
                                        tuple(tuple(sorted(eig)) for _, *eig in exps))
 
@@ -570,7 +570,7 @@ def finite_order_matrices(draw):
         g = draw(st.sampled_from(group.elements))
         a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
         p = Mat2.of(1, a, b, 1 + a * b)
-        return p @ g @ p.inverse()
+        return p @ g @ mat_inverse(p)
     n = draw(st.integers(1, 24))
     x, y = draw(roots(n)), draw(roots(n))
     return Mat2.diag(x, y) if kind == "diagonal" else Mat2.of(0, y, x, 0)
@@ -661,7 +661,7 @@ def conjugated_mat2_sets(draw):
     gens = draw(st.one_of(mat2_generator_sets(), st.sampled_from([BT, BO, BI])))
     a, b = draw(st.sampled_from(RATIONALS)), draw(st.sampled_from(RATIONALS))
     p = Mat2.of(1, a, b, 1 + a * b)
-    return [p @ g @ p.inverse() for g in gens]
+    return [p @ g @ mat_inverse(p) for g in gens]
 
 
 @settings(max_examples=30, deadline=None)
@@ -682,7 +682,7 @@ def test_cycnum_path_matches_products_reference(gens, data):
     table, orders = group.table, [_order_by_products(g, conductor, cap) for g in ref]
     assert table.orders == tuple(orders)
     for i, (g, order) in enumerate(zip(ref, orders)):
-        assert table.shapes[i] == g.shape()
+        assert table.shapes[i] == mat_shape(g)
         assert zeta(table.modulus, table.dets[i]) == g.det()
         step = table.modulus // order
         assert tuple(e // step for e in table.eigenvalues[i]) == \
@@ -695,7 +695,7 @@ def test_cycnum_path_matches_products_reference(gens, data):
     assert sub.table.orders == tuple(orders[ref.index(g)] for g in expected)
 
     ctx = AlgebraCtx.down_up(0, 1)
-    flags = [is_bireflection(ctx, g) for g in ref]
+    flags = [is_bireflection_by_trace(ctx, g) for g in ref]
     expected = (_close_by_products([g for g, ok in zip(ref, flags) if ok], conductor, cap,
                                    size=len(ref))
                 if any(flags) else (Mat2.identity(),))

@@ -3,24 +3,29 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duinv import invariants, matgroup, monomial
 from duinv.cycnum import CycNum, zeta
-from duinv.errors import (BireflectionMismatch, NonMonomialMatrix,
+from duinv.errors import (BireflectionMismatch, DuinvError, NonMonomialMatrix,
                           NonNormalizableDenominator, NonRationalCollapse,
                           NotAnAutomorphism, UnsupportedAutomorphism)
 from duinv.intpoly import CycFactorization, IntPoly, one_minus_t_pow, one_minus_t_pows, x_pow
 from duinv.invariants import (AlgebraCtx, AutShape, _average_inverse_products,
-                              bireflection_subgroup, downup_trace, generated_by_bireflections,
-                              hdet_from_trace, hdet_matrix, hypersurface_trace,
-                              is_bireflection, molien, normal_sequence_trace,
-                              plane_trace, polyring_molien, theorem03_report,
-                              TraceForm, trace_form)
+                              bireflection_subgroup, hdet_from_trace, hdet_matrix,
+                              hypersurface_trace, is_bireflection, molien,
+                              normal_sequence_trace, polyring_molien, theorem03_report)
 from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
                             mat_s1, standard_group)
+from duinv.notation import parse_matrix
 from duinv.ratfunc import RatFunc
 
-from _oracles import Monomial, _monomial_eigenvalues, close_monomial_group, trace_to_ratfunc
+from _oracles import (Monomial, _monomial_eigenvalues, close_monomial_group, downup_trace,
+                      generated_by_bireflections, is_bireflection_by_trace, mat_shape,
+                      plane_trace, pole_order_at_one, series_coeffs, trace_form,
+                      trace_to_ratfunc)
+from large_golden import REPORTS
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +73,14 @@ def test_beta_zero_raises_on_every_call(monkeypatch):
 
 def test_check_automorphism():
     o_ctx = AlgebraCtx.down_up(1, 1)
-    o_ctx.check_shapes([mat_c(zeta(5)).shape()])
+    o_ctx.check_shapes([mat_shape(mat_c(zeta(5)))])
     with pytest.raises(NotAnAutomorphism):
-        o_ctx.check_shapes([mat_s().shape()])
+        o_ctx.check_shapes([mat_shape(mat_s())])
     u_ctx = AlgebraCtx.down_up(3, -1)
-    u_ctx.check_shapes([mat_s().shape()])
+    u_ctx.check_shapes([mat_shape(mat_s())])
     with pytest.raises(NotAnAutomorphism):
-        u_ctx.check_shapes([Mat2.of(1, 1, 0, 1).shape()])
-    AlgebraCtx.down_up(0, 1).check_shapes([Mat2.of(1, 1, 0, 1).shape()])
+        u_ctx.check_shapes([mat_shape(Mat2.of(1, 1, 0, 1))])
+    AlgebraCtx.down_up(0, 1).check_shapes([mat_shape(Mat2.of(1, 1, 0, 1))])
     with pytest.raises(NotAnAutomorphism):  # downup_trace checks the one matrix
         downup_trace(o_ctx, mat_s())
 
@@ -113,12 +118,12 @@ def test_plane_trace_restrictions():
 
 def test_trace_laurent_and_pole():
     tr = normal_sequence_trace([(1, 1), (2, -1)])
-    assert tr.pole_order_at_one() == 1
+    assert pole_order_at_one(tr) == 1
     exp, coeff = tr.laurent_leading_at_infinity()
     assert exp == -3 and coeff == CycNum.from_rat(-1)
     hyp = hypersurface_trace([(2, 1), (2, 1), (2, -1)], (4, 1))
-    assert hyp.pole_order_at_one() == 2 - 1 + 0  # two unit poles, one unit zero...
-    assert hyp.pole_order_at_one() == 1
+    assert pole_order_at_one(hyp) == 2 - 1 + 0  # two unit poles, one unit zero...
+    assert pole_order_at_one(hyp) == 1
 
 
 @pytest.mark.parametrize("build, error", [
@@ -205,7 +210,7 @@ def test_molien_first_coefficient_is_one():
     ctx = AlgebraCtx.down_up(1, 1)
     for gens in ([mat_c(zeta(6))], [mat_d1(), mat_c(zeta(4))]):
         series = molien(ctx, close_group(gens))
-        assert series.series_coeffs(1) == [Fraction(1)]
+        assert series_coeffs(series, 1) == [Fraction(1)]
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,7 @@ def test_quasi_reflection_on_downup():
     ctx = AlgebraCtx.down_up(1, 1)
     # pole order gkdim - 1 = 2 never happens for non-identity down-up actions
     for g in (mat_d1(), Mat2.diag(-1, -1), mat_c(zeta(5))):
-        assert trace_form(ctx, g).pole_order_at_one() != ctx.gkdim - 1
+        assert pole_order_at_one(trace_form(ctx, g)) != ctx.gkdim - 1
 
 
 def test_bireflections_on_downup():
@@ -226,6 +231,32 @@ def test_bireflections_on_downup():
     assert is_bireflection(ctx, Mat2.diag(-1, -1))   # -I has det 1
     assert not is_bireflection(ctx, Mat2.diag(-1, zeta(3)))
     assert not is_bireflection(ctx, Mat2.identity())
+
+
+# Every group of the sweep (its C_m is Q1(m) and its BD_4m is Q5(m)), and
+# BT, BO and BI, by the large golden's name.
+_SWEEP_AND_BINARY = ([(f, n) for f in range(1, 9) for n in range(1, 9) if f != 3 or n % 2]
+                     + [(1, m) for m in range(9, 13)] + list(REPORTS))
+_CONTEXTS = (AlgebraCtx.down_up(0, 1), AlgebraCtx.down_up(1, 1),
+             AlgebraCtx.skew_plane(zeta(4)), AlgebraCtx.jordan_plane())
+
+
+def _outcome(decide, ctx, g):
+    """decide(ctx, g), or the type of the DuinvError it raises."""
+    try:
+        return decide(ctx, g)
+    except DuinvError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(_SWEEP_AND_BINARY), st.sampled_from(_CONTEXTS), st.integers(0, 119))
+def test_is_bireflection_matches_the_trace_oracle(group, ctx, k):
+    gens = ([parse_matrix(g) for g in REPORTS[group][2]] if group in REPORTS
+            else standard_group(*group).generators)
+    elements = close_group(gens).elements
+    g = elements[k % len(elements)]
+    assert _outcome(is_bireflection, ctx, g) == _outcome(is_bireflection_by_trace, ctx, g)
 
 
 def test_bireflection_subgroup_q4():
@@ -418,7 +449,7 @@ def test_polyring_molien_cyclic():
     # C_2 acting by sign on 2 variables
     series = polyring_molien([[[-1, 0], [0, -1]]])
     assert series == RatFunc.make(IntPoly((1, 0, 1)), one_minus_t_pows(2, 2))
-    assert series.series_coeffs(5) == [Fraction(x) for x in (1, 0, 3, 0, 5)]
+    assert series_coeffs(series, 5) == [Fraction(x) for x in (1, 0, 3, 0, 5)]
 
 
 def _count_closures(monkeypatch) -> list:
@@ -498,13 +529,14 @@ def test_polyring_molien_symmetric_group_s3():
 
 
 def test_bireflection_mismatch_is_a_typed_error(monkeypatch):
-    # diag(-1, zeta_3) is not a bireflection; claim its trace series has a
-    # pole of order gkdim - 1 = 2 at t = 1 so the trace-side criterion says
-    # it is one, while its determinant and eigenvalues say it is not.
+    # diag(-1, zeta_3) is not a bireflection; claim every determinant of its
+    # cyclic group is 1 so the matrix criterion says it is one, while its
+    # trace series has no pole at t = 1 of order gkdim - 2 or gkdim - 1.
     g = Mat2.diag(-1, zeta(3))
     ctx = AlgebraCtx.down_up(1, 1)
     assert not is_bireflection(ctx, g)
-    monkeypatch.setattr(TraceForm, "pole_order_at_one", lambda self: ctx.gkdim - 1)
+    table = close_group([g]).table._replace(dets=(0,) * 6)
+    monkeypatch.setattr(MatGroup, "table", property(lambda self: table))
     with pytest.raises(BireflectionMismatch):
         is_bireflection(ctx, g)
 
