@@ -14,10 +14,9 @@ from .errors import (BireflectionMismatch, DivisionByZero, DuinvError,
 from .intpoly import (CycFactorization, IntPoly, cyclotomic_poly, divisors,
                       factorize, is_cyclotomic_product, one_minus_t_pow,
                       poly_gcd_q, totient, x_pow)
-from .invariants import (AlgebraCtx, AutShape, HdetResult, Theorem03Report, TraceForm,
-                         bireflection_subgroup, hdet_from_trace, hdet_matrix,
-                         hypersurface_trace, is_bireflection, molien,
-                         normal_sequence_trace, polyring_molien, theorem03_report)
+from .invariants import (AlgebraCtx, AutShape, Theorem03Report, bireflection_subgroup,
+                         hdet_matrix, is_bireflection, molien, polyring_molien,
+                         theorem03_report)
 from .matgroup import (GroupLabel, Mat2, MatGroup, classify, close_group,
                        eigenvalues, mat_c, mat_c_minus, mat_d1, mat_s, mat_s1,
                        render_matrix, standard_group)

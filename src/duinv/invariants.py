@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import operator
 import typing
 from collections import Counter
 from fractions import Fraction
@@ -35,7 +34,7 @@ from .cycnum import CycNum
 from .errors import (BireflectionMismatch, GroupTooLarge,
                      InfiniteOrderSuspected, NonMonomialMatrix,
                      NonNormalizableDenominator, NonRationalCollapse,
-                     NotAnAutomorphism, UnsupportedAutomorphism, ZeroFunction)
+                     NotAnAutomorphism, UnsupportedAutomorphism)
 from .intpoly import IntPoly, is_cyclotomic_product, one_minus_t_pows
 from .matgroup import (DEFAULT_CAP, Mat2, MatGroup, close_group, classify,
                        generated_subgroup, remember)
@@ -122,90 +121,13 @@ class AlgebraCtx(Record):
 
 
 # ---------------------------------------------------------------------------
-# trace series in factored form
-# ---------------------------------------------------------------------------
-
-class TraceForm(typing.NamedTuple):
-    """
-    A trace series prod(1 - lam t^d) [numerator] / prod(1 - lam t^d)
-    [denominator], with cyclotomic scalars.  Factors are (degree, scalar).
-    """
-
-    den_factors: tuple[tuple[int, CycNum], ...]
-    num_factors: tuple[tuple[int, CycNum], ...] = ()
-
-    def laurent_leading_at_infinity(self) -> tuple[int, CycNum]:
-        exponent = (sum(d for d, _ in self.num_factors)
-                    - sum(d for d, _ in self.den_factors))
-        coeff = CycNum.one()
-        for _, lam in self.num_factors:
-            coeff = coeff * (-lam)
-        for _, lam in self.den_factors:
-            coeff = coeff / (-lam)
-        if coeff.is_zero():
-            raise ZeroFunction("trace has a zero factor")
-        return exponent, coeff
-
-
-def normal_sequence_trace(steps) -> TraceForm:
-    """
-    Trace of an automorphism acting by scalar lam_i on the i-th member of a
-    regular normal sequence of degrees d_i: 1 / prod (1 - lam_i t^(d_i)).
-    `steps` is a sequence of (degree, scalar) pairs; a degree must be an int
-    (TypeError otherwise, as for a float) and at least 1, and a scalar
-    nonzero (ValueError).
-    """
-    return TraceForm(tuple(_factor(d, lam) for d, lam in steps))
-
-
-def hypersurface_trace(steps, relation) -> TraceForm:
-    """
-    Trace on a graded hypersurface: generators as in normal_sequence_trace,
-    with one relation of degree d scaled by lam, contributing the numerator
-    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair, checked as
-    the steps are.
-    """
-    return TraceForm(tuple(_factor(d, lam) for d, lam in steps),
-                     (_factor(*relation),))
-
-
-def _factor(d, lam) -> tuple[int, CycNum]:
-    d = operator.index(d)
-    if d < 1:
-        raise ValueError(f"factor degrees must be positive, got {d}")
-    lam = _cyc(lam)
-    if lam.is_zero():
-        raise ValueError("factor scalars must be nonzero")
-    return d, lam
-
-
-def _cyc(x) -> CycNum:
-    return x if isinstance(x, CycNum) else CycNum.from_rat(x)
-
-
-# ---------------------------------------------------------------------------
 # homological determinant
 # ---------------------------------------------------------------------------
-
-class HdetResult(typing.NamedTuple):
-    value: CycNum
-    laurent_exponent: int
-
 
 def hdet_matrix(g: Mat2) -> CycNum:
     """Homological determinant of g on a down-up algebra: det(g)^2."""
     d = g.det()
     return d * d
-
-
-def hdet_from_trace(tr: TraceForm, injective_dim: int) -> HdetResult:
-    """
-    Read the homological determinant off the trace series: at infinity,
-    Tr(g, t) = (-1)^d * hdet(g)^-1 * t^l + lower order terms.
-    """
-    exponent, coeff = tr.laurent_leading_at_infinity()
-    sign = CycNum.from_rat((-1) ** injective_dim)
-    return HdetResult(sign / coeff, exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +320,10 @@ def theorem03_report(alpha, beta, generators) -> Theorem03Report:
 # ---------------------------------------------------------------------------
 # monomial matrices on weighted polynomial rings (auxiliary checks)
 # ---------------------------------------------------------------------------
+
+def _cyc(x) -> CycNum:
+    return x if isinstance(x, CycNum) else CycNum.from_rat(x)
+
 
 def polyring_molien(generators, weights=None, cap: int = DEFAULT_CAP) -> RatFunc:
     """

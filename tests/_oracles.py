@@ -12,13 +12,16 @@ group closures and eigenvalues, and lattice counts for the Molien series of
 
 It also holds the per-element reference layer the library no longer calls:
 the trace series, pole order and bireflection rule of one matrix at a time,
-the matrix inverse, the determinant-one subgroup, two named matrices and the
-Taylor coefficients of a rational function, each the reference for a table
-or integer path of the library.
+the homological determinant read off a trace series at infinity, the matrix
+inverse, the determinant-one subgroup, two named matrices and the Taylor
+coefficients of a rational function, each the reference for a table or
+integer path of the library.  Molien series on down-up algebras are also
+checked by evaluation in a prime field, from the matrix entries alone.
 """
 import cmath
 import functools
 import math
+import operator
 import random
 import typing
 from fractions import Fraction
@@ -29,10 +32,9 @@ from duinv import monomial
 from duinv.cycnum import CycNum, root_exponent, zeta
 from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected,
                           NonNormalizableDenominator, NonRationalCollapse,
-                          SingularGenerator, UnsupportedAutomorphism)
+                          SingularGenerator, UnsupportedAutomorphism, ZeroFunction)
 from duinv.intpoly import CycFactorization, IntPoly, cyclotomic_poly, \
     is_cyclotomic_product, poly_gcd_q, totient, totients_at_most
-from duinv.invariants import TraceForm
 from duinv.matgroup import (DEFAULT_CAP, Mat2, MatGroup, _shape, eigenvalues,
                             generated_subgroup)
 from duinv.ratfunc import RatFunc
@@ -522,6 +524,162 @@ def _lattice_molien_coeffs(modulus: int, generators, count: int) -> list[Fractio
             total += 1 if e == 0 else -1
         out.append(Fraction(total * len(diag), len(group)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Molien series on a down-up algebra, evaluated in F_p
+# ---------------------------------------------------------------------------
+
+FP_FLOOR = 10 ** 6
+
+
+def _prime_factors(n: int) -> list[int]:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + ([n] if n > 1 else [])
+
+
+def _prime_one_mod(m: int) -> int:
+    """The least prime p > FP_FLOOR with p = 1 mod m, by trial division."""
+    p = FP_FLOOR // m * m + 1
+    while p <= FP_FLOOR or _prime_factors(p) != [p]:
+        p += m
+    return p
+
+
+def _root_of_unity_mod(m: int, p: int) -> int:
+    """An element of order exactly m in F_p^*, for m dividing p - 1."""
+    for g in range(2, p):
+        w = pow(g, (p - 1) // m, p)
+        if all(pow(w, m // q, p) != 1 for q in _prime_factors(m)):
+            return w
+    raise ValueError(f"no element of order {m} mod {p}")
+
+
+def _poly_mod(coeffs, t: int, p: int) -> int:
+    value = 0
+    for c in reversed(coeffs):
+        value = (value * t + c) % p
+    return value
+
+
+def molien_agrees_mod_p(elements, num: IntPoly, den: IntPoly, points: int = 3,
+                        seed: int = 0) -> bool:
+    """
+    Whether num/den is the Molien series of the finite group with these Mat2
+    elements on a down-up algebra, tested at `points` random t0 of F_p: the
+    average of 1 / (det(I - t0 g) (1 - det(g) t0^2)) over the group must equal
+    num(t0) / den(t0).  p is the least prime above FP_FLOOR that is 1 mod the
+    conductor M of the entries, and zeta_M goes to an element of order M, so
+    each entry maps to F_p through its coefficient vector alone.  A t0 at a
+    pole of either side is drawn again.  Needs no eigenvalue, element table,
+    Molien code or numpy (Kemper, J. Symb. Comp. 1996, evaluates invariant-
+    ring computations the same way).
+    """
+    entries = [g.entries() for g in elements]
+    m = math.lcm(*(x.conductor for row in entries for x in row))
+    p = _prime_one_mod(m)
+    omega = _root_of_unity_mod(m, p)
+
+    def image(x: CycNum) -> int:
+        w = pow(omega, m // x.conductor, p)
+        return sum(c.numerator * pow(c.denominator, -1, p) * pow(w, k, p)
+                   for k, c in enumerate(x.coeffs)) % p
+
+    mats = [tuple(map(image, row)) for row in entries]
+    rng = random.Random(seed)
+    checked = 0
+    while checked < points:
+        t = rng.randrange(p)
+        traces = [((1 - t * a) * (1 - t * d) - t * t * b * c) * (1 - (a * d - b * c) * t * t) % p
+                  for a, b, c, d in mats]
+        den_t = _poly_mod(den.coeffs, t, p)
+        if den_t == 0 or 0 in traces:
+            continue
+        average = sum(pow(x, -1, p) for x in traces) * pow(len(mats), -1, p) % p
+        if average != _poly_mod(num.coeffs, t, p) * pow(den_t, -1, p) % p:
+            return False
+        checked += 1
+    return True
+
+
+# ---------------------------------------------------------------------------
+# trace series in factored form, and the homological determinant at infinity
+# ---------------------------------------------------------------------------
+
+class TraceForm(typing.NamedTuple):
+    """
+    A trace series prod(1 - lam t^d) [numerator] / prod(1 - lam t^d)
+    [denominator], with cyclotomic scalars.  Factors are (degree, scalar).
+    """
+
+    den_factors: tuple[tuple[int, CycNum], ...]
+    num_factors: tuple[tuple[int, CycNum], ...] = ()
+
+    def laurent_leading_at_infinity(self) -> tuple[int, CycNum]:
+        exponent = (sum(d for d, _ in self.num_factors)
+                    - sum(d for d, _ in self.den_factors))
+        coeff = CycNum.one()
+        for _, lam in self.num_factors:
+            coeff = coeff * (-lam)
+        for _, lam in self.den_factors:
+            coeff = coeff / (-lam)
+        if coeff.is_zero():
+            raise ZeroFunction("trace has a zero factor")
+        return exponent, coeff
+
+
+def normal_sequence_trace(steps) -> TraceForm:
+    """
+    Trace of an automorphism acting by scalar lam_i on the i-th member of a
+    regular normal sequence of degrees d_i: 1 / prod (1 - lam_i t^(d_i)).
+    `steps` is a sequence of (degree, scalar) pairs; a degree must be an int
+    (TypeError otherwise, as for a float) and at least 1, and a scalar
+    nonzero (ValueError).
+    """
+    return TraceForm(tuple(_factor(d, lam) for d, lam in steps))
+
+
+def hypersurface_trace(steps, relation) -> TraceForm:
+    """
+    Trace on a graded hypersurface: generators as in normal_sequence_trace,
+    with one relation of degree d scaled by lam, contributing the numerator
+    factor (1 - lam t^d).  `relation` is a (degree, scalar) pair, checked as
+    the steps are.
+    """
+    return TraceForm(tuple(_factor(d, lam) for d, lam in steps),
+                     (_factor(*relation),))
+
+
+def _factor(d, lam) -> tuple[int, CycNum]:
+    d = operator.index(d)
+    if d < 1:
+        raise ValueError(f"factor degrees must be positive, got {d}")
+    lam = _cyc(lam)
+    if lam.is_zero():
+        raise ValueError("factor scalars must be nonzero")
+    return d, lam
+
+
+class HdetResult(typing.NamedTuple):
+    value: CycNum
+    laurent_exponent: int
+
+
+def hdet_from_trace(tr: TraceForm, injective_dim: int) -> HdetResult:
+    """
+    Read the homological determinant off the trace series: at infinity,
+    Tr(g, t) = (-1)^d * hdet(g)^-1 * t^l + lower order terms.  The reference
+    for paperlab's sign count of the involution hdets.
+    """
+    exponent, coeff = tr.laurent_leading_at_infinity()
+    sign = CycNum.from_rat((-1) ** injective_dim)
+    return HdetResult(sign / coeff, exponent)
 
 
 # ---------------------------------------------------------------------------

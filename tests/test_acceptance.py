@@ -11,6 +11,7 @@ on larger inputs with tests/golden/large.json.
 import importlib
 import json
 import pathlib
+import random
 import sys
 
 import pytest
@@ -214,7 +215,9 @@ REFERENCE_LAYER = ((intpoly, "poly_gcd_q"), (matgroup, "eigenvalues"),
 # binds these names.
 MOVED_TO_ORACLES = ("plane_trace", "downup_trace", "trace_form", "generated_by_bireflections",
                     "sl2_part", "mat_s2", "mat_d2", "TraceForm.pole_order_at_one",
-                    "Mat2.inverse", "Mat2.shape", "RatFunc.series_coeffs")
+                    "Mat2.inverse", "Mat2.shape", "RatFunc.series_coeffs",
+                    "TraceForm", "normal_sequence_trace", "hypersurface_trace", "_factor",
+                    "HdetResult", "hdet_from_trace")
 
 
 def _owners():
@@ -313,6 +316,19 @@ def test_11_cyclotomic_arithmetic_embedding():
     run_embedding_suite(cases=200, depth=5, tol=1e-9)
 
 
+def test_11_molien_fp_evaluation_oracle(sweep_reports):
+    """Every sweep series equals the Molien average evaluated in F_p, and the
+    same series with one numerator coefficient raised by 1 does not."""
+    from _oracles import molien_agrees_mod_p
+    rng = random.Random(0)
+    for tag, rep in sweep_reports:
+        num, den = rep.hilbert_series.num, rep.hilbert_series.den
+        assert molien_agrees_mod_p(rep.group, num, den), tag
+        coeffs = list(num.coeffs)
+        coeffs[rng.randrange(len(coeffs))] += 1
+        assert not molien_agrees_mod_p(rep.group, IntPoly(coeffs), den), tag
+
+
 # ---------------------------------------------------------------------------
 # 12. four-variable weighted average: five-factor closed form
 # ---------------------------------------------------------------------------
@@ -380,6 +396,17 @@ def test_13_paperlab_checks_match_golden():
         got[op["id"]] = digest(run())[0]
     assert got == {op_id: {"checks": checks, "failed_checks": []}
                    for op_id, checks in golden.items()}
+
+
+@pytest.mark.parametrize("max_n", [8, 16])
+def test_13_paperlab_stdout_matches_golden(capsys, max_n):
+    """The whole stdout of `duinv paperlab --suite all --max-n N`, byte for
+    byte, with every expected and computed value as rendered.  Regenerate
+    with `PYTHONPATH=src python -m duinv paperlab --suite all --max-n N >
+    tests/golden/paperlab_all_N.json`, under the rule above."""
+    assert main(["paperlab", "--suite", "all", "--max-n", str(max_n)]) == 0
+    golden = pathlib.Path(__file__).resolve().parent / "golden" / f"paperlab_all_{max_n}.json"
+    assert capsys.readouterr().out.encode() == golden.read_bytes()
 
 
 def test_13_large_inputs_match_golden():

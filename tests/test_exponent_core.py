@@ -24,8 +24,7 @@ from duinv.errors import (GroupTooLarge, InfiniteOrderSuspected, NonMonomialMatr
 from duinv.intpoly import CycFactorization, IntPoly
 from duinv.invariants import (AlgebraCtx, _average_inverse_products,
                               _bireflection_flags, bireflection_subgroup,
-                              hdet_matrix, molien, normal_sequence_trace,
-                              polyring_molien, theorem03_report)
+                              hdet_matrix, molien, polyring_molien, theorem03_report)
 from duinv.matgroup import (DEFAULT_CAP, ElementTable, Mat2, MatForm, MatGroup,
                             _group_order_bound, _order_bound, classify,
                             close_group, eigenvalues, generated_subgroup,
@@ -36,7 +35,8 @@ from _oracles import (Monomial, _close_by_products, _eigen_exponents_by_search,
                       _lattice_molien_coeffs, _monomial_eigenvalues, _monomial_key,
                       _monomial_product, _order_by_products, _subgroup_by_all_generators,
                       close_monomial_group, is_bireflection_by_trace, mat_inverse,
-                      mat_shape, series_coeffs, sl2_part, trace_to_ratfunc)
+                      mat_shape, normal_sequence_trace, series_coeffs, sl2_part,
+                      trace_to_ratfunc)
 
 CAP = 48  # keeps the CycNum reference closures and orders quick
 

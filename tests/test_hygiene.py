@@ -20,14 +20,14 @@ from fractions import Fraction
 import pytest
 
 from duinv import (AlgebraCtx, CycFactorization, GroupLabel, IntPoly, Mat2,
-                   RatFunc, close_group, hdet_from_trace, is_cyclotomic_product, matgroup,
+                   RatFunc, close_group, is_cyclotomic_product, matgroup,
                    theorem03_report, zeta)
 from duinv.intpoly import one_minus_t_pows
 from duinv.matgroup import classify, generated_subgroup
 from duinv._record import Record
 from duinv.paperlab import CheckResult
 
-from _oracles import downup_trace
+from _oracles import downup_trace, hdet_from_trace
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"

@@ -13,16 +13,16 @@ from duinv.errors import (BireflectionMismatch, DuinvError, NonMonomialMatrix,
                           NotAnAutomorphism, UnsupportedAutomorphism)
 from duinv.intpoly import CycFactorization, IntPoly, one_minus_t_pow, one_minus_t_pows, x_pow
 from duinv.invariants import (AlgebraCtx, AutShape, _average_inverse_products,
-                              bireflection_subgroup, hdet_from_trace, hdet_matrix,
-                              hypersurface_trace, is_bireflection, molien,
-                              normal_sequence_trace, polyring_molien, theorem03_report)
+                              bireflection_subgroup, hdet_matrix, is_bireflection, molien,
+                              polyring_molien, theorem03_report)
 from duinv.matgroup import (Mat2, MatGroup, close_group, mat_c, mat_d1, mat_s,
                             mat_s1, standard_group)
 from duinv.notation import parse_matrix
 from duinv.ratfunc import RatFunc
 
 from _oracles import (Monomial, _monomial_eigenvalues, close_monomial_group, downup_trace,
-                      generated_by_bireflections, is_bireflection_by_trace, mat_shape,
+                      generated_by_bireflections, hdet_from_trace, hypersurface_trace,
+                      is_bireflection_by_trace, mat_shape, normal_sequence_trace,
                       plane_trace, pole_order_at_one, series_coeffs, trace_form,
                       trace_to_ratfunc)
 from large_golden import REPORTS

@@ -2,8 +2,11 @@
 import pytest
 
 from duinv import paperlab
+from duinv.cycnum import CycNum
 from duinv.intpoly import IntPoly, one_minus_t_pow, one_minus_t_pows, x_pow
 from duinv.ratfunc import RatFunc
+
+from _oracles import hdet_from_trace, hypersurface_trace, normal_sequence_trace
 
 
 def _assert_all_pass(results):
@@ -62,6 +65,32 @@ def test_four_variable_average():
 
 def test_involution_hdets():
     _assert_all_pass(paperlab.check_involution_hdets(a_range=(1, 2), d_range=(4,)))
+
+
+def test_involution_hdet_sign_count_matches_the_trace_oracle():
+    """The sign count gives the hdet read at infinity off the CycNum trace
+    series on every row for n = 0..40; a row the oracle refuses, for a
+    degree below 1, is refused by both."""
+    accepted = 0
+    for n in range(41):
+        for case, (steps, relation) in paperlab._involution_rows(n).items():
+            try:
+                trace = (normal_sequence_trace(steps) if relation is None
+                         else hypersurface_trace(steps, relation))
+            except ValueError:
+                with pytest.raises(ValueError, match="degrees must be positive"):
+                    paperlab._involution_hdet(steps, relation)
+                continue
+            accepted += 1
+            sign = paperlab._involution_hdet(steps, relation)
+            assert CycNum.from_rat(sign) == hdet_from_trace(trace, 2).value, (case, n)
+    assert accepted > 400
+
+
+@pytest.mark.parametrize("ranges", [{"a_range": (0,)}, {"d_range": (2,)}])
+def test_involution_hdets_refuse_degrees_below_one(ranges):
+    with pytest.raises(ValueError, match="degrees must be positive"):
+        paperlab.check_involution_hdets(**ranges)
 
 
 def test_flag_table_small():

@@ -23,11 +23,10 @@ from duinv.intpoly import (IntPoly, CycFactorization, _cyclotomic_at_two,
                            is_cyclotomic_product, one_minus_t_pow, one_minus_t_pows,
                            poly_gcd_q, totient, totients_at_most, x_pow)
 from duinv.paperlab import _family_one_numerator
-from duinv.invariants import TraceForm
 from duinv.ratfunc import RatFunc, stanley_gorenstein_test
 from duinv.cycnum import zeta
 
-from _oracles import (cancel_by_gcd, cyclotomic_by_division,
+from _oracles import (TraceForm, cancel_by_gcd, cyclotomic_by_division,
                       cyclotomic_product_by_trial_division, ratfunc_by_trial_division,
                       stanley_by_products, trace_to_ratfunc)
 
